@@ -4,13 +4,15 @@
 
 Run from the root of a checkout.  Every part of a round runs in a fresh
 worker process (perfbench/worker.py) against the checkout's src/, with the
-BLAS pools pinned to one thread.  A round is AUDIT_PIECES / 2 audit
-processes, the train process (fixed-code training split around the search),
-and AUDIT_PIECES / 2 more audit processes: the host's speed drifts over
-seconds to minutes, so each timed phase is sampled across the round.  Whole
-rounds are run while the next one is expected to end within S seconds (at
-least one).  SETUP_SAMPLES more processes only set up, half before the
-rounds and half after; setup_s is the median over them and the rounds.
+BLAS pools pinned to one thread.  A round is a few train processes (each one
+search, with its share of the fixed-code training around it; see
+workloads.py) with AUDIT_PIECES audit processes spread between them: the
+host's speed drifts over seconds to minutes, so each timed phase is sampled
+across the round.  search_s is the mean over the round's searches; retrain_s
+and audit_s are sums.  Whole rounds are run while the next one is expected to
+end within S seconds (at least one).  SETUP_SAMPLES more processes only set
+up, half before the rounds and half after; setup_s is the median over them
+and the train processes.
 
 The last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}; with --trace 0 the metrics are
@@ -58,11 +60,11 @@ def worker_env():
     return env
 
 
-def run_worker(args, part, deadline):
+def run_worker(args, part, deadline, index=0):
     env = worker_env()
     cmd = [sys.executable, str(HERE / "worker.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--trace", str(args.trace), "--part", part,
-           "--launched-at", repr(time.time())]
+           "--index", str(index), "--launched-at", repr(time.time())]
     timeout = max(1.0, deadline - time.monotonic())
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
                           cwd=ROOT, timeout=timeout)
@@ -74,18 +76,22 @@ def run_worker(args, part, deadline):
 
 
 def run_round(args, deadline):
-    """Audit processes on both sides of the train process; one record."""
-    half = AUDIT_PIECES // 2
-    audits = [run_worker(args, "audit", deadline) for _ in range(half)]
-    train = run_worker(args, "train", deadline)
-    audits += [run_worker(args, "audit", deadline) for _ in range(half)]
-    parts = [train, *audits]
+    """Train and audit processes in turn; one record."""
+    trains, audits = [], []
+    n_trains = len(WORKLOADS[args.workload]["fixed_code"]["epochs"])
+    per_train = AUDIT_PIECES // n_trains
+    for index in range(n_trains):
+        audits += [run_worker(args, "audit", deadline) for _ in range((per_train + 1) // 2)]
+        trains.append(run_worker(args, "train", deadline, index))
+        audits += [run_worker(args, "audit", deadline) for _ in range(per_train // 2)]
+    parts = [*trains, *audits]
     record = {
         # a phase whose operations all raised reads 0; its checks say why
-        "search_s": train.get("search_s", 0.0),
-        "retrain_s": train.get("retrain_s", 0.0),
+        "search_s": statistics.mean(t.get("search_s", 0.0) for t in trains),
+        "retrain_s": sum(t.get("retrain_s", 0.0) for t in trains),
         "audit_s": sum(a.get("audit_s", 0.0) for a in audits),
-        "peak_rss_mb": train["peak_rss_mb"], "setup_s": train["setup_s"],
+        "peak_rss_mb": max(t["peak_rss_mb"] for t in trains),
+        "setups_s": [t["setup_s"] for t in trains],
         "attempted": sum(p["attempted"] for p in parts),
         "failed": sum(p["failed"] for p in parts),
         "failed_checks": [c for p in parts for c in p["failed_checks"]],
@@ -96,7 +102,7 @@ def run_round(args, deadline):
         for p in parts:
             t.update(p["trace"]["t"])
             n.update(p["trace"]["n"])
-        record["per_layer"] = per_layer(t, n, train["trace"]["build_s"])
+        record["per_layer"] = per_layer(t, n, trains[0]["trace"]["build_s"])
     return record
 
 
@@ -125,7 +131,7 @@ def main():
         took = time.monotonic() - t0
         if time.monotonic() + took > start + args.seconds:
             break
-    setups += [r["setup_s"] for r in rounds] + sample_setups()
+    setups += [s for r in rounds for s in r["setups_s"]] + sample_setups()
 
     if args.trace:
         metrics = {name: statistics.median(r["per_layer"][name] for r in rounds)

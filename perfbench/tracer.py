@@ -100,6 +100,7 @@ class Tracer:
             # total does not depend on where the collector last happened to run
             gc.collect()
             self.n["gc_collected"] += _gc_collected() - before
+            self.n["searches"] += 1
             return out
         return run_search
 
@@ -199,7 +200,7 @@ class Tracer:
 
 def per_layer(t: dict, n: dict, build_s: float) -> dict:
     """Per-layer metrics from a round's timers and counters, summed over its
-    processes (the train process and the audit processes)."""
+    processes (the train processes and the audit processes)."""
     steps = n["steps"]
     sub = 2 * steps
     update = t["step"] - t["sample"] - t["forward"] - t["backward"] - t["bookkeeping"]
@@ -215,7 +216,7 @@ def per_layer(t: dict, n: dict, build_s: float) -> dict:
         "autodiff.live_nodes_end": n["live_nodes_end"],
         "trainer.substep_ms": 1e3 * (t["step"] - t["bookkeeping"]) / sub,
         "trainer.update_ms": 1e3 * update / sub,
-        "trainer.derive_ms": 1e3 * t["derive"],
+        "trainer.derive_ms": 1e3 * t["derive"] / n["searches"],
         "trainer.retrain_step_ms": 1e3 * t["retrain"] / n["retrain_steps"],
         "kernels.egs_draws_per_s": n["draws"] / t["kernels"],
         "audit.bijection_s": t["bijection"],

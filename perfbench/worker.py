@@ -1,21 +1,24 @@
 """One process of a round; prints one JSON line.
 
     python3 perfbench/worker.py --workload NAME --seed N --launched-at T
-        --part setup|train|audit [--trace 0|1]
+        --part setup|train|audit [--index I] [--trace 0|1]
 
 run.py starts this with PYTHONPATH pointing at the checkout's src/ and the
 BLAS pools pinned.  Every part first times its set-up from --launched-at, the
 parent's time.time() just before it started the process.
 
 - setup: imports, build_dataset and build_state, then exit.
-- train: set-up, then the first half of the fixed-code training, the search,
-  the second half, and the checks on all of them (see workloads.py).
+- train: set-up, then this process's share of the fixed-code training
+  before the search, the search, the share after it, and the checks on all
+  of them (see workloads.py).  Only the first train process of a round
+  (--index 0) runs the baseline and the derived code's check retrain.
 - audit: one `verify-propositions` run at the CLI defaults, and its checks.
 
 With --trace 1 the part also reports the tracer's raw timers and counters.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import resource
@@ -30,7 +33,7 @@ from egsearch.config import RunConfig
 from egsearch.space import OP_SET, ArchitectureCode
 
 from tracer import Tracer
-from workloads import AUDIT, CHECK_EPOCHS, WORKLOADS
+from workloads import AUDIT, BASELINE_SEED, CHECK_EPOCHS, WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -167,55 +170,62 @@ class Ops:
         self.failed += n_ops
 
 
-def train_part(cfg, spec, ds, ops):
-    """Fixed-code training split around the search, so that retrain_s is
-    sampled on both sides of it; returns figures for the result."""
+def train_part(cfg, spec, ds, ops, index):
+    """Train process `index` of the round: its share of the fixed-code
+    training split around one search; returns figures for the result."""
     check = ops.check
     fixed = spec["fixed_code"]
+    before, after = fixed["epochs"][index]
+    first = index == 0
 
-    def train_fixed():
+    def train_fixed(epochs):
+        if not epochs:
+            return
         result = ops("retrain_s", 1, lambda: trainer.retrain(
-            fixed_code(cfg, fixed["ops"]), ds, cfg, epochs=fixed["epochs"] // 2))
+            fixed_code(cfg, fixed["ops"]), ds, cfg, epochs=epochs))
         if result is not None:
             check_retrain(check, result, "fixed-code retrain")
 
-    if fixed is None:
+    if spec["baseline"] and first:
         # the quick start's baseline needs nothing from the search
+        base_cfg = dataclasses.replace(cfg, seed=BASELINE_SEED)
         base = ops("retrain_s", cfg.baseline_budget,
-                   lambda: trainer.random_search_baseline(ds, cfg))
+                   lambda: trainer.random_search_baseline(ds, base_cfg))
         for r in base.results if base is not None else ():
             check_retrain(check, r, "baseline retrain")
-    else:
-        train_fixed()
+    train_fixed(before)
 
     searched = ops("search_s", 1, lambda: trainer.run_search(cfg, ds))
     # read here: the untimed check retrain below must not set the peak
     figures = {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-    if searched is None:
-        ops.skip(1)  # the derived-code retrain has no code to train
-    else:
+    if searched is not None:
         state, report = searched
         # recorded, not checked: on some seeds of every workload the last
         # epoch's mean train loss ends above the first's
         figures["loss_first_last"] = [report.rows[0][1], report.rows[-1][1]]
         check_search(check, cfg, ds, state, report)
-        if fixed is None:
-            # `egsearch evaluate` on the derived code.  Its accuracy is
-            # recorded, not checked: some seeds derive a cell that retrains
-            # to chance (0.548 at seed 104)
-            result = ops("retrain_s", 1, lambda: trainer.retrain(report.derived, ds, cfg))
-        else:
-            result = ops(None, 1, lambda: trainer.retrain(
-                report.derived, ds, cfg, epochs=CHECK_EPOCHS))
-        if result is not None:
-            figures["test_acc"] = result.test_acc
-            check_retrain(check, result, "retrain")
-            if fixed is not None:
-                check("derived code beats chance", result.test_acc > 0.5 + ACC_MARGIN,
-                      f"test_acc {result.test_acc}")
-    if fixed is not None:
-        train_fixed()
+    if first:
+        figures["test_acc"] = check_derived(cfg, spec, ds, searched, ops)
+    train_fixed(after)
     return figures
+
+
+def check_derived(cfg, spec, ds, searched, ops):
+    """Untimed short retrain of the derived code; returns its test accuracy."""
+    if searched is None:
+        ops.skip(1)  # the derived-code retrain has no code to train
+        return None
+    result = ops(None, 1, lambda: trainer.retrain(
+        searched[1].derived, ds, cfg, epochs=CHECK_EPOCHS))
+    if result is None:
+        return None
+    check_retrain(ops.check, result, "retrain")
+    # not gated in pipeline-default: some seeds derive a cell that retrains
+    # to chance even at 150 epochs (0.548 at seed 104)
+    if spec["check_acc"]:
+        ops.check("derived code beats chance", result.test_acc > 0.5 + ACC_MARGIN,
+                  f"test_acc {result.test_acc}")
+    return result.test_acc
 
 
 def os_threads():
@@ -235,6 +245,8 @@ def main():
     parser.add_argument("--launched-at", type=float, required=True)
     parser.add_argument("--part", required=True, choices=("setup", "train", "audit"))
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--index", type=int, default=0,
+                        help="which train process of the round this is")
     args = parser.parse_args()
 
     src = (ROOT / "src").resolve()
@@ -258,12 +270,12 @@ def main():
         tracer.install()
     try:
         if args.part == "train":
-            out.update(train_part(cfg, spec, ds, ops))
+            out.update(train_part(cfg, spec, ds, ops, args.index))
         else:
             result = ops("audit_s", 1, lambda: audit.run_audit(**AUDIT))
             if result is not None:
                 check_audit(check, result)
-        if tracer is not None and args.part == "train":
+        if tracer is not None and args.part == "train" and args.index == 0:
             tracer.count_live_nodes()
     finally:
         if tracer is not None:
