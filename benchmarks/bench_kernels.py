@@ -1,10 +1,9 @@
-"""Timing comparison of the compiled and pure-numpy sampling kernels.
+"""Throughput of the batch sampling kernels the audits use.
 
 Run:  python3 benchmarks/bench_kernels.py [--draws N] [--repeats R]
 
-Both backends consume the same uniform block, so the comparison is pure
-arithmetic throughput.  The compiled path is warmed once before timing so
-JIT compilation does not count against it.
+Each kernel gets a pre-drawn uniform block, so the timing is the Gumbel
+transform and the arithmetic alone.
 """
 
 import argparse
@@ -32,44 +31,21 @@ def main():
     args = parser.parse_args()
 
     k, m, tau = 5, 3, 0.1
-    p = np.full(k, 1.0 / k)
-    log_p = np.log(p)
+    log_p = np.log(np.full(k, 1.0 / k))
     u_cat = RngState(0).uniform(args.draws * k)
     u_egs = RngState(1).uniform(args.draws * m * k)
 
     cases = [
-        ("categorical", kernels.categorical_batch_numpy,
-         getattr(kernels, "categorical_batch_numba", None),
-         lambda fn: fn(log_p, u_cat)),
-        ("egs hard", kernels.egs_hard_batch_numpy,
-         getattr(kernels, "egs_hard_batch_numba", None),
-         lambda fn: fn(log_p, u_egs, m)),
-        ("gs soft", kernels.gs_soft_batch_numpy,
-         getattr(kernels, "gs_soft_batch_numba", None),
-         lambda fn: fn(log_p, u_cat, tau)),
+        ("categorical", lambda: kernels.categorical_batch(log_p, u_cat)),
+        ("egs hard", lambda: kernels.egs_hard_batch(log_p, u_egs, m)),
+        ("gs soft", lambda: kernels.gs_soft_batch(log_p, u_cat, tau)),
     ]
 
     print(f"draws={args.draws} K={k} M={m} (best of {args.repeats})")
-    print(f"{'kernel':<14}{'numpy':>12}{'numba':>12}{'speedup':>10}")
-    for name, numpy_fn, numba_fn, call in cases:
-        t_np = best_of(lambda: call(numpy_fn), args.repeats)
-        if numba_fn is None:
-            print(f"{name:<14}{t_np:>10.3f}s{'n/a':>12}{'n/a':>10}")
-            continue
-        call(numba_fn)  # warm the JIT outside the timed region
-        t_nb = best_of(lambda: call(numba_fn), args.repeats)
-        print(f"{name:<14}{t_np:>10.3f}s{t_nb:>10.3f}s{t_np / t_nb:>9.1f}x")
-
-    # the two backends must agree before a speedup means anything
-    numba_egs = getattr(kernels, "egs_hard_batch_numba", None)
-    if numba_egs is not None:
-        same = np.array_equal(
-            kernels.egs_hard_batch_numpy(log_p, u_egs, m),
-            numba_egs(log_p, u_egs, m),
-        )
-        print(f"hard outputs identical across backends: {same}")
-    else:
-        print("numba unavailable; compiled path not benchmarked")
+    print(f"{'kernel':<14}{'seconds':>10}{'draws/s':>14}")
+    for name, call in cases:
+        t = best_of(call, args.repeats)
+        print(f"{name:<14}{t:>10.3f}{args.draws / t:>14.3g}")
 
 
 if __name__ == "__main__":

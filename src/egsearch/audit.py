@@ -6,13 +6,15 @@ Three legs:
    network plan and encodes back to the same code.
 2. inclusion marginals: Monte-Carlo bit frequencies against the exact
    1 - (1 - p_k)^M oracle, plus strict monotonicity of the oracle.
-3. reachable-code counts: exhaustive enumeration beside the closed form
-   C(K, M) * (2^M - 1).  The two disagree for some (K, M); the audit
-   ships the enumeration as ground truth and marks each row AGREE or
-   DISAGREE-REPORTED instead of failing.
+3. reachable-code counts: exhaustive enumeration against the closed form
+   sum_{r=1}^{min(M,K)} C(K, r), the number of codes with 1..min(M, K)
+   ones, and beside the paper's C(K, M) * (2^M - 1).  The paper's formula
+   disagrees for some (K, M); each row is marked AGREE or
+   DISAGREE-REPORTED with it instead of failing.
 
-Legs 1 and 2 are testable invariants: any violation flips the audit to
-failed.  Leg 3 can only ever add DISAGREE-REPORTED rows.
+Every leg has a testable invariant: the round trips, the marginals and
+the enumerated counts against the binomial sum.  Any violation flips the
+audit to failed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "AuditResult",
     "CountRow",
     "closed_form_count",
+    "reachable_count",
     "bijection_audit",
     "marginal_audit",
     "count_audit",
@@ -45,11 +48,16 @@ class CountRow:
     K: int
     M: int
     enumerated: int
-    formula: int
+    formula: int  # the paper's closed form, reported
+    expected: int  # the binomial sum, checked
 
     @property
     def agree(self) -> bool:
         return self.enumerated == self.formula
+
+    @property
+    def holds(self) -> bool:
+        return self.enumerated == self.expected
 
 
 @dataclass
@@ -57,6 +65,7 @@ class AuditResult:
     ok: bool  # every testable invariant held
     bijection_ok: bool
     marginal_ok: bool
+    count_ok: bool
     max_z: float
     counts: list
     report: str
@@ -67,7 +76,13 @@ class AuditResult:
 
 
 def closed_form_count(K: int, M: int) -> int:
+    """The paper's count of reachable codes, C(K, M) * (2^M - 1)."""
     return math.comb(K, M) * (2**M - 1)
+
+
+def reachable_count(K: int, M: int) -> int:
+    """Codes with 1..min(M, K) ones: sum_{r=1}^{min(M,K)} C(K, r)."""
+    return sum(math.comb(K, r) for r in range(1, min(M, K) + 1))
 
 
 def bijection_audit(random_trials: int = 1000, seed: int = 0):
@@ -135,7 +150,8 @@ def marginal_audit(configs: int = 20, draws: int = 100_000, seed: int = 0):
 
 
 def count_audit(k_max: int = 10, m_max: int = 4):
-    """Enumerated reachable-code counts beside the closed form."""
+    """Enumerated reachable-code counts against the binomial sum, beside the
+    paper's closed form."""
     if not 2 <= k_max <= ENUMERATION_MAX_K:
         raise ValueError(
             f"k_max must be in [2, {ENUMERATION_MAX_K}] for enumeration, got {k_max}"
@@ -149,14 +165,17 @@ def count_audit(k_max: int = 10, m_max: int = 4):
                 K=k, M=m,
                 enumerated=len(reachable_codes(k, m)),
                 formula=closed_form_count(k, m),
+                expected=reachable_count(k, m),
             )
             rows.append(row)
             mark = "AGREE" if row.agree else "DISAGREE-REPORTED"
+            check = "ok" if row.holds else "MISMATCH"
             lines.append(
                 f"    K={k:<2d} M={m}: enumerated {row.enumerated:<6d} "
-                f"formula {row.formula:<6d} {mark}"
+                f"formula {row.formula:<6d} {mark:<17s} "
+                f"sum_r C(K,r) {row.expected:<6d} {check}"
             )
-    return lines, rows
+    return lines, rows, all(row.holds for row in rows)
 
 
 def run_audit(k_max: int = 10, m_max: int = 4, configs: int = 20,
@@ -164,8 +183,9 @@ def run_audit(k_max: int = 10, m_max: int = 4, configs: int = 20,
     bij_lines, bij_ok = bijection_audit(seed=seed)
     marg_lines, marg_ok, max_z = marginal_audit(configs=configs, draws=draws,
                                                 seed=seed)
-    count_lines, rows = count_audit(k_max=k_max, m_max=m_max)
+    count_lines, rows, count_ok = count_audit(k_max=k_max, m_max=m_max)
     n_disagree = sum(not r.agree for r in rows)
+    n_hold = sum(r.holds for r in rows)
 
     parts = ["property audit", "=============="]
     parts += ["", "[1] code/network bijection"]
@@ -174,20 +194,24 @@ def run_audit(k_max: int = 10, m_max: int = 4, configs: int = 20,
     parts += ["", "[2] inclusion marginals match 1-(1-p_k)^M"]
     parts += marg_lines
     parts += [f"    result: {'PASS' if marg_ok else 'FAIL'}"]
-    parts += ["", "[3] reachable-code count vs closed form C(K,M)*(2^M-1)"]
+    parts += ["", "[3] reachable-code count vs sum_r C(K,r) (checked) "
+              "and the paper's C(K,M)*(2^M-1) (reported)"]
     parts += count_lines
     parts += [
-        f"    result: {len(rows) - n_disagree} AGREE, "
+        f"    result: {'PASS' if count_ok else 'FAIL'} "
+        f"({n_hold}/{len(rows)} match sum_r C(K,r)); "
+        f"paper's formula: {len(rows) - n_disagree} AGREE, "
         f"{n_disagree} DISAGREE-REPORTED (reported, not failed)"
     ]
-    ok = bij_ok and marg_ok
-    tail = f"{n_disagree} count discrepancies reported"
+    ok = bij_ok and marg_ok and count_ok
+    tail = f"{n_disagree} disagreements with the paper's count formula reported"
     parts += [
         "",
         f"summary: {'PASS' if ok else 'FAIL'} "
         f"({'testable invariants hold; ' if ok else ''}{tail})",
     ]
     return AuditResult(
-        ok=ok, bijection_ok=bij_ok, marginal_ok=marg_ok, max_z=max_z,
+        ok=ok, bijection_ok=bij_ok, marginal_ok=marg_ok, count_ok=count_ok,
+        max_z=max_z,
         counts=rows, report="\n".join(parts) + "\n",
     )

@@ -1,14 +1,17 @@
 """Minimal reverse-mode autodiff on a dynamic Wengert tape.
 
-Graphs are built define-by-run: every differentiable op appends one node to
-the active tape, so the recording order is already a topological order and
-the backward pass is a single reverse sweep.  Everything is float64.
+Graphs are built define-by-run: every differentiable op links its output to
+a node holding its inputs and backward rule, and appends that node to the
+innermost open `with Tape()` block, if any.  Nodes refer to their outputs
+weakly, so a graph is freed by reference counting as soon as its last
+tensor goes.  Everything is float64.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 
 import numpy as np
 
@@ -16,6 +19,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeMismatchError",
+    "record",
     "backward",
     "forward_op",
     "add",
@@ -54,21 +58,30 @@ _TLS = threading.local()
 
 
 class TapeNode:
-    __slots__ = ("idx", "inputs", "output", "backward_fn")
+    """One recorded op.  `output` is held weakly: the output tensor owns its
+    node (`Tensor.node`), not the other way round, so no graph is a cycle."""
+
+    __slots__ = ("idx", "inputs", "_output", "backward_fn")
 
     def __init__(self, inputs, output, backward_fn):
         self.idx = next(_NODE_IDS)
         self.inputs = inputs
-        self.output = output
+        self._output = weakref.ref(output)
         self.backward_fn = backward_fn
+
+    @property
+    def output(self):
+        """The tensor this node produced, or None once it has been freed."""
+        return self._output()
 
 
 class Tape:
-    """Append-only record of differentiable ops.
+    """Append-only record of the differentiable ops run inside its block.
 
     Use as a context manager to scope recording; trainer code opens a fresh
-    tape per loss so old graphs can be garbage collected.  A tape must stay
-    on the thread that created it.
+    tape per loss.  Ops run outside every block still build a graph that
+    `backward` can sweep, but no tape keeps it alive.  A tape must stay on
+    the thread that created it.
     """
 
     def __init__(self):
@@ -91,14 +104,6 @@ def _tape_stack():
     return stack
 
 
-def _active_tape():
-    stack = _tape_stack()
-    if not stack:
-        # ambient tape so bare usage works outside a `with Tape()` block
-        stack.append(Tape())
-    return stack[-1]
-
-
 class Tensor:
     """Dense float64 array plus autodiff bookkeeping.
 
@@ -106,7 +111,7 @@ class Tensor:
     for leaves and constants).  `grad` is populated by `backward`.
     """
 
-    __slots__ = ("data", "requires_grad", "node", "grad")
+    __slots__ = ("data", "requires_grad", "node", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -127,13 +132,21 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out_data, inputs, backward_fn):
+def record(out_data, inputs, backward_fn):
+    """Wrap `out_data` as the output of an op on the tensors `inputs`.
+
+    When any input requires grad, the output gets a node, which the
+    innermost open tape (if any) appends.  `backward_fn(g)` maps the
+    output's gradient to one gradient per input, in order (None to skip).
+    """
     out = Tensor(out_data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         node = TapeNode(tuple(inputs), out, backward_fn)
         out.node = node
-        _active_tape().nodes.append(node)
+        stack = _tape_stack()
+        if stack:
+            stack[-1].nodes.append(node)
     return out
 
 
@@ -161,7 +174,7 @@ def add(a, b):
     def back(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def multiply(a, b):
@@ -174,7 +187,7 @@ def multiply(a, b):
     def back(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def matmul(a, b):
@@ -197,7 +210,7 @@ def matmul(a, b):
 
     else:
         raise ShapeMismatchError("matmul", (a.shape, b.shape))
-    return _record(ad @ bd, (a, b), back)
+    return record(ad @ bd, (a, b), back)
 
 
 def relu(x):
@@ -207,7 +220,7 @@ def relu(x):
     def back(g):
         return (g * mask,)
 
-    return _record(np.where(mask, x.data, 0.0), (x,), back)
+    return record(np.where(mask, x.data, 0.0), (x,), back)
 
 
 def tanh(x):
@@ -217,7 +230,7 @@ def tanh(x):
     def back(g):
         return (g * (1.0 - out * out),)
 
-    return _record(out, (x,), back)
+    return record(out, (x,), back)
 
 
 def sigmoid(x):
@@ -232,7 +245,7 @@ def sigmoid(x):
     def back(g):
         return (g * out * (1.0 - out),)
 
-    return _record(out, (x,), back)
+    return record(out, (x,), back)
 
 
 def softmax(x):
@@ -246,7 +259,7 @@ def softmax(x):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return _record(out, (x,), back)
+    return record(out, (x,), back)
 
 
 def log(x):
@@ -260,7 +273,7 @@ def log(x):
         np.divide(g, x.data, out=res, where=g != 0.0)
         return (res,)
 
-    return _record(out, (x,), back)
+    return record(out, (x,), back)
 
 
 def exp(x):
@@ -270,7 +283,7 @@ def exp(x):
     def back(g):
         return (g * out,)
 
-    return _record(out, (x,), back)
+    return record(out, (x,), back)
 
 
 def maximum(a, b):
@@ -288,7 +301,7 @@ def maximum(a, b):
             _unbroadcast(np.where(take_a, 0.0, g), b.shape),
         )
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def concat(tensors, axis=0):
@@ -311,7 +324,7 @@ def concat(tensors, axis=0):
     def back(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _record(out, tuple(tensors), back)
+    return record(out, tuple(tensors), back)
 
 
 def mean(x):
@@ -321,7 +334,7 @@ def mean(x):
     def back(g):
         return (np.full(x.shape, float(g) / n),)
 
-    return _record(np.asarray(x.data.mean()), (x,), back)
+    return record(np.asarray(x.data.mean()), (x,), back)
 
 
 def cross_entropy_with_logits(logits, labels):
@@ -350,7 +363,7 @@ def cross_entropy_with_logits(logits, labels):
         gz[rows, labels] -= 1.0
         return (gz * (float(g) / n),)
 
-    return _record(np.asarray(nll), (logits,), back)
+    return record(np.asarray(nll), (logits,), back)
 
 
 def scale(x, factor):
@@ -361,13 +374,14 @@ def scale(x, factor):
     def back(g):
         return (g * factor,)
 
-    return _record(x.data * factor, (x,), back)
+    return record(x.data * factor, (x,), back)
 
 
 def pick(x, k):
-    """Select entry `k` of a vector as a scalar tensor."""
+    """Select `x[k]` along the first axis: an entry of a vector as a scalar
+    tensor, or a row of a matrix."""
     x = as_tensor(x)
-    if x.data.ndim != 1:
+    if x.data.ndim == 0:
         raise ShapeMismatchError("pick", (x.shape,))
     k = int(k)
 
@@ -376,7 +390,7 @@ def pick(x, k):
         res[k] = g
         return (res,)
 
-    return _record(np.asarray(x.data[k]), (x,), back)
+    return record(np.asarray(x.data[k]), (x,), back)
 
 
 def straight_through(soft, hard_values):
@@ -393,7 +407,7 @@ def straight_through(soft, hard_values):
     def back(g):
         return (g,)
 
-    return _record(hard_values.copy(), (soft,), back)
+    return record(hard_values.copy(), (soft,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ A code over K categories is drawn by taking M independent Gumbel-Softmax
 samples from the same probability vector and combining them with an
 element-wise maximum, both on the hard one-hots (giving a binary code with
 1..min(M, K) ones) and on the soft relaxations (keeping the whole thing
-differentiable).  Exact oracles for the marginal inclusion probability and
-the reachable code set live here too, next to the sampler they audit.
+differentiable).  One call draws a code for every row of a stack of
+probability vectors, so a search substep samples all its edges at once.
+Exact oracles for the marginal inclusion probability and the reachable code
+set live here too, next to the sampler they audit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import autodiff as ad
-from .gumbel import GumbelSoftmaxSample, RngState, check_simplex, gumbel_softmax
+from .gumbel import GumbelSoftmaxSample, RngState, check_simplex, relaxed_max
 
 __all__ = [
     "BinaryCodeSample",
@@ -33,11 +35,13 @@ _PRODUCT_BUDGET = 2_000_000
 
 @dataclass
 class BinaryCodeSample:
-    """One sampled binary code with its differentiable relaxation.
+    """Sampled binary codes with their differentiable relaxation.
 
     hard is the element-wise max of the component one-hots (exposed with
     straight-through behavior); soft is the element-wise max of the
-    component soft vectors, ties routed to the lowest component index.
+    component soft vectors, its gradient routed to the lowest component
+    attaining the max.  components holds each component's soft vector and
+    one-hot as constants: gradients flow through soft and hard only.
     """
 
     hard: ad.Tensor
@@ -47,17 +51,24 @@ class BinaryCodeSample:
 
 
 def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
-    """Draw a binary code: max of M independent Gumbel-Softmax samples."""
-    M = int(M)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    components = [gumbel_softmax(p, tau, rng) for _ in range(M)]
-    soft = components[0].soft
-    hard_vals = components[0].hard.data
-    for c in components[1:]:
-        soft = ad.maximum(soft, c.soft)
-        hard_vals = np.maximum(hard_vals, c.hard.data)
-    hard = ad.straight_through(soft, hard_vals)
+    """Draw a binary code: max of M independent Gumbel-Softmax samples.
+
+    p is one probability vector (K,), or a stack (E, K) drawn row by row
+    with one uniform call in (row, component, category) order.  On the tape
+    this records two ops whatever the shape: the relaxation and the
+    straight-through code.
+    """
+    soft, scores, y = relaxed_max(p, M, tau, rng)
+    M, k = scores.shape[-2:]
+    onehots = (scores.argmax(axis=-1)[..., None] == np.arange(k)).astype(np.float64)
+    hard = ad.straight_through(soft, onehots.max(axis=-2))
+    components = [
+        GumbelSoftmaxSample(
+            soft=ad.Tensor(y[..., i, :]), hard=ad.Tensor(onehots[..., i, :]),
+            temperature=float(tau),
+        )
+        for i in range(M)
+    ]
     return BinaryCodeSample(hard=hard, soft=soft, components=components, M=M)
 
 

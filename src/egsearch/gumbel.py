@@ -18,8 +18,10 @@ __all__ = [
     "UNIFORM_EPS",
     "RngState",
     "GumbelSoftmaxSample",
+    "gumbel_transform",
     "gumbel_noise",
     "gumbel_max",
+    "relaxed_max",
     "gumbel_softmax",
     "check_simplex",
 ]
@@ -68,25 +70,34 @@ class GumbelSoftmaxSample:
 
 
 def check_simplex(p: np.ndarray, what: str = "p") -> np.ndarray:
-    """Validate a probability vector within tolerance; returns it as float64."""
+    """Validate a probability vector, or each row of a stack of them, within
+    tolerance; returns it as float64."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
+    if p.ndim == 0 or p.size == 0:
         raise ValueError(f"{what} must be a nonempty vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError(f"{what} has non-finite entries")
     if np.any(p < -SIMPLEX_TOL):
         raise ValueError(f"{what} has negative entries: min {p.min():.3e}")
-    if abs(p.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"{what} does not sum to 1: sum {p.sum()!r}")
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0) > SIMPLEX_TOL
+    if np.any(off):
+        raise ValueError(f"{what} does not sum to 1: sum {sums[off].flat[0]!r}")
     return p
 
 
+def gumbel_transform(u: np.ndarray) -> np.ndarray:
+    """Standard Gumbel draws -log(-log(u)) from uniforms, u clamped into
+    [eps, 1-eps] so neither log sees 0."""
+    u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
+    return -np.log(-np.log(u))
+
+
 def gumbel_noise(rng: RngState, count: int) -> np.ndarray:
-    """`count` standard Gumbel draws, -log(-log(U)) with U clamped off {0,1}."""
+    """`count` standard Gumbel draws from the next `count` uniforms of rng."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    u = np.clip(rng.uniform(count), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
-    return -np.log(-np.log(u))
+    return gumbel_transform(rng.uniform(count))
 
 
 def _log_probs(p: np.ndarray) -> np.ndarray:
@@ -108,6 +119,54 @@ def gumbel_max(p, rng: RngState) -> int:
     return int(np.argmax(scores))
 
 
+def relaxed_max(p, M: int, tau: float, rng: RngState):
+    """Max over M Gumbel-Softmax relaxations of p, as one tape op.
+
+    p is (..., K), on the tape or constant.  One rng.uniform call draws the
+    (..., M, K) noise G in (row, component, category) order.  With
+    scores = log p + G, the output is soft = max_m softmax(scores_m / tau),
+    (..., K); its gradient reaches p through the component attaining each
+    max, the lowest one on ties.  Returns (soft, scores, y) with y the
+    (..., M, K) component softmaxes.  Hard picks are the argmax of the raw
+    scores, which the softmax never reorders.
+    """
+    M = int(M)
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    tau = float(tau)
+    if not tau > 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    p = ad.as_tensor(p)
+    check_simplex(p.data)
+    if not np.all(np.any(p.data > 0.0, axis=-1)):
+        raise ValueError("relaxed_max: all-zero probability vector")
+    shape = p.data.shape[:-1] + (M, p.data.shape[-1])
+    noise = gumbel_noise(rng, int(np.prod(shape))).reshape(shape)
+    p_data = p.data
+    factor = 1.0 / tau
+    scores = _log_probs(p_data)[..., None, :] + noise
+    z = scores * factor
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    winner = y.argmax(axis=-2)[..., None, :]
+    soft = np.take_along_axis(y, winner, axis=-2)[..., 0, :]
+
+    def back(g):
+        # the arithmetic and the order of the sum over components follow the
+        # per-component chain log -> add -> scale -> softmax -> max exactly
+        routed = np.where(winner == np.arange(M)[:, None], g[..., None, :], 0.0)
+        dot = (routed * y).sum(axis=-1, keepdims=True)
+        gz = y * (routed - dot) * factor
+        res = np.zeros_like(gz)
+        np.divide(gz, p_data[..., None, :], out=res, where=gz != 0.0)
+        total = res[..., M - 1, :]
+        for i in range(M - 2, -1, -1):
+            total = total + res[..., i, :]
+        return (total,)
+
+    return ad.record(soft, (p,), back), scores, y
+
+
 def gumbel_softmax(p, tau: float, rng: RngState) -> GumbelSoftmaxSample:
     """Temperature-tau relaxation of gumbel_max, differentiable in p.
 
@@ -115,17 +174,8 @@ def gumbel_softmax(p, tau: float, rng: RngState) -> GumbelSoftmaxSample:
     hard one-hot sits at the argmax of the raw noisy scores, which the
     softmax never reorders.
     """
-    tau = float(tau)
-    if not tau > 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    p_t = ad.as_tensor(p)
-    check_simplex(p_t.data)
-    if not np.any(p_t.data > 0.0):
-        raise ValueError("gumbel_softmax: all-zero probability vector")
-    noise = gumbel_noise(rng, p_t.data.size)
-    scores = ad.add(ad.log(p_t), ad.Tensor(noise))
-    soft = ad.softmax(ad.scale(scores, 1.0 / tau))
-    hard_vals = np.zeros(p_t.data.size, dtype=np.float64)
-    hard_vals[int(np.argmax(scores.data))] = 1.0
+    soft, scores, _ = relaxed_max(p, 1, tau, rng)
+    hard_vals = np.zeros(soft.data.size, dtype=np.float64)
+    hard_vals[int(np.argmax(scores[0]))] = 1.0
     hard = ad.straight_through(soft, hard_vals)
-    return GumbelSoftmaxSample(soft=soft, hard=hard, temperature=tau)
+    return GumbelSoftmaxSample(soft=soft, hard=hard, temperature=float(tau))

@@ -1,59 +1,33 @@
-"""Batch Monte-Carlo sampling kernels, compiled with numba when available.
+"""Batch Monte-Carlo sampling kernels for the audits.
 
-The tape-based samplers in `gumbel` and `ensemble` price one draw at a
-time, which is fine inside a search step but far too slow for the 1e5-1e6
-draw audits.  These kernels take a flat block of uniforms (from
-RngState.uniform, so draws stay replayable) and process it in bulk.
-
-Backend selection: the compiled path is used when numba imports and the
-environment variable EGSEARCH_NUMBA is unset or truthy; set
-EGSEARCH_NUMBA=0 to force the pure-numpy fallback.  Both paths consume
-identical uniforms and agree exactly on hard integer outputs.
+The tape sampler in `ensemble` draws one code per edge per search substep;
+the audits and the mode-sample derivation need 1e5-1e6 draws from one
+fixed probability vector, without the relaxation or the tape.  These
+kernels take a flat block of uniforms (from RngState.uniform, so draws stay
+replayable) and process it in bulk with numpy.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-from .gumbel import UNIFORM_EPS
+from .gumbel import gumbel_transform
 
 __all__ = [
-    "USING_NUMBA",
-    "gumbel_transform",
     "categorical_batch",
     "egs_hard_batch",
     "gs_soft_batch",
-    "categorical_batch_numpy",
-    "egs_hard_batch_numpy",
-    "gs_soft_batch_numpy",
 ]
 
 
-def _numba_enabled() -> bool:
-    flag = os.environ.get("EGSEARCH_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def gumbel_transform(u: np.ndarray) -> np.ndarray:
-    """-log(-log(u)) with u clamped into [eps, 1-eps]."""
-    u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
-    return -np.log(-np.log(u))
-
-
-# --- pure numpy implementations --------------------------------------------
-
-
-def categorical_batch_numpy(log_p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def categorical_batch(log_p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Gumbel-Max indices for `draws` rows; uniforms has draws*K entries."""
     k = log_p.shape[0]
     g = gumbel_transform(uniforms.reshape(-1, k))
     return np.argmax(log_p[None, :] + g, axis=1).astype(np.int64)
 
 
-def egs_hard_batch_numpy(log_p: np.ndarray, uniforms: np.ndarray, m: int) -> np.ndarray:
+def egs_hard_batch(log_p: np.ndarray, uniforms: np.ndarray, m: int) -> np.ndarray:
     """Binary codes (draws, K): per draw, OR of M Gumbel-Max one-hots."""
     k = log_p.shape[0]
     g = gumbel_transform(uniforms.reshape(-1, m, k))
@@ -64,7 +38,7 @@ def egs_hard_batch_numpy(log_p: np.ndarray, uniforms: np.ndarray, m: int) -> np.
     return codes
 
 
-def gs_soft_batch_numpy(log_p: np.ndarray, uniforms: np.ndarray, tau: float) -> np.ndarray:
+def gs_soft_batch(log_p: np.ndarray, uniforms: np.ndarray, tau: float) -> np.ndarray:
     """Gumbel-Softmax rows (draws, K) at temperature tau."""
     k = log_p.shape[0]
     g = gumbel_transform(uniforms.reshape(-1, k))
@@ -72,108 +46,3 @@ def gs_soft_batch_numpy(log_p: np.ndarray, uniforms: np.ndarray, tau: float) -> 
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-# --- numba implementations ---------------------------------------------------
-
-try:  # pragma: no cover - import guard
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA and _numba_enabled()
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _gumbel_njit(u):
-        lo = UNIFORM_EPS
-        hi = 1.0 - UNIFORM_EPS
-        out = np.empty(u.shape[0], dtype=np.float64)
-        for i in range(u.shape[0]):
-            v = u[i]
-            if v < lo:
-                v = lo
-            elif v > hi:
-                v = hi
-            out[i] = -math.log(-math.log(v))
-        return out
-
-    @numba.njit(cache=True)
-    def _categorical_njit(log_p, g):
-        k = log_p.shape[0]
-        draws = g.shape[0] // k
-        out = np.empty(draws, dtype=np.int64)
-        for d in range(draws):
-            base = d * k
-            best = 0
-            best_score = log_p[0] + g[base]
-            for j in range(1, k):
-                s = log_p[j] + g[base + j]
-                if s > best_score:
-                    best_score = s
-                    best = j
-            out[d] = best
-        return out
-
-    @numba.njit(cache=True)
-    def _egs_hard_njit(log_p, g, m):
-        k = log_p.shape[0]
-        draws = g.shape[0] // (m * k)
-        codes = np.zeros((draws, k), dtype=np.uint8)
-        for d in range(draws):
-            for i in range(m):
-                base = (d * m + i) * k
-                best = 0
-                best_score = log_p[0] + g[base]
-                for j in range(1, k):
-                    s = log_p[j] + g[base + j]
-                    if s > best_score:
-                        best_score = s
-                        best = j
-                codes[d, best] = 1
-        return codes
-
-    @numba.njit(cache=True)
-    def _gs_soft_njit(log_p, g, tau):
-        k = log_p.shape[0]
-        draws = g.shape[0] // k
-        out = np.empty((draws, k), dtype=np.float64)
-        for d in range(draws):
-            base = d * k
-            zmax = -np.inf
-            for j in range(k):
-                z = (log_p[j] + g[base + j]) / tau
-                out[d, j] = z
-                if z > zmax:
-                    zmax = z
-            total = 0.0
-            for j in range(k):
-                e = math.exp(out[d, j] - zmax)
-                out[d, j] = e
-                total += e
-            for j in range(k):
-                out[d, j] /= total
-        return out
-
-    def categorical_batch_numba(log_p, uniforms):
-        return _categorical_njit(log_p, _gumbel_njit(uniforms.reshape(-1)))
-
-    def egs_hard_batch_numba(log_p, uniforms, m):
-        return _egs_hard_njit(log_p, _gumbel_njit(uniforms.reshape(-1)), m)
-
-    def gs_soft_batch_numba(log_p, uniforms, tau):
-        return _gs_soft_njit(log_p, _gumbel_njit(uniforms.reshape(-1)), float(tau))
-
-
-if USING_NUMBA:
-    categorical_batch = categorical_batch_numba
-    egs_hard_batch = egs_hard_batch_numba
-    gs_soft_batch = gs_soft_batch_numba
-else:
-    categorical_batch = categorical_batch_numpy
-    egs_hard_batch = egs_hard_batch_numpy
-    gs_soft_batch = gs_soft_batch_numpy

@@ -36,6 +36,7 @@ __all__ = [
     "edge_forward",
     "cell_forward",
     "mix_probabilities",
+    "sampling_probabilities",
     "efficiency_credits",
     "make_cell",
     "export_architecture",
@@ -179,9 +180,10 @@ def apply_op(kind: OpKind, x: ad.Tensor, params: dict) -> ad.Tensor:
 def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
     """Weighted sum of op outputs along one edge.
 
-    `code` is a K-vector of op weights: the straight-through hard tensor
-    of a sampled BinaryCodeSample during search, or a constant 0/1 tensor
-    for a fixed network.  Constant zero weights skip their op entirely.
+    `code` is a K-vector of op weights: an edge's row of the sampled
+    straight-through codes in the search's logit substep, or a constant
+    0/1 tensor in its weight substep and for a fixed network.  Constant
+    zero weights skip their op entirely.
     """
     if isinstance(code, BinaryCodeSample):
         code = code.hard
@@ -233,11 +235,37 @@ class EdgeProbabilities:
     l: np.ndarray
     lam: float
 
-    def h(self) -> ad.Tensor:
-        return ad.softmax(self.logits)
-
     def probabilities(self) -> ad.Tensor:
-        return mix_probabilities(self.h(), ad.Tensor(self.l), self.lam)
+        """This edge's sampling vector (K,), on the tape."""
+        return ad.pick(sampling_probabilities([self]), 0)
+
+
+def sampling_probabilities(edges, differentiable: bool = True) -> ad.Tensor:
+    """Sampling vectors of `edges` (EdgeProbabilities) as one (E, K) op.
+
+    Row r is lam_r * softmax(logits_r) + (1 - lam_r) * l_r, with the checks
+    and the arithmetic of mix_probabilities(softmax(logits_r), l_r, lam_r).
+    With differentiable=False the result is a constant: no tape node, for
+    callers that do not use the logits' gradient.
+    """
+    logits = [edge.logits for edge in edges]
+    lam = np.array([[edge.lam] for edge in edges], dtype=np.float64)
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
+        raise ValueError(f"mixing weight must be in [0, 1], got {lam.ravel()}")
+    z = np.stack([t.data for t in logits])
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    h = check_simplex(e / e.sum(axis=-1, keepdims=True), "h")
+    l = check_simplex(np.stack([edge.l for edge in edges]), "l")
+    p = h * lam + l * (1.0 - lam)
+    if not differentiable:
+        return ad.Tensor(p)
+
+    def back(g):
+        gh = g * lam
+        dot = (gh * h).sum(axis=-1, keepdims=True)
+        return tuple(h * (gh - dot))
+
+    return ad.record(p, tuple(logits), back)
 
 
 @dataclass
@@ -254,6 +282,12 @@ class Cell:
 
     def edge_logits(self) -> list:
         return [self.edges[e].logits for e in edge_list(self.n)]
+
+    def probabilities(self, differentiable: bool = True) -> ad.Tensor:
+        """Every edge's sampling vector, (E, K) in edge_list order."""
+        return sampling_probabilities(
+            [self.edges[e] for e in edge_list(self.n)], differentiable
+        )
 
     def weight_tensors(self) -> list:
         out = []

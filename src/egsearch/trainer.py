@@ -2,9 +2,11 @@
 
 Each search step alternates two substeps: sample per-edge binary codes and
 update the op weights on a training batch, then resample and update the
-per-edge logits on a validation batch.  The binary codes enter the forward
-pass through their straight-through tensors, so one ordinary backward pass
-per substep moves both kinds of parameters.
+per-edge logits on a validation batch.  In the logit substep the binary
+codes enter the forward pass through their straight-through tensors, so one
+ordinary backward pass carries the loss's gradient to the logits.  The
+weight substep discards that gradient, so its codes enter as constants and
+only the sampled ops run.
 
 The temperature anneals linearly from tau_start to tau_end over the run.
 After the search, the learned edge distributions are collapsed into one
@@ -169,23 +171,33 @@ def network_forward(network: Network, x: np.ndarray, samples: dict) -> ad.Tensor
     return ad.add(ad.matmul(out, network.w_out), network.b_out)
 
 
-def sample_edges(state: SearchState, use_hard: bool = True) -> dict:
-    """One EGS draw per edge at the current temperature, recorded on tape."""
+def sample_edges(state: SearchState, use_hard: bool = True,
+                 code_grad: bool = True) -> dict:
+    """One EGS draw for all edges at the current temperature.
+
+    Returns each edge's hard code (or its relaxation, without use_hard).
+    With code_grad the sampler is on the tape: E + 3 nodes through which
+    the loss reaches the logits.  Without it the codes are constants and
+    the sampler records nothing.
+    """
+    p = state.cell.probabilities(differentiable=code_grad)
+    s = egs_sample(p, state.M, state.tau, state.rng)
+    rows = s.hard if use_hard else s.soft
     samples = {}
-    for e in edge_list(state.cell.n):
-        p = state.cell.edges[e].probabilities()
-        s = egs_sample(p, state.M, state.tau, state.rng)
-        code = tuple(int(b) for b in s.hard.data)
+    codes = s.hard.data.astype(np.int64).tolist()
+    for r, e in enumerate(edge_list(state.cell.n)):
         per_edge = state.histogram.setdefault(e, {})
+        code = tuple(codes[r])
         per_edge[code] = per_edge.get(code, 0) + 1
-        samples[e] = s.hard if use_hard else s.soft
+        samples[e] = ad.pick(rows, r)
     return samples
 
 
-def compute_loss(state: SearchState, batch, use_hard: bool = True):
+def compute_loss(state: SearchState, batch, use_hard: bool = True,
+                 code_grad: bool = True):
     """Sample codes, run the network, return the batch cross-entropy."""
     x, y = batch
-    samples = sample_edges(state, use_hard=use_hard)
+    samples = sample_edges(state, use_hard=use_hard, code_grad=code_grad)
     logits = network_forward(state.network, x, samples)
     loss = ad.cross_entropy_with_logits(logits, y)
     return loss, samples
@@ -228,7 +240,7 @@ def search_step(state: SearchState, train_batch, valid_batch) -> SearchState:
     state.tau = _tau_at(state.schedule, state.step)
 
     with ad.Tape():
-        train_loss, samples = compute_loss(state, train_batch)
+        train_loss, samples = compute_loss(state, train_batch, code_grad=False)
         _check_finite(train_loss, state, samples, "training")
         grads = ad.backward(train_loss)
     _sgd_momentum(
@@ -305,10 +317,6 @@ def run_search(cfg: RunConfig, dataset: Dataset = None):
 # derivation
 
 
-def _edge_probability(state: SearchState, e) -> np.ndarray:
-    return state.cell.edges[e].probabilities().data
-
-
 def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> ArchitectureCode:
     """Collapse the learned distributions into one binary code per edge."""
     if mode not in ("mode-sample", "max-marginal"):
@@ -317,8 +325,7 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
     keep = min(state.M, k)
     bits = np.zeros((num_edges(state.cell.n), k), dtype=np.uint8)
     rng = state.rng.clone()  # derivation must not disturb the search stream
-    for row, e in enumerate(edge_list(state.cell.n)):
-        p = _edge_probability(state, e)
+    for row, p in enumerate(state.cell.probabilities(differentiable=False).data):
         if mode == "mode-sample":
             with np.errstate(divide="ignore"):
                 logp = np.log(p)

@@ -1,5 +1,8 @@
 """Gradient checks and tape behavior for the autodiff core."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -311,6 +314,37 @@ def test_no_tape_node_without_requires_grad():
         assert len(tape.nodes) == 0
         ad.add(ad.Tensor([1.0], requires_grad=True), ad.Tensor([2.0]))
         assert len(tape.nodes) == 1
+
+
+def test_ops_outside_a_tape_are_differentiable_and_unrecorded():
+    x = ad.Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    with ad.Tape() as tape:
+        pass
+    square = ad.multiply(x, x)  # no tape open
+    y = ad.mean(square)
+    assert tape.nodes == []
+    assert np.array_equal(ad.backward(y)[x], x.data)
+    inner = weakref.ref(square)
+    del square
+    assert inner() is not None  # y's graph holds it
+    del y
+    assert inner() is None  # and nothing else does
+
+
+def test_graph_freed_by_reference_counting():
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        with ad.Tape() as tape:
+            loss = ad.mean(ad.tanh(ad.multiply(x, x)))
+            ad.backward(loss)
+        assert tape.nodes[-1].output is loss
+        ref = weakref.ref(loss)
+        del loss, tape
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_tape_nodes_in_topological_order():

@@ -7,6 +7,7 @@ console script binds to the same entry point.
 import numpy as np
 import pytest
 
+from egsearch import audit
 from egsearch.cli import OUT_ENV, main
 from egsearch.data import load_dataset, make_dataset
 from egsearch.space import parse_architecture
@@ -134,6 +135,27 @@ def test_verify_propositions_report_and_exit(tmp_path, capsys):
     assert "K=2  M=2: enumerated 3      formula 3      AGREE" in text
     assert "K=3  M=2: enumerated 6      formula 9      DISAGREE-REPORTED" in text
     assert "summary: PASS" in text
+    capsys.readouterr()
+
+
+def test_verify_propositions_fails_on_a_wrong_reachable_count(
+        tmp_path, monkeypatch, capsys):
+    reachable_codes = audit.reachable_codes
+
+    def one_short(K, M):
+        codes = reachable_codes(K, M)
+        if (K, M) == (3, 2):
+            codes.discard(max(codes))
+        return codes
+
+    monkeypatch.setattr(audit, "reachable_codes", one_short)
+    out = tmp_path / "audit"
+    rc = run("verify-propositions", "--k-max", 4, "--draws", 2000, "--out", out)
+    assert rc == 1
+    text = (out / "audit.txt").read_text()
+    assert "K=3  M=2: enumerated 5" in text
+    assert "sum_r C(K,r) 6      MISMATCH" in text
+    assert "summary: FAIL" in text
     capsys.readouterr()
 
 

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import kernels
@@ -14,7 +16,8 @@ from egsearch.ensemble import (
     reachable_codes,
     recode_superposition,
 )
-from egsearch.gumbel import RngState
+from egsearch.gumbel import RngState, gumbel_noise
+from egsearch.space import EdgeProbabilities, mix_probabilities, sampling_probabilities
 
 
 def exact_code_distribution(p, m):
@@ -260,3 +263,126 @@ def test_hard_gradient_equals_soft_gradient():
                 ad.backward(loss)
             grad_pair.append(logits.grad.copy())
         assert np.array_equal(grad_pair[0], grad_pair[1])
+
+
+# --- batched draws ----------------------------------------------------------------
+
+
+def chain_egs(p, m, tau, rng):
+    """One edge's code as a chain of primitive ops, one component at a time:
+    the reference the fused relaxation reproduces bit for bit."""
+    soft = hard = None
+    for _ in range(m):
+        scores = ad.add(ad.log(p), ad.Tensor(gumbel_noise(rng, p.data.size)))
+        comp = ad.softmax(ad.scale(scores, 1.0 / tau))
+        onehot = np.zeros(p.data.size)
+        onehot[int(np.argmax(scores.data))] = 1.0
+        soft = comp if soft is None else ad.maximum(soft, comp)
+        hard = onehot if hard is None else np.maximum(hard, onehot)
+    return ad.straight_through(soft, hard)
+
+
+def random_edges(rng, e, k):
+    l = rng.dirichlet(np.ones(k))
+    return [
+        EdgeProbabilities(
+            logits=ad.Tensor(rng.normal(0.0, 1.5, k), requires_grad=True), l=l, lam=0.5
+        )
+        for _ in range(e)
+    ]
+
+
+def weighted(rows, w):
+    total = None
+    for r, row in enumerate(rows):
+        term = ad.mean(ad.multiply(row, ad.Tensor(w[r])))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def test_batched_draw_equals_per_edge_draws_exactly():
+    # same stream: the (E, K) draw, E one-edge draws and the primitive chain
+    # give identical codes, relaxations and logit gradients
+    rng = np.random.default_rng(3)
+    for k in range(2, 9):
+        for m in range(1, 9):
+            for tau in (0.1, 1.0):
+                edges = random_edges(rng, 3, k)
+                w = rng.normal(size=(3, k))
+                seed = int(rng.integers(2**31))
+                batch_rng = RngState(seed)
+                with ad.Tape() as tape:
+                    s = egs_sample(sampling_probabilities(edges), m, tau, batch_rng)
+                    assert len(tape.nodes) == 3  # probabilities, relaxation, code
+                    grads = ad.backward(weighted([ad.pick(s.hard, r) for r in range(3)], w))
+                one = RngState(seed)
+                singles = [egs_sample(e.probabilities(), m, tau, one) for e in edges]
+                ref_rng = RngState(seed)
+                with ad.Tape():
+                    ref = [chain_egs(mix_probabilities(ad.softmax(e.logits), e.l, e.lam),
+                                     m, tau, ref_rng) for e in edges]
+                    ref_grads = ad.backward(weighted(ref, w))
+                assert batch_rng.position == one.position == ref_rng.position == 3 * m * k
+                for r, edge in enumerate(edges):
+                    assert np.array_equal(s.hard.data[r], singles[r].hard.data)
+                    assert np.array_equal(s.soft.data[r], singles[r].soft.data)
+                    assert np.array_equal(s.hard.data[r], ref[r].data)
+                    assert np.array_equal(s.soft.data[r], ref[r].node.inputs[0].data)
+                    assert np.array_equal(grads[edge.logits], ref_grads[edge.logits])
+                assert np.array_equal(
+                    s.components[m - 1].hard.data[2], singles[2].components[m - 1].hard.data
+                )
+
+
+def test_batched_relaxation_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    step = 1e-6
+    for k in range(2, 9):
+        for m in range(1, 9):
+            for tau in (0.1, 1.0):
+                edges = random_edges(rng, 2, k)
+                w = rng.normal(size=(2, k))
+                seed = int(rng.integers(2**31))
+
+                def loss_at():
+                    p = sampling_probabilities(edges, differentiable=False)
+                    s = egs_sample(p, m, tau, RngState(seed))
+                    return float((s.soft.data * w).mean(axis=1).sum())
+
+                with ad.Tape():
+                    s = egs_sample(sampling_probabilities(edges), m, tau, RngState(seed))
+                    grads = ad.backward(weighted([ad.pick(s.soft, r) for r in range(2)], w))
+                for edge in edges:
+                    base = edge.logits.data
+                    for j in range(k):
+                        vals = []
+                        for h in (step, -step):
+                            edge.logits.data = base.copy()
+                            edge.logits.data[j] += h
+                            vals.append(loss_at())
+                        edge.logits.data = base
+                        fd = (vals[0] - vals[1]) / (2 * step)
+                        g = grads[edge.logits][j]
+                        assert abs(g - fd) <= max(1e-7, 1e-4 * abs(fd)), (k, m, tau, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    m=st.integers(1, 8),
+    e=st.integers(1, 4),
+    tau=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**31 - 1),
+    zeros=st.integers(0, 6),
+)
+def test_hard_rows_have_one_to_min_m_k_bits(k, m, e, tau, seed, zeros):
+    gen = np.random.default_rng(seed)
+    p = gen.dirichlet(np.ones(k), size=e)
+    p[:, : min(zeros, k - 1)] = 0.0  # zero-probability ops are never picked
+    p /= p.sum(axis=1, keepdims=True)
+    s = egs_sample(p, m, tau, RngState(seed))
+    hard = s.hard.data
+    assert set(np.unique(hard)) <= {0.0, 1.0}
+    ones = hard.sum(axis=1)
+    assert np.all((ones >= 1) & (ones <= min(m, k)))
+    assert not np.any(hard[p == 0.0])

@@ -12,6 +12,7 @@ from egsearch.gumbel import RngState
 from egsearch.space import (
     OP_SET,
     ArchitectureCode,
+    EdgeProbabilities,
     NetworkPlan,
     cell_forward,
     decode,
@@ -24,6 +25,7 @@ from egsearch.space import (
     mix_probabilities,
     num_edges,
     parse_architecture,
+    sampling_probabilities,
 )
 
 
@@ -318,6 +320,66 @@ def test_mix_differentiable_wrt_h():
         p = mix_probabilities(ad.softmax(logits), np.full(3, 1 / 3), 0.25)
         grads_q = ad.backward(ad.pick(p, 0))
     assert np.allclose(grads_q[logits], 0.5 * grads[logits], atol=1e-15)
+
+
+def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
+    # one (E, K) op: values and gradients bit for bit those of the per-edge
+    # chain mix_probabilities(softmax(logits)), and central differences
+    rng = np.random.default_rng(21)
+    step = 1e-6
+    for k in range(2, 9):
+        for lam in (0.0, 0.3, 1.0):
+            l = rng.dirichlet(np.ones(k))
+            edges = [
+                EdgeProbabilities(
+                    logits=ad.Tensor(rng.normal(0.0, 1.5, k), requires_grad=True),
+                    l=l, lam=lam,
+                )
+                for _ in range(3)
+            ]
+            w = rng.normal(size=(3, k))
+
+            def weighted(rows):
+                total = None
+                for r, row in enumerate(rows):
+                    term = ad.mean(ad.multiply(row, ad.Tensor(w[r])))
+                    total = term if total is None else ad.add(total, term)
+                return total
+
+            with ad.Tape() as tape:
+                p = sampling_probabilities(edges)
+                assert len(tape.nodes) == 1
+                grads = ad.backward(weighted([ad.pick(p, r) for r in range(3)]))
+            with ad.Tape():
+                ref = [mix_probabilities(ad.softmax(e.logits), l, lam) for e in edges]
+                ref_grads = ad.backward(weighted(ref))
+            const = sampling_probabilities(edges, differentiable=False)
+            assert const.node is None and np.array_equal(const.data, p.data)
+            for r, edge in enumerate(edges):
+                assert np.array_equal(p.data[r], ref[r].data)
+                assert np.array_equal(grads[edge.logits], ref_grads[edge.logits])
+                base = edge.logits.data
+                for j in range(k):
+                    vals = []
+                    for h in (step, -step):
+                        edge.logits.data = base.copy()
+                        edge.logits.data[j] += h
+                        rows = sampling_probabilities(edges, differentiable=False)
+                        vals.append(float((rows.data * w).mean(axis=1).sum()))
+                    edge.logits.data = base
+                    fd = (vals[0] - vals[1]) / (2 * step)
+                    g = grads[edge.logits][j]
+                    assert abs(g - fd) <= max(1e-8, 1e-5 * abs(fd)), (k, lam, r, j)
+
+
+def test_sampling_probabilities_reject_bad_inputs():
+    good = EdgeProbabilities(ad.Tensor(np.zeros(3)), np.full(3, 1 / 3), 0.5)
+    with pytest.raises(ValueError, match="mixing weight"):
+        sampling_probabilities([good, EdgeProbabilities(good.logits, good.l, 1.5)])
+    with pytest.raises(ValueError, match="l does not sum"):
+        sampling_probabilities([EdgeProbabilities(good.logits, np.full(3, 0.5), 0.5)])
+    with pytest.raises(ValueError, match="h has non-finite"):
+        sampling_probabilities([EdgeProbabilities(ad.Tensor([np.nan, 0, 0]), good.l, 0.5)])
 
 
 def test_edge_probabilities_on_simplex():

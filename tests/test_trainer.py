@@ -7,6 +7,8 @@ against the exact code distribution, the derivation rules, and the
 descent direction of the search itself.
 """
 
+import gc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -91,8 +93,11 @@ def test_network_shapes_for_both_output_rules():
 def test_sample_edges_shape_histogram_and_soft_mode():
     cfg = small_cfg(nodes=4, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
-    with ad.Tape():
+    with ad.Tape() as tape:
         samples = tr.sample_edges(state)
+    # one draw of E*M*K uniforms; probabilities, relaxation, code, E row picks
+    assert state.rng.position == num_edges(4) * 2 * K
+    assert len(tape.nodes) == num_edges(4) + 3
     assert set(samples) == set(edge_list(4))
     for s in samples.values():
         assert set(np.unique(s.data)) <= {0.0, 1.0}
@@ -102,6 +107,17 @@ def test_sample_edges_shape_histogram_and_soft_mode():
         soft = tr.sample_edges(state, use_hard=False)
     for s in soft.values():
         assert np.all((s.data >= 0.0) & (s.data <= 1.0))
+    # without the codes' gradient: the same draw as constants, nothing recorded
+    twin = tr.build_state(cfg, tr.build_dataset(cfg))
+    twin.rng, twin.histogram = state.rng.clone(), {}
+    with ad.Tape():
+        on_tape = tr.sample_edges(state)
+    with ad.Tape() as tape:
+        constant = tr.sample_edges(twin, code_grad=False)
+    assert tape.nodes == []
+    for e in edge_list(4):
+        assert constant[e].node is None and not constant[e].requires_grad
+        assert np.array_equal(constant[e].data, on_tape[e].data)
 
 
 # --- the search step ---------------------------------------------------------
@@ -126,6 +142,40 @@ def test_one_step_moves_weights_and_logits():
     assert moved_a > 0
     assert state.step == 1
     assert np.all(np.isfinite(state.last_losses))
+
+
+def live_tape_nodes():
+    return sum(isinstance(o, ad.TapeNode) for o in gc.get_objects())
+
+
+def test_step_graphs_are_freed_without_the_cycle_collector(monkeypatch):
+    cfg = small_cfg(epochs=1)
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    losses = []
+    compute_loss = tr.compute_loss
+
+    def spy(*args, **kwargs):
+        loss, samples = compute_loss(*args, **kwargs)
+        losses.append(weakref.ref(loss))
+        return loss, samples
+
+    monkeypatch.setattr(tr, "compute_loss", spy)
+    x, y = ds.split("train")
+    xv, yv = ds.split("valid")
+    gc.collect()
+    gc.disable()
+    try:
+        tr.search_step(state, (x[:64], y[:64]), (xv[:50], yv[:50]))
+        dead = [ref() is None for ref in losses]
+        monkeypatch.undo()
+        _, report = tr.run_search(cfg, ds)
+        tr.retrain(report.derived, ds, cfg, epochs=1)
+        live = live_tape_nodes()
+    finally:
+        gc.enable()
+    assert dead == [True, True]  # both substeps' graphs
+    assert live == 0
 
 
 def test_search_is_deterministic():
