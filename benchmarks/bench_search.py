@@ -1,0 +1,134 @@
+"""Wall time, page faults and peak memory of two searches, and the throughput
+of the batch sampling kernels the audit uses; writes BENCH_search.json.
+
+Run:  PYTHONPATH=src python3 benchmarks/bench_search.py [--repeats R]
+          [--draws N] [--out BENCH_search.json]
+
+Each search runs R times at seed SEED, each time in a fresh interpreter with
+the BLAS pools pinned to one thread, so its minor faults (a getrusage delta
+around `run_search`) and peak RSS are its own.  The cases are the README's
+default search and a search at the benchmark's search-wide shape.  Each
+kernel gets a pre-drawn uniform block, so its timing is the Gumbel transform
+and the arithmetic alone; it is the best of R calls.
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+SEED = 1
+CASES = {
+    "default": {},
+    "wide": {"dataset": "two_moons", "dataset_n": 4000, "dim": 128,
+             "batch_size": 256, "epochs": 10},
+}
+BLAS_THREADS = 1
+
+
+def run_case(name):
+    """One search in this process; returns its figures."""
+    from egsearch.config import RunConfig
+    from egsearch.trainer import build_dataset, run_search
+
+    cfg = RunConfig(seed=SEED, **CASES[name])
+    dataset = build_dataset(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    t0 = time.perf_counter()
+    state, _ = run_search(cfg, dataset)
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "wall_s": wall,
+        "steps": state.step,
+        "ms_per_step": 1e3 * wall / state.step,
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "peak_rss_mb": after.ru_maxrss / 1024,
+    }
+
+
+def spawn_case(name):
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(BLAS_THREADS)
+    proc = subprocess.run([sys.executable, __file__, "--case", name],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def best_of(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def kernel_rates(draws, repeats):
+    from egsearch import kernels
+    from egsearch.gumbel import RngState
+
+    k, m, tau = 5, 3, 0.1
+    log_p = np.log(np.full(k, 1.0 / k))
+    u_cat = RngState(0).uniform(draws * k)
+    u_egs = RngState(1).uniform(draws * m * k)
+    cases = {
+        "categorical": lambda: kernels.categorical_batch(log_p, u_cat),
+        "egs hard": lambda: kernels.egs_hard_batch(log_p, u_egs, m),
+        "gs soft": lambda: kernels.gs_soft_batch(log_p, u_cat, tau),
+    }
+    out = {}
+    for name, call in cases.items():
+        t = best_of(call, repeats)
+        out[name] = {"seconds": t, "draws_per_s": draws / t}
+    return {"draws": draws, "K": k, "M": m, "tau": tau, "kernels": out}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--draws", type=int, default=1_000_000)
+    parser.add_argument("--out", default="BENCH_search.json")
+    parser.add_argument("--case", choices=sorted(CASES), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.case:
+        print(json.dumps(run_case(args.case)))
+        return
+
+    searches = {}
+    for name, overrides in CASES.items():
+        runs = [spawn_case(name) for _ in range(args.repeats)]
+        searches[name] = {
+            "config": overrides, "seed": SEED, "runs": runs,
+            "median": {key: statistics.median(r[key] for r in runs)
+                       for key in runs[0]},
+        }
+    record = {
+        "environment": {
+            "python": sys.version.split()[0], "numpy": np.__version__,
+            "libc": list(platform.libc_ver()), "cpu_count": os.cpu_count(),
+            "blas_threads": BLAS_THREADS,
+        },
+        "searches": searches,
+        "kernels": kernel_rates(args.draws, args.repeats),
+    }
+    with open(args.out, "w") as fh:
+        fh.write(json.dumps(record, indent=1) + "\n")
+    for name, s in searches.items():
+        m = s["median"]
+        print(f"{name:<8} {m['wall_s']:8.3f} s {m['ms_per_step']:8.3f} ms/step "
+              f"{m['minor_faults']:>9.0f} faults {m['peak_rss_mb']:8.1f} MB")
+    for name, k in record["kernels"]["kernels"].items():
+        print(f"{name:<12} {k['draws_per_s']:12.4g} draws/s")
+
+
+if __name__ == "__main__":
+    main()

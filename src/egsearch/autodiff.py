@@ -5,10 +5,16 @@ a node holding its inputs and backward rule, and appends that node to the
 innermost open `with Tape()` block, if any.  Nodes refer to their outputs
 weakly, so a graph is freed by reference counting as soon as its last
 tensor goes.  Everything is float64.
+
+A step frees its whole graph at once, and the next step builds one of about
+the same size.  So at import, glibc's allocator is told to keep freed memory
+in the heap (`_keep_heap`) instead of returning it to the system and
+faulting it back in on the next step.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import threading
 import weakref
@@ -50,6 +56,31 @@ class ShapeMismatchError(ValueError):
         self.shapes = tuple(tuple(s) for s in shapes)
         super().__init__(f"{kind}: incompatible shapes {self.shapes}")
 
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap() -> bool:
+    """Keep a freed step graph in the heap for the next step.
+
+    Arrays up to 32 MB (the ceiling of glibc's own dynamic mmap threshold)
+    come from the heap, and the heap top is never trimmed.  Returns whether
+    both settings took; where the C library has no mallopt it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    took = [mallopt(_M_MMAP_THRESHOLD, 32 << 20),
+            mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)]
+    return all(took)
+
+
+_keep_heap()
 
 # Node indices are global so nodes from nested tapes still sort in
 # recording order during the backward sweep.
@@ -137,7 +168,8 @@ def record(out_data, inputs, backward_fn):
 
     When any input requires grad, the output gets a node, which the
     innermost open tape (if any) appends.  `backward_fn(g)` maps the
-    output's gradient to one gradient per input, in order (None to skip).
+    output's gradient to one gradient per input, in order (None to skip);
+    the binary ops return None for an input that does not require grad.
     """
     out = Tensor(out_data)
     if any(t.requires_grad for t in inputs):
@@ -172,7 +204,8 @@ def add(a, b):
         raise ShapeMismatchError("add", (a.shape, b.shape)) from None
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return record(out, (a, b), back)
 
@@ -185,7 +218,8 @@ def multiply(a, b):
         raise ShapeMismatchError("multiply", (a.shape, b.shape)) from None
 
     def back(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return record(out, (a, b), back)
 
@@ -196,17 +230,20 @@ def matmul(a, b):
     if ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[0]:
 
         def back(g):
-            return g @ bd.T, ad.T @ g
+            return (g @ bd.T if a.requires_grad else None,
+                    ad.T @ g if b.requires_grad else None)
 
     elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
 
         def back(g):
-            return g[:, None] * bd[None, :], ad.T @ g
+            return (g[:, None] * bd[None, :] if a.requires_grad else None,
+                    ad.T @ g if b.requires_grad else None)
 
     elif ad.ndim == 1 and bd.ndim == 2 and ad.shape[0] == bd.shape[0]:
 
         def back(g):
-            return bd @ g, np.outer(ad, g)
+            return (bd @ g if a.requires_grad else None,
+                    np.outer(ad, g) if b.requires_grad else None)
 
     else:
         raise ShapeMismatchError("matmul", (a.shape, b.shape))
@@ -297,8 +334,8 @@ def maximum(a, b):
 
     def back(g):
         return (
-            _unbroadcast(np.where(take_a, g, 0.0), a.shape),
-            _unbroadcast(np.where(take_a, 0.0, g), b.shape),
+            _unbroadcast(np.where(take_a, g, 0.0), a.shape) if a.requires_grad else None,
+            _unbroadcast(np.where(take_a, 0.0, g), b.shape) if b.requires_grad else None,
         )
 
     return record(out, (a, b), back)

@@ -2,11 +2,12 @@
 
 Each search step alternates two substeps: sample per-edge binary codes and
 update the op weights on a training batch, then resample and update the
-per-edge logits on a validation batch.  In the logit substep the binary
-codes enter the forward pass through their straight-through tensors, so one
-ordinary backward pass carries the loss's gradient to the logits.  The
-weight substep discards that gradient, so its codes enter as constants and
-only the sampled ops run.
+per-edge logits on a validation batch.  Each substep records only what
+reaches the parameters it updates.  In the logit substep the binary codes
+enter the forward pass through their straight-through tensors, so one
+ordinary backward pass carries the loss's gradient to the logits, and the
+weights enter as constants, so nothing that only they feed is recorded.  In
+the weight substep the codes enter as constants and only the sampled ops run.
 
 The temperature anneals linearly from tau_start to tau_end over the run.
 After the search, the learned edge distributions are collapsed into one
@@ -15,6 +16,7 @@ concrete architecture code, which is retrained from scratch.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -75,6 +77,21 @@ class Network:
 
     def logits(self) -> list:
         return self.cell.edge_logits()
+
+    def constant(self) -> "Network":
+        """A view with every weight entered as a constant, sharing the data
+        and the cell's logits: ops on the weights alone record no node."""
+
+        def const(t):
+            return ad.Tensor(t.data)
+
+        params = {e: [{name: const(t) for name, t in op.items()} for op in ops]
+                  for e, ops in self.cell.params.items()}
+        return Network(
+            cell=dataclasses.replace(self.cell, params=params),
+            w_in=const(self.w_in), b_in=const(self.b_in),
+            w_out=const(self.w_out), b_out=const(self.b_out),
+        )
 
 
 def make_network(in_dim, n_classes, cfg: RunConfig, init_rng) -> Network:
@@ -193,12 +210,23 @@ def sample_edges(state: SearchState, use_hard: bool = True,
     return samples
 
 
+REACH = ("all", "weights", "logits")
+
+
 def compute_loss(state: SearchState, batch, use_hard: bool = True,
-                 code_grad: bool = True):
-    """Sample codes, run the network, return the batch cross-entropy."""
+                 reach: str = "all"):
+    """Sample codes, run the network, return the batch cross-entropy.
+
+    `reach` names the parameters the loss's gradient must reach: "weights"
+    enters the codes as constants (only the sampled ops run), "logits"
+    enters the weights as constants, and "all" keeps both on the tape.
+    """
+    if reach not in REACH:
+        raise ValueError(f"reach must be one of {REACH}, got {reach!r}")
     x, y = batch
-    samples = sample_edges(state, use_hard=use_hard, code_grad=code_grad)
-    logits = network_forward(state.network, x, samples)
+    samples = sample_edges(state, use_hard=use_hard, code_grad=reach != "weights")
+    network = state.network.constant() if reach == "logits" else state.network
+    logits = network_forward(network, x, samples)
     loss = ad.cross_entropy_with_logits(logits, y)
     return loss, samples
 
@@ -219,18 +247,25 @@ GRAD_CLIP_NORM = 5.0
 
 
 def _sgd_momentum(tensors, grads, velocities, lr, momentum):
-    # buffers decay every step; ops absent from the sampled graph see g=0
+    # ops absent from the sampled graph get no gradient: their velocity only
+    # decays, and a tensor with neither is left alone
     total = 0.0
     for t in tensors:
         g = grads.get(t)
         if g is not None:
             total += float((g * g).sum())
-    scale = 1.0 if total <= GRAD_CLIP_NORM**2 else GRAD_CLIP_NORM / np.sqrt(total)
+    clip = GRAD_CLIP_NORM / np.sqrt(total) if total > GRAD_CLIP_NORM**2 else None
     for t in tensors:
         g = grads.get(t)
-        g = np.zeros_like(t.data) if g is None else g * scale
         v = velocities.get(id(t))
-        v = momentum * v + g if v is not None else g
+        if g is None:
+            if v is None:
+                continue
+            v = momentum * v
+        else:
+            if clip is not None:
+                g = g * clip
+            v = g if v is None else momentum * v + g
         velocities[id(t)] = v
         t.data = t.data - lr * v
 
@@ -240,7 +275,7 @@ def search_step(state: SearchState, train_batch, valid_batch) -> SearchState:
     state.tau = _tau_at(state.schedule, state.step)
 
     with ad.Tape():
-        train_loss, samples = compute_loss(state, train_batch, code_grad=False)
+        train_loss, samples = compute_loss(state, train_batch, reach="weights")
         _check_finite(train_loss, state, samples, "training")
         grads = ad.backward(train_loss)
     _sgd_momentum(
@@ -249,7 +284,7 @@ def search_step(state: SearchState, train_batch, valid_batch) -> SearchState:
     )
 
     with ad.Tape():
-        valid_loss, samples = compute_loss(state, valid_batch)
+        valid_loss, samples = compute_loss(state, valid_batch, reach="logits")
         _check_finite(valid_loss, state, samples, "validation")
         grads = ad.backward(valid_loss)
     for logits in state.arch_params():
@@ -408,9 +443,10 @@ def retrain(code: ArchitectureCode, dataset: Dataset, cfg: RunConfig,
         _sgd_momentum(network.weights(), grads, velocities, cfg.lr_w, cfg.momentum)
         loss_value = float(loss.data)
     accs = {}
+    constant = network.constant()
     for name in ("train", "valid", "test"):
         xs, ys = dataset.split(name)
-        accs[name] = _accuracy(network, samples, xs, ys)
+        accs[name] = _accuracy(constant, samples, xs, ys)
     return RetrainResult(
         code=code, train_acc=accs["train"], valid_acc=accs["valid"],
         test_acc=accs["test"], final_loss=loss_value,

@@ -1,6 +1,7 @@
 """Gradient checks and tape behavior for the autodiff core."""
 
 import gc
+import platform
 import weakref
 
 import numpy as np
@@ -368,3 +369,37 @@ def test_log_of_zero_keeps_unselected_grad_finite():
     assert np.all(np.isfinite(grads[x]))
     assert grads[x][1] == pytest.approx(0.5)
     assert grads[x][0] == 0.0
+
+
+# --- pruning a constant input's gradient ----------------------------------
+
+
+@pytest.mark.parametrize("op, shape_a, shape_b", [
+    (ad.add, (3, 4), (4,)),
+    (ad.multiply, (3, 4), (3, 1)),
+    (ad.matmul, (3, 4), (4, 2)),
+    (ad.matmul, (3, 4), (4,)),
+    (ad.matmul, (4,), (4, 2)),
+    (ad.maximum, (3, 4), (3, 4)),
+])
+def test_binary_backward_skips_a_constant_input(op, shape_a, shape_b):
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+
+    def input_grads(a_grad, b_grad):
+        out = op(ad.Tensor(a, requires_grad=a_grad), ad.Tensor(b, requires_grad=b_grad))
+        g = np.cos(np.arange(out.data.size, dtype=np.float64)).reshape(out.shape)
+        return out.node.backward_fn(g)
+
+    ga, gb = input_grads(True, True)
+    assert ga is not None and gb is not None
+    const_a = input_grads(False, True)
+    assert const_a[0] is None and np.array_equal(const_a[1], gb)
+    const_b = input_grads(True, False)
+    assert const_b[1] is None and np.array_equal(const_b[0], ga)
+
+
+def test_keep_heap_takes_on_glibc():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("mallopt settings are glibc's")
+    assert ad._keep_heap() is True

@@ -4,6 +4,11 @@ Commands run in-process through main(argv) so the tests stay fast; the
 console script binds to the same entry point.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -177,3 +182,16 @@ def test_dump_dataset_round_trips(tmp_path):
         assert np.array_equal(
             np.sort(loaded.splits[name]), np.sort(built.splits[name])
         )
+
+
+def test_import_starts_no_process():
+    # finding a library through ctypes.util starts ldconfig or gcc by way of
+    # subprocess, so a clean import leaves subprocess unloaded
+    import egsearch
+
+    src = str(Path(egsearch.__file__).resolve().parent.parent)
+    code = "import sys, egsearch.cli; print('subprocess' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -144,6 +144,69 @@ def test_one_step_moves_weights_and_logits():
     assert np.all(np.isfinite(state.last_losses))
 
 
+def logit_substeps(**cell):
+    """The full and the pruned logit substep over the same draw: for each,
+    the tape node count, the loss, the logits' gradients and the sweep."""
+    cfg = small_cfg(**cell)
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    xv, yv = ds.split("valid")
+    start = state.rng.clone()
+    out = {}
+    for reach in ("all", "logits"):
+        state.rng = start.clone()
+        with ad.Tape() as tape:
+            loss, _ = tr.compute_loss(state, (xv[:50], yv[:50]), reach=reach)
+            recorded = len(tape.nodes)
+            grads = ad.backward(loss)
+        out[reach] = (recorded, loss.data,
+                      [grads[t] for t in state.arch_params()], grads)
+    return cfg, state, out["all"], out["logits"]
+
+
+PRUNE_CELLS = [{}, {"nodes": 7, "output_rule": "concat"}]
+
+
+@pytest.mark.parametrize("cell", PRUNE_CELLS)
+def test_logit_substep_gradients_equal_the_full_sweep(cell):
+    _, state, full, pruned = logit_substeps(**cell)
+    assert pruned[1] == full[1]
+    assert any(np.any(g != 0.0) for g in full[2])
+    for a, b in zip(pruned[2], full[2]):
+        assert np.array_equal(a, b)
+    assert not any(t in pruned[3] for t in state.weights())
+
+
+@pytest.mark.parametrize("cell", PRUNE_CELLS)
+def test_logit_substep_records_no_weight_only_node(cell):
+    # the input projection (matmul, add) and, on each of the n - 1 edges out
+    # of node 0, the three linear ops (matmul, add, activation)
+    cfg, _, full, pruned = logit_substeps(**cell)
+    assert full[0] - pruned[0] == 2 + 9 * (cfg.nodes - 1)
+
+
+def test_compute_loss_rejects_unknown_reach():
+    cfg = small_cfg()
+    ds = tr.build_dataset(cfg)
+    with pytest.raises(ValueError, match="reach"):
+        tr.compute_loss(tr.build_state(cfg, ds), ds.split("valid"), reach="codes")
+
+
+def test_sgd_momentum_decays_or_skips_absent_gradients():
+    fed, decaying, idle = (ad.Tensor(np.ones(2), requires_grad=True)
+                           for _ in range(3))
+    idle_data = idle.data
+    velocities = {id(decaying): np.array([1.0, -2.0])}
+    tr._sgd_momentum([fed, decaying, idle], {fed: np.array([3.0, 4.0])},
+                     velocities, lr=0.5, momentum=0.5)
+    # |g| = 5 is at the clip norm, so the gradient goes in unscaled
+    assert np.array_equal(velocities[id(fed)], [3.0, 4.0])
+    assert np.array_equal(fed.data, [-0.5, -1.0])
+    assert np.array_equal(velocities[id(decaying)], [0.5, -1.0])
+    assert np.array_equal(decaying.data, [0.75, 1.5])
+    assert id(idle) not in velocities and idle.data is idle_data
+
+
 def live_tape_nodes():
     return sum(isinstance(o, ad.TapeNode) for o in gc.get_objects())
 
@@ -436,6 +499,15 @@ def test_retrain_matches_handwritten_numpy_twin():
     assert got.train_acc == want_accs["train"]
     assert got.valid_acc == want_accs["valid"]
     assert got.test_acc == want_accs["test"]
+
+
+def test_retrain_accuracy_passes_record_nothing():
+    cfg = small_cfg(nodes=3, retrain_epochs=1)
+    ds = tr.build_dataset(cfg)
+    code = ArchitectureCode(n=3, K=K, bits=np.ones((num_edges(3), K), dtype=np.uint8))
+    with ad.Tape() as outer:  # each training step records on its own tape
+        tr.retrain(code, ds, cfg)
+    assert outer.nodes == []
 
 
 def test_relu_mlp_code_learns_two_moons():
