@@ -1,12 +1,15 @@
-"""Wall time, page faults and peak memory of two searches, and the throughput
-of the batch sampling kernels the audit uses; writes BENCH_search.json.
+"""Wall time, page faults, peak memory and tape nodes per substep of two
+searches, and the throughput of the batch sampling kernels the audit uses;
+writes BENCH_search.json.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_search.py [--repeats R]
           [--draws N] [--out BENCH_search.json]
 
 Each search runs R times at seed SEED, each time in a fresh interpreter with
 the BLAS pools pinned to one thread, so its minor faults (a getrusage delta
-around `run_search`) and peak RSS are its own.  The cases are the README's
+around `run_search`) and peak RSS are its own.  After the search, the same
+process counts the tape nodes that one weight substep and one logit substep
+record on a fresh state (the search's first draw).  The cases are the README's
 default search and a search at the benchmark's search-wide shape.  Each
 kernel gets a pre-drawn uniform block, so its timing is the Gumbel transform
 and the arithmetic alone; it is the best of R calls.
@@ -51,7 +54,24 @@ def run_case(name):
         "ms_per_step": 1e3 * wall / state.step,
         "minor_faults": after.ru_minflt - before.ru_minflt,
         "peak_rss_mb": after.ru_maxrss / 1024,
+        **substep_nodes(cfg, dataset),
     }
+
+
+def substep_nodes(cfg, dataset):
+    """Tape nodes of the first weight substep and the first logit substep."""
+    from egsearch import autodiff as ad
+    from egsearch.trainer import build_state, compute_loss
+
+    state = build_state(cfg, dataset)
+    counts = {}
+    for name, reach, split in (("weight", "weights", "train"),
+                               ("logit", "logits", "valid")):
+        x, y = dataset.split(split)
+        with ad.Tape() as tape:
+            compute_loss(state, (x[:cfg.batch_size], y[:cfg.batch_size]), reach=reach)
+        counts[f"{name}_substep_nodes"] = len(tape.nodes)
+    return counts
 
 
 def spawn_case(name):
@@ -125,7 +145,8 @@ def main():
     for name, s in searches.items():
         m = s["median"]
         print(f"{name:<8} {m['wall_s']:8.3f} s {m['ms_per_step']:8.3f} ms/step "
-              f"{m['minor_faults']:>9.0f} faults {m['peak_rss_mb']:8.1f} MB")
+              f"{m['minor_faults']:>9.0f} faults {m['peak_rss_mb']:8.1f} MB "
+              f"{m['weight_substep_nodes']:>4} / {m['logit_substep_nodes']:>4} nodes")
     for name, k in record["kernels"]["kernels"].items():
         print(f"{name:<12} {k['draws_per_s']:12.4g} draws/s")
 

@@ -34,6 +34,7 @@ __all__ = [
     "relu",
     "tanh",
     "sigmoid",
+    "stable_sigmoid",
     "softmax",
     "log",
     "exp",
@@ -270,14 +271,19 @@ def tanh(x):
     return record(out, (x,), back)
 
 
-def sigmoid(x):
-    x = as_tensor(x)
-    d = x.data
+def stable_sigmoid(d):
+    """The logistic function of an array, without overflow in exp."""
     out = np.empty_like(d)
     pos = d >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ez = np.exp(d[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def sigmoid(x):
+    x = as_tensor(x)
+    out = stable_sigmoid(x.data)
 
     def back(g):
         return (g * out * (1.0 - out),)

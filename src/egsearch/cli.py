@@ -19,6 +19,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .audit import run_audit
 from .config import RunConfig, build_config, config_to_text, parse_config_file
 from .data import dump_dataset
@@ -112,6 +114,9 @@ def cmd_search(args) -> int:
     summary = "\n".join(
         [
             "search summary",
+            "",
+            "python={}.{}.{}".format(*sys.version_info[:3]),
+            f"numpy={np.__version__}",
             "",
             "config:",
             config_to_text(cfg).rstrip(),

@@ -32,7 +32,6 @@ __all__ = [
     "num_edges",
     "encode",
     "decode",
-    "apply_op",
     "edge_forward",
     "cell_forward",
     "mix_probabilities",
@@ -160,47 +159,79 @@ def decode(code: ArchitectureCode, ops=OP_SET) -> NetworkPlan:
 # forward evaluation
 
 
-def apply_op(kind: OpKind, x: ad.Tensor, params: dict) -> ad.Tensor:
-    if kind.name == "zero":
-        return ad.Tensor(np.zeros_like(x.data))
-    if kind.name == "identity":
-        return x
-    if kind.name.startswith("linear_"):
-        z = ad.add(ad.matmul(x, params["W"]), params["b"])
-        act = kind.name.split("_", 1)[1]
-        if act == "relu":
-            return ad.relu(z)
-        if act == "tanh":
-            return ad.tanh(z)
-        if act == "sigmoid":
-            return ad.sigmoid(z)
-    raise ValueError(f"unknown op kind {kind.name!r}")
+# forward and derivative (from the output a) of each linear op's activation,
+# with the arithmetic of autodiff's relu, tanh and sigmoid
+_ACTIVATIONS = {
+    "linear_relu": (lambda z: np.where(z > 0.0, z, 0.0), lambda g, a: g * (a > 0.0)),
+    "linear_tanh": (np.tanh, lambda g, a: g * (1.0 - a * a)),
+    "linear_sigmoid": (ad.stable_sigmoid, lambda g, a: g * a * (1.0 - a)),
+}
 
 
 def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
-    """Weighted sum of op outputs along one edge.
+    """Weighted sum of op outputs along one edge, recorded as one op.
 
     `code` is a K-vector of op weights: an edge's row of the sampled
     straight-through codes in the search's logit substep, or a constant
     0/1 tensor in its weight substep and for a fixed network.  Constant
-    zero weights skip their op entirely.
+    zero weights skip their op entirely.  x is a (batch, dim) tensor.
+
+    The output is sum_k code[k] * op_k(x), summed in op order, with each
+    linear op computing act(x @ W + b).  The backward repeats the
+    arithmetic of the same sum recorded op by op (pick, multiply, add,
+    matmul, activation), and x is listed once per op that reads it, in
+    reverse op order, so its gradient accumulates in the same order too.
     """
     if isinstance(code, BinaryCodeSample):
         code = code.hard
-    code = ad.as_tensor(code)
-    if code.data.shape != (len(ops),):
-        raise ad.ShapeMismatchError("edge-forward", (code.data.shape, (len(ops),)))
+    code, x = ad.as_tensor(code), ad.as_tensor(x)
+    if code.data.shape != (len(ops),) or x.data.ndim != 2:
+        raise ad.ShapeMismatchError("edge-forward", (x.data.shape, code.data.shape))
     params = params if params is not None else [{} for _ in ops]
+    c, xd = code.data, x.data
     on_tape = code.node is not None or code.requires_grad
     total = None
+    runs = []  # (k, output, derivative, W, b) of each op that reads x
     for k, kind in enumerate(ops):
-        if not on_tape and code.data[k] == 0.0:
+        if (not on_tape and c[k] == 0.0) or kind.name == "zero":
             continue
-        term = ad.multiply(ad.pick(code, k), apply_op(kind, x, params[k]))
-        total = term if total is None else ad.add(total, term)
+        if kind.name == "identity":
+            a, deriv, W, b = xd, None, None, None
+        elif kind.name in _ACTIVATIONS:
+            act, deriv = _ACTIVATIONS[kind.name]
+            W, b = params[k]["W"], params[k]["b"]
+            a = act(xd @ W.data + b.data)
+        else:
+            raise ValueError(f"unknown op kind {kind.name!r}")
+        term = c[k] * a
+        total = term if total is None else total + term
+        runs.append((k, a, deriv, W, b))
     if total is None:
-        total = ad.Tensor(np.zeros_like(x.data))
-    return total
+        total = np.zeros_like(xd)
+    runs.reverse()
+    inputs = [code]
+    for _, _, deriv, W, b in runs:
+        inputs += [x] if deriv is None else [x, W, b]
+
+    def back(g):
+        gc = np.zeros(len(ops)) if code.requires_grad else None
+        out = [gc]
+        for k, a, deriv, W, b in runs:
+            if gc is not None:
+                gc[k] += (g * a).sum(axis=0).sum(axis=0)
+            if deriv is None:
+                out.append(g * c[k] if x.requires_grad else None)
+                continue
+            if not (x.requires_grad or W.requires_grad or b.requires_grad):
+                out += [None, None, None]
+                continue
+            gz = deriv(g * c[k], a)
+            out += [gz @ W.data.T if x.requires_grad else None,
+                    xd.T @ gz if W.requires_grad else None,
+                    gz.sum(axis=0) if b.requires_grad else None]
+        return out
+
+    return ad.record(total, inputs, back)
 
 
 def mix_probabilities(h, l, lam: float):

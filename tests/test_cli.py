@@ -44,6 +44,8 @@ def test_search_writes_all_outputs(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "derived_bits=" in summary
     assert "edge (0, 1):" in summary
+    python = "{}.{}.{}".format(*sys.version_info[:3])
+    assert f"\npython={python}\nnumpy={np.__version__}\n" in summary
 
 
 def test_exported_code_evaluates(tmp_path):

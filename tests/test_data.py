@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egsearch.data import (
     dump_dataset,
@@ -127,3 +129,23 @@ def test_dump_bytes_deterministic():
     a = dump_dataset(make_parity(5, seed=4))
     b = dump_dataset(make_parity(5, seed=4))
     assert a == b
+
+
+GENERATED = st.one_of(
+    st.builds(make_two_moons, n=st.integers(10, 120), noise=st.floats(0.0, 2.0),
+              seed=st.integers(0, 2**32)),
+    st.builds(make_spirals, n=st.integers(10, 120), turns=st.floats(0.1, 5.0),
+              noise=st.floats(0.0, 2.0), seed=st.integers(0, 2**32)),
+    st.builds(make_parity, bits=st.integers(2, 7), seed=st.integers(0, 2**32)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=GENERATED)
+def test_load_dump_round_trips_every_generator(ds):
+    back = load_dataset(dump_dataset(ds))
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+    assert back.seed == ds.seed
+    for name in ("train", "valid", "test"):
+        assert np.array_equal(back.splits[name], np.sort(ds.splits[name]))

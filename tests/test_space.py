@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import space
@@ -48,8 +50,9 @@ def test_op_set_names_and_costs():
 
 def test_zero_and_identity_semantics():
     x = ad.Tensor(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(space.apply_op(OP_SET[0], x, {}).data, np.zeros((2, 3)))
-    assert space.apply_op(OP_SET[1], x, {}) is x
+    zero, identity = np.eye(5)[:2]
+    assert np.array_equal(edge_forward(x, ad.Tensor(zero)).data, np.zeros((2, 3)))
+    assert np.array_equal(edge_forward(x, ad.Tensor(identity)).data, x.data)
 
 
 def test_efficiency_credits_prefer_cheap_ops():
@@ -120,6 +123,29 @@ def test_round_trip_code_random_n7_k5():
         assert encode(decode(code, OP_SET)) == code
 
 
+def op_list(k):
+    return tuple(space.OpKind(f"op{i}", 1.0) for i in range(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 8), k=st.integers(1, 8), data=st.data())
+def test_decode_inverts_encode_for_any_n_and_k(n, k, data):
+    edge_ops = []
+    for e in edge_list(n):
+        ks = data.draw(st.sets(st.integers(0, k - 1)))
+        if ks:
+            edge_ops.append((e, tuple(sorted(ks))))
+    plan = NetworkPlan(n=n, K=k, edge_ops=tuple(edge_ops))
+    assert decode(encode(plan), op_list(k)) == plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 8), k=st.integers(1, 8), seed=st.integers(0, 2**32))
+def test_encode_inverts_decode_for_any_n_and_k(n, k, seed):
+    code = random_code(n, k, np.random.default_rng(seed))
+    assert encode(decode(code, op_list(k))) == code
+
+
 # --- edge_forward ---------------------------------------------------------------
 
 
@@ -157,13 +183,21 @@ def test_edge_forward_residual_pair_matches_hand_build():
 def test_edge_forward_single_forced_bit_reduces_to_plain_op():
     # one bit per edge is the constrained special case: a single-op edge
     cell = make_test_cell()
-    x = ad.Tensor(np.random.default_rng(5).normal(size=(3, 4)))
+    x = np.random.default_rng(5).normal(size=(3, 4))
     for k, op in enumerate(cell.ops):
         code = np.zeros(5)
         code[k] = 1.0
-        out = edge_forward(x, ad.Tensor(code), cell.ops, cell.params[(1, 2)])
-        direct = space.apply_op(op, x, cell.params[(1, 2)][k])
-        assert np.allclose(out.data, direct.data, atol=1e-15)
+        out = edge_forward(ad.Tensor(x), ad.Tensor(code), cell.ops, cell.params[(1, 2)])
+        p = cell.params[(1, 2)][k]
+        z = x @ p["W"].data + p["b"].data if "W" in p else None
+        direct = {
+            "zero": lambda: np.zeros_like(x),
+            "identity": lambda: x,
+            "linear_relu": lambda: np.maximum(z, 0.0),
+            "linear_tanh": lambda: np.tanh(z),
+            "linear_sigmoid": lambda: 1.0 / (1.0 + np.exp(-z)),
+        }[op.name]()
+        assert np.allclose(out.data, direct, atol=1e-15)
 
 
 def test_edge_forward_gradient_reaches_logits_and_weights():
@@ -184,6 +218,145 @@ def test_edge_forward_gradient_reaches_logits_and_weights():
             saw_linear = True
             assert np.any(grads[w] != 0.0)
     assert saw_linear
+
+
+def chain_edge_forward(x, code, ops, params):
+    """The edge recorded op by op (pick, multiply, add, and matmul, add and
+    activation for a linear op): the reference for the fused edge_forward."""
+    on_tape = code.node is not None or code.requires_grad
+    acts = {"linear_relu": ad.relu, "linear_tanh": ad.tanh,
+            "linear_sigmoid": ad.sigmoid}
+    total = None
+    for k, kind in enumerate(ops):
+        if not on_tape and code.data[k] == 0.0:
+            continue
+        if kind.name == "zero":
+            a = ad.Tensor(np.zeros_like(x.data))
+        elif kind.name == "identity":
+            a = x
+        else:
+            a = acts[kind.name](ad.add(ad.matmul(x, params[k]["W"]), params[k]["b"]))
+        term = ad.multiply(ad.pick(code, k), a)
+        total = term if total is None else ad.add(total, term)
+    return total if total is not None else ad.Tensor(np.zeros_like(x.data))
+
+
+def edge_params(cell, edge, on_tape):
+    return [{name: ad.Tensor(t.data, requires_grad=on_tape) for name, t in op.items()}
+            for op in cell.params[edge]]
+
+
+def two_edge_loss(forward, x, codes, params, weights):
+    # x feeds both edges and the loss itself, so its gradient accumulates
+    # from three places
+    a = forward(x, codes[0], OP_SET, params[0])
+    b = forward(x, codes[1], OP_SET, params[1])
+    return ad.mean(ad.multiply(ad.add(ad.add(a, b), x), weights)), (a, b)
+
+
+def assert_fused_equals_chain(x, codes, params, weights, extra=()):
+    tensors = [x, *codes, *extra,
+               *(t for per_edge in params for op in per_edge for t in op.values())]
+    results = []
+    for forward in (edge_forward, chain_edge_forward):
+        with ad.Tape():
+            loss, outs = two_edge_loss(forward, x, codes, params, weights)
+            grads = ad.backward(loss) if loss.requires_grad else {}
+        results.append(([o.data for o in outs], [grads.get(t) for t in tensors]))
+    (fused, fused_grads), (chain, chain_grads) = results
+    for f, c in zip(fused, chain):
+        assert np.array_equal(f, c)
+    for t, f, c in zip(tensors, fused_grads, chain_grads):
+        assert (f is None) == (c is None), t
+        if c is not None:
+            assert f.shape == c.shape and np.array_equal(f, c), t
+
+
+@pytest.mark.parametrize("x_grad,code_grad,w_grad", list(product((False, True), repeat=3)))
+def test_fused_edge_equals_the_op_chain_bit_for_bit(x_grad, code_grad, w_grad):
+    # outputs and every gradient equal to the op-by-op chain, for every hard
+    # code, with each of x, the code and the weights constant or on the tape
+    rng = np.random.default_rng(31)
+    cell = make_test_cell(n=3, dim=6, seed=3)
+    x = ad.Tensor(rng.normal(size=(7, 6)), requires_grad=x_grad)
+    params = [edge_params(cell, e, w_grad) for e in ((0, 1), (0, 2))]
+    weights = ad.Tensor(rng.normal(size=(7, 6)))
+    for bits in product((0.0, 1.0), repeat=5):
+        codes = [ad.Tensor(np.array(bits), requires_grad=code_grad),
+                 ad.Tensor(np.array(bits[::-1]), requires_grad=code_grad)]
+        assert_fused_equals_chain(x, codes, params, weights)
+
+
+@pytest.mark.parametrize("x_grad,w_grad", list(product((False, True), repeat=2)))
+def test_fused_edge_equals_the_op_chain_on_straight_through_rows(x_grad, w_grad):
+    rng = np.random.default_rng(32)
+    cell = make_test_cell(n=3, dim=6, seed=4)
+    x = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=x_grad)
+    params = [edge_params(cell, e, w_grad) for e in ((0, 1), (0, 2))]
+    weights = ad.Tensor(rng.normal(size=(5, 6)))
+    logits = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    for seed in range(4):
+        with ad.Tape():
+            sample = egs_sample(ad.softmax(logits), 2, 0.5, RngState(seed))
+            codes = [ad.pick(sample.hard, r) for r in range(2)]
+            assert_fused_equals_chain(x, codes, params, weights, extra=(logits,))
+
+
+def test_fused_edge_records_one_node():
+    cell = make_test_cell()
+    x = ad.Tensor(np.ones((2, 4)), requires_grad=True)
+    with ad.Tape() as tape:
+        edge_forward(x, ad.Tensor(np.ones(5), requires_grad=True), OP_SET,
+                     cell.params[(0, 1)])
+    assert len(tape.nodes) == 1
+    # a constant code runs only its set ops, and x is listed once per op
+    # that reads it, in reverse op order, each linear op followed by W and b
+    code = ad.Tensor(np.array([1.0, 1.0, 0.0, 1.0, 0.0]))
+    out = edge_forward(x, code, OP_SET, cell.params[(0, 1)])
+    p = cell.params[(0, 1)][3]
+    assert out.node.inputs == (code, x, p["W"], p["b"], x)
+
+
+def test_edge_forward_rejects_bad_shapes():
+    with pytest.raises(ad.ShapeMismatchError, match="edge-forward"):
+        edge_forward(ad.Tensor(np.ones((2, 4))), ad.Tensor(np.ones(4)))
+    with pytest.raises(ad.ShapeMismatchError, match="edge-forward"):
+        edge_forward(ad.Tensor(np.ones(4)), ad.Tensor(np.ones(5)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_fused_edge_gradients_match_finite_differences(k):
+    # a real-valued code on the tape runs every op; check x, the code and the
+    # W and b of the linear op with activation k
+    rng = np.random.default_rng(40 + k)
+    cell = make_test_cell(n=2, dim=3, seed=k)
+    params = edge_params(cell, (0, 1), True)
+    x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    code = ad.Tensor(rng.normal(size=5), requires_grad=True)
+    weights = rng.normal(size=(4, 3))
+    z = x.data @ params[2]["W"].data + params[2]["b"].data
+    assert np.min(np.abs(z)) > 1e-3  # away from the relu kink
+
+    def value():
+        return float((edge_forward(ad.Tensor(x.data), ad.Tensor(code.data), OP_SET,
+                                   params).data * weights).sum())
+
+    with ad.Tape():
+        out = edge_forward(x, code, OP_SET, params)
+        grads = ad.backward(ad.mean(ad.multiply(out, ad.Tensor(weights * out.data.size))))
+    step = 1e-6
+    for t in (x, code, params[k]["W"], params[k]["b"]):
+        base = t.data
+        for idx in np.ndindex(base.shape):
+            vals = []
+            for h in (step, -step):
+                t.data = base.copy()
+                t.data[idx] += h
+                vals.append(value())
+            t.data = base
+            fd = (vals[0] - vals[1]) / (2 * step)
+            g = grads[t][idx]
+            assert abs(g - fd) <= max(1e-7, 1e-5 * abs(fd)), (k, t, idx, g, fd)
 
 
 # --- cell_forward ----------------------------------------------------------------

@@ -179,10 +179,14 @@ def test_logit_substep_gradients_equal_the_full_sweep(cell):
 
 @pytest.mark.parametrize("cell", PRUNE_CELLS)
 def test_logit_substep_records_no_weight_only_node(cell):
-    # the input projection (matmul, add) and, on each of the n - 1 edges out
-    # of node 0, the three linear ops (matmul, add, activation)
+    # sampler: E row picks + 3; cell: one node per edge, (n-1)(n-2)/2 node
+    # sums and the output sum (n-2 adds) or concat (1); head: matmul, add,
+    # cross-entropy.  Only the input projection (matmul, add) is pruned.
     cfg, _, full, pruned = logit_substeps(**cell)
-    assert full[0] - pruned[0] == 2 + 9 * (cfg.nodes - 1)
+    n, edges = cfg.nodes, num_edges(cfg.nodes)
+    outputs = 1 if cfg.output_rule == "concat" else n - 2
+    assert pruned[0] == 2 * edges + 3 + (n - 1) * (n - 2) // 2 + outputs + 3
+    assert (full[0], pruned[0]) == {4: (25, 23), 7: (66, 64)}[n]
 
 
 def test_compute_loss_rejects_unknown_reach():
