@@ -1,6 +1,6 @@
 """Wall time, page faults, peak memory and tape nodes per substep of two
-searches, and the throughput of the batch sampling kernels the audit uses;
-writes BENCH_search.json.
+searches, and the throughput of the batch draw of hard EGS codes that the
+audit and the derivation use; writes BENCH_search.json.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_search.py [--repeats R]
           [--draws N] [--out BENCH_search.json]
@@ -10,9 +10,9 @@ the BLAS pools pinned to one thread, so its minor faults (a getrusage delta
 around `run_search`) and peak RSS are its own.  After the search, the same
 process counts the tape nodes that one weight substep and one logit substep
 record on a fresh state (the search's first draw).  The cases are the README's
-default search and a search at the benchmark's search-wide shape.  Each
-kernel gets a pre-drawn uniform block, so its timing is the Gumbel transform
-and the arithmetic alone; it is the best of R calls.
+default search and a search at the benchmark's search-wide shape.  The
+batch draw gets a pre-drawn uniform block, so its timing is the noisy scores
+and the hard code alone; it is the best of R calls.
 """
 
 import argparse
@@ -96,20 +96,12 @@ def kernel_rates(draws, repeats):
     from egsearch import kernels
     from egsearch.gumbel import RngState
 
-    k, m, tau = 5, 3, 0.1
-    log_p = np.log(np.full(k, 1.0 / k))
-    u_cat = RngState(0).uniform(draws * k)
-    u_egs = RngState(1).uniform(draws * m * k)
-    cases = {
-        "categorical": lambda: kernels.categorical_batch(log_p, u_cat),
-        "egs hard": lambda: kernels.egs_hard_batch(log_p, u_egs, m),
-        "gs soft": lambda: kernels.gs_soft_batch(log_p, u_cat, tau),
-    }
-    out = {}
-    for name, call in cases.items():
-        t = best_of(call, repeats)
-        out[name] = {"seconds": t, "draws_per_s": draws / t}
-    return {"draws": draws, "K": k, "M": m, "tau": tau, "kernels": out}
+    k, m = 5, 3
+    p = np.full(k, 1.0 / k)
+    u = RngState(1).uniform(draws * m * k)
+    t = best_of(lambda: kernels.egs_hard_batch(p, u, m), repeats)
+    return {"draws": draws, "K": k, "M": m,
+            "kernels": {"egs hard": {"seconds": t, "draws_per_s": draws / t}}}
 
 
 def main():

@@ -4,8 +4,10 @@ Three legs:
 
 1. code/network bijection: every binary code decodes to exactly one
    network plan and encodes back to the same code.
-2. inclusion marginals: Monte-Carlo bit frequencies against the exact
-   1 - (1 - p_k)^M oracle, plus strict monotonicity of the oracle.
+2. inclusion marginals: Monte-Carlo bit frequencies of the trainer's
+   hard draw against the exact 1 - (1 - p_k)^M oracle, with a |z| bound
+   that holds the familywise false-alarm rate over all the frequencies
+   compared, plus strict monotonicity of the oracle.
 3. reachable-code counts: exhaustive enumeration against the closed form
    sum_{r=1}^{min(M,K)} C(K, r), the number of codes with 1..min(M, K)
    ones, and beside the paper's C(K, M) * (2^M - 1).  The paper's formula
@@ -35,11 +37,17 @@ __all__ = [
     "closed_form_count",
     "reachable_count",
     "bijection_audit",
+    "sidak_z_bound",
+    "bit_z",
     "marginal_audit",
     "count_audit",
     "run_audit",
 ]
 
+# The chance that a correct sampler fails the marginal leg on some seed.
+FAMILYWISE_ALPHA = 1e-3
+# The uncorrected 3-sigma bound.  The marginal leg gates on sidak_z_bound;
+# perfbench's audit check holds its seed-0 audit to this stricter figure.
 Z_BOUND = 3.0
 
 
@@ -115,23 +123,51 @@ def bijection_audit(random_trials: int = 1000, seed: int = 0):
     return lines, ok
 
 
+def sidak_z_bound(comparisons: int) -> float:
+    """The |z| bound at which `comparisons` two-sided normal tests all pass
+    with probability at least 1 - FAMILYWISE_ALPHA (Sidak).  Sidak's
+    inequality holds for normal statistics under any correlation, so the
+    bits of one code, which are dependent, keep the rate."""
+    # imported here: statistics loads decimal and fractions (~0.4 MB of
+    # peak RSS), which a process that imports the audit only to search
+    # does not need
+    from statistics import NormalDist
+
+    per_test = -math.expm1(math.log1p(-FAMILYWISE_ALPHA) / comparisons)
+    return NormalDist().inv_cdf(1.0 - per_test / 2.0)
+
+
+def bit_z(freq: np.ndarray, q: np.ndarray, draws: int) -> np.ndarray:
+    """|z| of bit frequencies against their marginals q: the root of the
+    binomial likelihood-ratio statistic, sqrt(2 draws KL(freq || q)).
+
+    Where a bit's expected count of ones or zeros is small, the score
+    statistic |freq - q| / sd is skewed far past normal in its tail; this
+    one stays close to normal there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = (np.where(freq > 0.0, freq * np.log(freq / q), 0.0)
+              + np.where(freq < 1.0, (1.0 - freq) * np.log((1.0 - freq) / (1.0 - q)), 0.0))
+    return np.sqrt(2.0 * draws * np.maximum(kl, 0.0))
+
+
 def marginal_audit(configs: int = 20, draws: int = 100_000, seed: int = 0):
     """Monte-Carlo inclusion frequencies against the exact marginal."""
     gen = np.random.default_rng(seed)
     max_z = 0.0
+    comparisons = 0
     for i in range(configs):
         k = int(gen.integers(2, 9))
         m = int(gen.integers(1, 6))
         p = gen.random(k)
         p = p / p.sum()
         u = RngState(seed + 1 + i).uniform(draws * m * k)
-        codes = kernels.egs_hard_batch(np.log(p), u, m)
-        freq = codes.mean(axis=0)
-        for j in range(k):
-            q = marginal_inclusion_oracle(p, m, j)
-            sd = np.sqrt(q * (1.0 - q) / draws)
-            max_z = max(max_z, abs(freq[j] - q) / sd)
-    ok = max_z <= Z_BOUND
+        freq = kernels.egs_hard_batch(p, u, m).mean(axis=0)
+        q = np.array([marginal_inclusion_oracle(p, m, j) for j in range(k)])
+        max_z = max(max_z, float(bit_z(freq, q, draws).max()))
+        comparisons += k
+    bound = sidak_z_bound(comparisons)
+    ok = max_z <= bound
 
     # the oracle itself must be strictly increasing in p
     grid = np.linspace(0.0, 1.0, 51)
@@ -143,7 +179,8 @@ def marginal_audit(configs: int = 20, draws: int = 100_000, seed: int = 0):
 
     lines = [
         f"    {configs} random (p, M<=5) configs, {draws} draws each",
-        f"    max |z| over all bit frequencies: {max_z:.2f} (bound {Z_BOUND})",
+        f"    max |z| over {comparisons} bit frequencies: {max_z:.2f} "
+        f"(bound {bound:.2f}: familywise false-alarm rate {FAMILYWISE_ALPHA:g}, Sidak)",
         f"    oracle strictly increasing in p for M in 1..5: {'yes' if monotone else 'NO'}",
     ]
     return lines, ok, float(max_z)

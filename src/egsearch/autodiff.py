@@ -27,7 +27,6 @@ __all__ = [
     "ShapeMismatchError",
     "record",
     "backward",
-    "forward_op",
     "add",
     "multiply",
     "matmul",
@@ -454,35 +453,7 @@ def straight_through(soft, hard_values):
 
 
 # ---------------------------------------------------------------------------
-# kind-string dispatch and the backward sweep
-
-_OP_KINDS = {
-    "add": add,
-    "multiply": multiply,
-    "matmul": matmul,
-    "relu": relu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "softmax": softmax,
-    "log": log,
-    "exp": exp,
-    "elementwise-max": maximum,
-    "concat": lambda *ts, axis=0: concat(list(ts), axis=axis),
-    "mean": mean,
-    "cross-entropy-with-logits": cross_entropy_with_logits,
-    "scalar-scale": lambda x, factor: scale(x, factor),
-}
-
-
-def forward_op(kind, inputs, **kwargs):
-    """Apply the op named `kind` to `inputs` (a list of tensors).
-
-    Extra op parameters (`labels` for cross-entropy, `factor` for
-    scalar-scale) go in `kwargs`.
-    """
-    if kind not in _OP_KINDS:
-        raise ValueError(f"unknown op kind {kind!r}")
-    return _OP_KINDS[kind](*inputs, **kwargs)
+# the backward sweep
 
 
 def backward(loss):

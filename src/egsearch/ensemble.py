@@ -18,14 +18,13 @@ from itertools import combinations, product
 import numpy as np
 
 from . import autodiff as ad
-from .gumbel import GumbelSoftmaxSample, RngState, check_simplex, relaxed_max
+from .gumbel import RngState, check_simplex, hard_code, relaxed_max
 
 __all__ = [
     "BinaryCodeSample",
     "egs_sample",
     "marginal_inclusion_oracle",
     "reachable_codes",
-    "recode_superposition",
 ]
 
 ENUMERATION_MAX_K = 16
@@ -40,13 +39,11 @@ class BinaryCodeSample:
     hard is the element-wise max of the component one-hots (exposed with
     straight-through behavior); soft is the element-wise max of the
     component soft vectors, its gradient routed to the lowest component
-    attaining the max.  components holds each component's soft vector and
-    one-hot as constants: gradients flow through soft and hard only.
+    attaining the max.
     """
 
     hard: ad.Tensor
     soft: ad.Tensor
-    components: list[GumbelSoftmaxSample]
     M: int
 
 
@@ -56,20 +53,12 @@ def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
     p is one probability vector (K,), or a stack (E, K) drawn row by row
     with one uniform call in (row, component, category) order.  On the tape
     this records two ops whatever the shape: the relaxation and the
-    straight-through code.
+    straight-through code.  M=1 is a Gumbel-Softmax sample with its
+    one-hot.
     """
-    soft, scores, y = relaxed_max(p, M, tau, rng)
-    M, k = scores.shape[-2:]
-    onehots = (scores.argmax(axis=-1)[..., None] == np.arange(k)).astype(np.float64)
-    hard = ad.straight_through(soft, onehots.max(axis=-2))
-    components = [
-        GumbelSoftmaxSample(
-            soft=ad.Tensor(y[..., i, :]), hard=ad.Tensor(onehots[..., i, :]),
-            temperature=float(tau),
-        )
-        for i in range(M)
-    ]
-    return BinaryCodeSample(hard=hard, soft=soft, components=components, M=M)
+    soft, scores = relaxed_max(p, M, tau, rng)
+    hard = ad.straight_through(soft, hard_code(scores))
+    return BinaryCodeSample(hard=hard, soft=soft, M=int(M))
 
 
 def marginal_inclusion_oracle(p, M: int, k: int) -> float:
@@ -107,19 +96,3 @@ def reachable_codes(K: int, M: int) -> set:
                     code[k] = 1
                 codes.add(tuple(code))
     return codes
-
-
-def recode_superposition(edge_code) -> list:
-    """Split a binary code into one one-hot vector per set bit."""
-    code = np.asarray(edge_code)
-    if code.ndim != 1 or not np.all(np.isin(code, (0, 1))):
-        raise ValueError(f"edge_code must be a 0/1 vector, got {code!r}")
-    set_bits = np.flatnonzero(code)
-    if set_bits.size == 0:
-        raise ValueError("edge_code has no set bits")
-    onehots = []
-    for k in set_bits:
-        v = np.zeros(code.size, dtype=np.float64)
-        v[k] = 1.0
-        onehots.append(v)
-    return onehots

@@ -1,4 +1,11 @@
-"""Gumbel noise, Gumbel-Max decisions, and the Gumbel-Softmax relaxation.
+"""Gumbel noise, the noisy scores, the hard EGS code and its relaxation.
+
+An EGS draw of M components over K categories is defined once here: the
+noisy scores log p + G, shaped (..., M, K) and read from the uniforms in
+(row, component, category) order (`noisy_scores`), and the binary code, the
+OR over M of the argmax over K (`hard_code`).  The trainer's relaxation
+(`relaxed_max`), the audit's batch kernel and Gumbel-Max (the M=1 case) all
+build on these two.
 
 All randomness flows through RngState, a (seed, position) counter over the
 PCG64 stream, so any draw can be replayed exactly from its coordinates.
@@ -17,12 +24,12 @@ from . import autodiff as ad
 __all__ = [
     "UNIFORM_EPS",
     "RngState",
-    "GumbelSoftmaxSample",
     "gumbel_transform",
     "gumbel_noise",
+    "noisy_scores",
+    "hard_code",
     "gumbel_max",
     "relaxed_max",
-    "gumbel_softmax",
     "check_simplex",
 ]
 
@@ -53,20 +60,6 @@ class RngState:
 
     def clone(self) -> "RngState":
         return RngState(self.seed, self.position)
-
-
-@dataclass
-class GumbelSoftmaxSample:
-    """One relaxed categorical draw.
-
-    soft is the temperature-tau softmax of the noisy log-probabilities,
-    kept on the tape; hard is the one-hot at its argmax, exposed with
-    straight-through behavior (forward hard, backward identity on soft).
-    """
-
-    soft: ad.Tensor
-    hard: ad.Tensor
-    temperature: float
 
 
 def check_simplex(p: np.ndarray, what: str = "p") -> np.ndarray:
@@ -100,35 +93,49 @@ def gumbel_noise(rng: RngState, count: int) -> np.ndarray:
     return gumbel_transform(rng.uniform(count))
 
 
-def _log_probs(p: np.ndarray) -> np.ndarray:
+def noisy_scores(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The noisy scores log p + G, (..., M, K), of an EGS draw.
+
+    p is (..., K); u holds the draw's uniforms shaped (..., M, K), in the
+    order rng.uniform returned them: row, then component, then category.
+    Zero entries of p score -inf and are never picked.
+    """
     with np.errstate(divide="ignore"):
-        return np.log(p)
+        log_p = np.log(p)
+    return log_p[..., None, :] + gumbel_transform(u)
+
+
+def hard_code(scores: np.ndarray) -> np.ndarray:
+    """Binary codes (..., K) from scores (..., M, K): each component's
+    argmax over K, OR-ed over M, as uint8.  No softmax is formed."""
+    code = np.zeros(scores.shape[:-2] + scores.shape[-1:], dtype=np.uint8)
+    np.put_along_axis(code, scores.argmax(axis=-1), 1, axis=-1)
+    return code
 
 
 def gumbel_max(p, rng: RngState) -> int:
-    """Sample a category index with P(k) proportional to p_k.
+    """Sample a category index with P(k) proportional to p_k: the hard
+    code of a one-component draw.
 
-    Zero entries get log p = -inf and are never selected; an all-zero p is
-    rejected.
+    Zero entries are never selected; an all-zero p is rejected.
     """
     p = np.asarray(p.data if isinstance(p, ad.Tensor) else p, dtype=np.float64)
     if not np.any(p > 0.0):
         raise ValueError("gumbel_max: all-zero probability vector")
     check_simplex(p)
-    scores = _log_probs(p) + gumbel_noise(rng, p.size)
-    return int(np.argmax(scores))
+    scores = noisy_scores(p, rng.uniform(p.size).reshape(1, p.size))
+    return int(np.argmax(hard_code(scores)))
 
 
 def relaxed_max(p, M: int, tau: float, rng: RngState):
     """Max over M Gumbel-Softmax relaxations of p, as one tape op.
 
     p is (..., K), on the tape or constant.  One rng.uniform call draws the
-    (..., M, K) noise G in (row, component, category) order.  With
-    scores = log p + G, the output is soft = max_m softmax(scores_m / tau),
-    (..., K); its gradient reaches p through the component attaining each
-    max, the lowest one on ties.  Returns (soft, scores, y) with y the
-    (..., M, K) component softmaxes.  Hard picks are the argmax of the raw
-    scores, which the softmax never reorders.
+    draw's noisy scores (`noisy_scores`, (..., M, K)).  The output is
+    soft = max_m softmax(scores_m / tau), (..., K); its gradient reaches p
+    through the component attaining each max, the lowest one on ties.
+    Returns (soft, scores); the hard code is `hard_code(scores)`, which the
+    softmax never reorders.
     """
     M = int(M)
     if M < 1:
@@ -140,11 +147,10 @@ def relaxed_max(p, M: int, tau: float, rng: RngState):
     check_simplex(p.data)
     if not np.all(np.any(p.data > 0.0, axis=-1)):
         raise ValueError("relaxed_max: all-zero probability vector")
-    shape = p.data.shape[:-1] + (M, p.data.shape[-1])
-    noise = gumbel_noise(rng, int(np.prod(shape))).reshape(shape)
     p_data = p.data
+    shape = p_data.shape[:-1] + (M, p_data.shape[-1])
+    scores = noisy_scores(p_data, rng.uniform(int(np.prod(shape))).reshape(shape))
     factor = 1.0 / tau
-    scores = _log_probs(p_data)[..., None, :] + noise
     z = scores * factor
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
@@ -164,18 +170,4 @@ def relaxed_max(p, M: int, tau: float, rng: RngState):
             total = total + res[..., i, :]
         return (total,)
 
-    return ad.record(soft, (p,), back), scores, y
-
-
-def gumbel_softmax(p, tau: float, rng: RngState) -> GumbelSoftmaxSample:
-    """Temperature-tau relaxation of gumbel_max, differentiable in p.
-
-    soft_k = exp((log p_k + G_k)/tau) / sum_j exp((log p_j + G_j)/tau); the
-    hard one-hot sits at the argmax of the raw noisy scores, which the
-    softmax never reorders.
-    """
-    soft, scores, _ = relaxed_max(p, 1, tau, rng)
-    hard_vals = np.zeros(soft.data.size, dtype=np.float64)
-    hard_vals[int(np.argmax(scores[0]))] = 1.0
-    hard = ad.straight_through(soft, hard_vals)
-    return GumbelSoftmaxSample(soft=soft, hard=hard, temperature=float(tau))
+    return ad.record(soft, (p,), back), scores

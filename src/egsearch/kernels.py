@@ -1,48 +1,24 @@
-"""Batch Monte-Carlo sampling kernels for the audits.
+"""The batch draw of hard EGS codes for the audit and the derivation.
 
-The tape sampler in `ensemble` draws one code per edge per search substep;
-the audits and the mode-sample derivation need 1e5-1e6 draws from one
-fixed probability vector, without the relaxation or the tape.  These
-kernels take a flat block of uniforms (from RngState.uniform, so draws stay
-replayable) and process it in bulk with numpy.
+The audit and the mode-sample derivation need 1e5-1e6 hard codes from one
+fixed probability vector, without the relaxation or the tape.  They draw
+them here, on the trainer's definition of a draw (`gumbel.noisy_scores` and
+`gumbel.hard_code`), from a flat block of uniforms taken from
+RngState.uniform, so draws stay replayable.  Callers look the kernel up as
+`kernels.egs_hard_batch`, so a tracer can wrap it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gumbel import gumbel_transform
+from .gumbel import hard_code, noisy_scores
 
-__all__ = [
-    "categorical_batch",
-    "egs_hard_batch",
-    "gs_soft_batch",
-]
+__all__ = ["egs_hard_batch"]
 
 
-def categorical_batch(log_p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Gumbel-Max indices for `draws` rows; uniforms has draws*K entries."""
-    k = log_p.shape[0]
-    g = gumbel_transform(uniforms.reshape(-1, k))
-    return np.argmax(log_p[None, :] + g, axis=1).astype(np.int64)
-
-
-def egs_hard_batch(log_p: np.ndarray, uniforms: np.ndarray, m: int) -> np.ndarray:
-    """Binary codes (draws, K): per draw, OR of M Gumbel-Max one-hots."""
-    k = log_p.shape[0]
-    g = gumbel_transform(uniforms.reshape(-1, m, k))
-    idx = np.argmax(log_p[None, None, :] + g, axis=2)  # (draws, m)
-    draws = idx.shape[0]
-    codes = np.zeros((draws, k), dtype=np.uint8)
-    codes[np.repeat(np.arange(draws), m), idx.reshape(-1)] = 1
-    return codes
-
-
-def gs_soft_batch(log_p: np.ndarray, uniforms: np.ndarray, tau: float) -> np.ndarray:
-    """Gumbel-Softmax rows (draws, K) at temperature tau."""
-    k = log_p.shape[0]
-    g = gumbel_transform(uniforms.reshape(-1, k))
-    z = (log_p[None, :] + g) / tau
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def egs_hard_batch(p: np.ndarray, uniforms: np.ndarray, m: int) -> np.ndarray:
+    """Binary codes (draws, K) of p (K,): per draw, OR of M Gumbel-Max
+    one-hots.  uniforms has draws*M*K entries in (draw, component,
+    category) order."""
+    return hard_code(noisy_scores(p, uniforms.reshape(-1, m, p.shape[-1])))

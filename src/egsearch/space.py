@@ -34,7 +34,6 @@ __all__ = [
     "decode",
     "edge_forward",
     "cell_forward",
-    "mix_probabilities",
     "sampling_probabilities",
     "efficiency_credits",
     "make_cell",
@@ -234,18 +233,6 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
     return ad.record(total, inputs, back)
 
 
-def mix_probabilities(h, l, lam: float):
-    """Convex mix of effectiveness and efficiency credits, kept on the tape."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must be in [0, 1], got {lam}")
-    h = ad.as_tensor(h)
-    l = ad.as_tensor(l)
-    check_simplex(h.data, "h")
-    check_simplex(l.data, "l")
-    return ad.add(ad.scale(h, lam), ad.scale(l, 1.0 - lam))
-
-
 def efficiency_credits(ops=OP_SET) -> np.ndarray:
     """Static efficiency prior: softmax of negated op costs."""
     costs = np.array([op.cost for op in ops], dtype=np.float64)
@@ -266,16 +253,12 @@ class EdgeProbabilities:
     l: np.ndarray
     lam: float
 
-    def probabilities(self) -> ad.Tensor:
-        """This edge's sampling vector (K,), on the tape."""
-        return ad.pick(sampling_probabilities([self]), 0)
-
 
 def sampling_probabilities(edges, differentiable: bool = True) -> ad.Tensor:
     """Sampling vectors of `edges` (EdgeProbabilities) as one (E, K) op.
 
-    Row r is lam_r * softmax(logits_r) + (1 - lam_r) * l_r, with the checks
-    and the arithmetic of mix_probabilities(softmax(logits_r), l_r, lam_r).
+    Row r is lam_r * softmax(logits_r) + (1 - lam_r) * l_r: h and l must
+    be on the simplex and lam_r in [0, 1].
     With differentiable=False the result is a constant: no tape node, for
     callers that do not use the logits' gradient.
     """

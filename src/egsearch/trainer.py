@@ -362,9 +362,7 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
     rng = state.rng.clone()  # derivation must not disturb the search stream
     for row, p in enumerate(state.cell.probabilities(differentiable=False).data):
         if mode == "mode-sample":
-            with np.errstate(divide="ignore"):
-                logp = np.log(p)
-            codes = kernels.egs_hard_batch(logp, rng.uniform(draws * state.M * k), state.M)
+            codes = kernels.egs_hard_batch(p, rng.uniform(draws * state.M * k), state.M)
             counts = {}
             for code in map(tuple, codes.tolist()):
                 counts[code] = counts.get(code, 0) + 1

@@ -16,8 +16,8 @@ from egsearch import kernels
 from egsearch.audit import marginal_audit, run_audit
 from egsearch.cli import OUT_ENV, main
 from egsearch.config import RunConfig
-from egsearch.ensemble import marginal_inclusion_oracle
-from egsearch.gumbel import RngState, gumbel_noise, gumbel_softmax
+from egsearch.ensemble import egs_sample, marginal_inclusion_oracle
+from egsearch.gumbel import RngState, gumbel_noise
 from egsearch.space import (
     OP_SET,
     ArchitectureCode,
@@ -202,7 +202,7 @@ def test_criterion_2_gumbel_softmax_limits():
         for _ in range(1000):
             noise = gumbel_noise(rng.clone(), len(p))
             scores = np.sort(np.log(p) + noise)[::-1]
-            s = gumbel_softmax(p, tau, rng)
+            s = egs_sample(p, 1, tau, rng)
             if scores[0] - scores[1] > gap_needed:
                 conditioned += 1
                 assert s.soft.data.max() > 0.999
@@ -211,18 +211,16 @@ def test_criterion_2_gumbel_softmax_limits():
     # hot limit: soft collapses to uniform
     with ad.Tape():
         for _ in range(1000):
-            s = gumbel_softmax(p, 1e6, rng)
+            s = egs_sample(p, 1, 1e6, rng)
             assert np.all(np.abs(s.soft.data - 0.25) <= 1e-3)
 
-    # the argmax law must match direct Gumbel-Max sampling
+    # the argmax law of the trainer's relaxation must match direct
+    # Gumbel-Max sampling (the hard code at M=1)
     draws = 100_000
-    u1 = RngState(100).uniform(draws * len(p))
-    u2 = RngState(200).uniform(draws * len(p))
-    soft_rows = kernels.gs_soft_batch(np.log(p), u1, 1.0)
+    soft_rows = egs_sample(np.tile(p, (draws, 1)), 1, 1.0, RngState(100)).soft.data
     gs_freq = np.bincount(np.argmax(soft_rows, axis=1), minlength=len(p)) / draws
-    gm_freq = np.bincount(
-        kernels.categorical_batch(np.log(p), u2), minlength=len(p)
-    ) / draws
+    u2 = RngState(200).uniform(draws * len(p))
+    gm_freq = kernels.egs_hard_batch(p, u2, 1).sum(axis=0) / draws
     for j in range(len(p)):
         sd = np.sqrt(p[j] * (1 - p[j]) * 2.0 / draws)
         assert abs(gs_freq[j] - gm_freq[j]) <= 3.0 * sd, j
@@ -236,7 +234,7 @@ def test_criterion_3_ensemble_distribution():
     p = np.array([0.5, 0.5])
     draws = 100_000
     u = RngState(7).uniform(draws * 2 * 2)
-    codes = kernels.egs_hard_batch(np.log(p), u, 2)
+    codes = kernels.egs_hard_batch(p, u, 2)
     n_both = int(np.sum((codes[:, 0] == 1) & (codes[:, 1] == 1)))
     n_left = int(np.sum((codes[:, 0] == 1) & (codes[:, 1] == 0)))
     n_right = int(np.sum((codes[:, 0] == 0) & (codes[:, 1] == 1)))

@@ -279,17 +279,6 @@ def test_grad_shapes_match_tensors():
     assert grads[b].shape == (3, 4)
 
 
-def test_forward_op_dispatch():
-    out = ad.forward_op("add", [ad.Tensor([1.0]), ad.Tensor([2.0])])
-    assert out.data[0] == 3.0
-    out = ad.forward_op("elementwise-max", [ad.Tensor([1.0, 5.0]), ad.Tensor([2.0, 3.0])])
-    assert np.array_equal(out.data, [2.0, 5.0])
-    out = ad.forward_op("scalar-scale", [ad.Tensor([2.0])], factor=0.5)
-    assert out.data[0] == 1.0
-    with pytest.raises(ValueError, match="unknown op kind"):
-        ad.forward_op("convolve", [ad.Tensor([1.0])])
-
-
 def test_shape_mismatch_names_kind_and_shapes():
     with pytest.raises(ad.ShapeMismatchError) as ei:
         ad.add(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(4)))

@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import kernels
-from egsearch.ensemble import (
-    egs_sample,
-    marginal_inclusion_oracle,
-    reachable_codes,
-    recode_superposition,
-)
+from egsearch.ensemble import egs_sample, marginal_inclusion_oracle, reachable_codes
 from egsearch.gumbel import RngState, gumbel_noise
-from egsearch.space import EdgeProbabilities, mix_probabilities, sampling_probabilities
+from egsearch.space import EdgeProbabilities, sampling_probabilities
 
 
 def exact_code_distribution(p, m):
@@ -37,19 +32,31 @@ def exact_code_distribution(p, m):
 
 def sample_codes(p, m, draws, seed):
     u = RngState(seed).uniform(draws * m * len(p))
-    return kernels.egs_hard_batch(np.log(np.asarray(p)), u, m)
+    return kernels.egs_hard_batch(np.asarray(p, dtype=np.float64), u, m)
 
 
 # --- sampler structure -------------------------------------------------------
 
 
+def components(p, m, tau, rng):
+    """Each component's softmax((log p + G_m) / tau) and the one-hot at its
+    argmax, (M, K), from the uniforms a draw at rng would read."""
+    scores = np.log(p) + gumbel_noise(rng.clone(), m * p.size).reshape(m, p.size)
+    z = scores * (1.0 / tau)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    onehots = (scores.argmax(axis=-1)[:, None] == np.arange(p.size)).astype(np.float64)
+    return e / e.sum(axis=-1, keepdims=True), onehots
+
+
 def test_m1_reduces_to_single_one_hot():
     rng = RngState(1)
+    p = np.array([0.2, 0.5, 0.3])
     for _ in range(100):
-        s = egs_sample([0.2, 0.5, 0.3], 1, 0.5, rng)
+        soft, onehots = components(p, 1, 0.5, rng)
+        s = egs_sample(p, 1, 0.5, rng)
         assert s.hard.data.sum() == 1.0
-        assert np.array_equal(s.hard.data, s.components[0].hard.data)
-        assert np.array_equal(s.soft.data, s.components[0].soft.data)
+        assert np.array_equal(s.hard.data, onehots[0])
+        assert np.array_equal(s.soft.data, soft[0])
 
 
 def test_rejects_bad_m():
@@ -62,11 +69,10 @@ def test_definition_conformance_exact():
     rng = RngState(2)
     p = np.array([0.1, 0.4, 0.2, 0.3])
     for _ in range(10_000):
+        soft, onehots = components(p, 3, 0.4, rng)
         s = egs_sample(p, 3, 0.4, rng)
-        comp_hard = np.max([c.hard.data for c in s.components], axis=0)
-        comp_soft = np.max([c.soft.data for c in s.components], axis=0)
-        assert np.array_equal(s.hard.data, comp_hard)
-        assert np.array_equal(s.soft.data, comp_soft)
+        assert np.array_equal(s.hard.data, onehots.max(axis=0))
+        assert np.array_equal(s.soft.data, soft.max(axis=0))
         ones = int(s.hard.data.sum())
         assert 1 <= ones <= min(3, 4)
 
@@ -211,27 +217,6 @@ def test_sample_support_is_reachable_and_covering():
             assert seen == target  # uniform p puts mass on every code
 
 
-# --- recode_superposition ------------------------------------------------------
-
-
-def test_recode_examples():
-    parts = recode_superposition([1, 0, 1])
-    assert [v.tolist() for v in parts] == [[1, 0, 0], [0, 0, 1]]
-    parts = recode_superposition([0, 1, 0])
-    assert [v.tolist() for v in parts] == [[0, 1, 0]]
-
-
-def test_recode_round_trip_k4():
-    for bits in product((0, 1), repeat=4):
-        if sum(bits) == 0:
-            with pytest.raises(ValueError):
-                recode_superposition(list(bits))
-            continue
-        parts = recode_superposition(list(bits))
-        assert np.array_equal(np.max(parts, axis=0), np.array(bits, dtype=float))
-        assert all(v.sum() == 1.0 for v in parts)
-
-
 # --- gradient flow --------------------------------------------------------------
 
 
@@ -282,6 +267,12 @@ def chain_egs(p, m, tau, rng):
     return ad.straight_through(soft, hard)
 
 
+def chain_mix(edge):
+    """One edge's sampling vector as a chain of primitive ops."""
+    h = ad.softmax(edge.logits)
+    return ad.add(ad.scale(h, edge.lam), ad.scale(ad.Tensor(edge.l), 1.0 - edge.lam))
+
+
 def random_edges(rng, e, k):
     l = rng.dirichlet(np.ones(k))
     return [
@@ -316,11 +307,11 @@ def test_batched_draw_equals_per_edge_draws_exactly():
                     assert len(tape.nodes) == 3  # probabilities, relaxation, code
                     grads = ad.backward(weighted([ad.pick(s.hard, r) for r in range(3)], w))
                 one = RngState(seed)
-                singles = [egs_sample(e.probabilities(), m, tau, one) for e in edges]
+                singles = [egs_sample(ad.pick(sampling_probabilities([e]), 0), m, tau, one)
+                           for e in edges]
                 ref_rng = RngState(seed)
                 with ad.Tape():
-                    ref = [chain_egs(mix_probabilities(ad.softmax(e.logits), e.l, e.lam),
-                                     m, tau, ref_rng) for e in edges]
+                    ref = [chain_egs(chain_mix(e), m, tau, ref_rng) for e in edges]
                     ref_grads = ad.backward(weighted(ref, w))
                 assert batch_rng.position == one.position == ref_rng.position == 3 * m * k
                 for r, edge in enumerate(edges):
@@ -329,9 +320,6 @@ def test_batched_draw_equals_per_edge_draws_exactly():
                     assert np.array_equal(s.hard.data[r], ref[r].data)
                     assert np.array_equal(s.soft.data[r], ref[r].node.inputs[0].data)
                     assert np.array_equal(grads[edge.logits], ref_grads[edge.logits])
-                assert np.array_equal(
-                    s.components[m - 1].hard.data[2], singles[2].components[m - 1].hard.data
-                )
 
 
 def test_batched_relaxation_matches_finite_differences():

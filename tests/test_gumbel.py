@@ -1,4 +1,8 @@
-"""Gumbel noise, Gumbel-Max, and Gumbel-Softmax behavior."""
+"""Gumbel noise, Gumbel-Max, and Gumbel-Softmax behavior.
+
+A Gumbel-Softmax sample is the one-component EGS draw, egs_sample(p, 1, tau,
+rng); Gumbel-Max in bulk is the batch kernel at M=1.
+"""
 
 import math
 
@@ -7,13 +11,8 @@ import pytest
 
 from egsearch import autodiff as ad
 from egsearch import kernels
-from egsearch.gumbel import (
-    RngState,
-    gumbel_max,
-    gumbel_noise,
-    gumbel_softmax,
-    gumbel_transform,
-)
+from egsearch.ensemble import egs_sample
+from egsearch.gumbel import RngState, gumbel_max, gumbel_noise, gumbel_transform
 
 EULER_MASCHERONI = 0.5772156649015329
 GUMBEL_STD = math.pi / math.sqrt(6.0)
@@ -105,14 +104,14 @@ def test_gumbel_max_matches_batch_kernel_draw_for_draw():
     p = np.array([0.2, 0.3, 0.5])
     rng = RngState(31)
     singles = np.array([gumbel_max(p, rng) for _ in range(500)])
-    batch = kernels.categorical_batch(np.log(p), RngState(31).uniform(500 * 3))
-    assert np.array_equal(singles, batch)
+    batch = kernels.egs_hard_batch(p, RngState(31).uniform(500 * 3), 1)
+    assert np.array_equal(singles, batch.argmax(axis=1))
 
 
 def test_gumbel_max_frequencies_3sigma():
     p = np.array([0.2, 0.3, 0.5])
     n = 100_000
-    idx = kernels.categorical_batch(np.log(p), RngState(42).uniform(n * 3))
+    idx = kernels.egs_hard_batch(p, RngState(42).uniform(n * 3), 1).argmax(axis=1)
     counts = np.bincount(idx, minlength=3)
     for k in range(3):
         sigma = math.sqrt(p[k] * (1 - p[k]) / n)
@@ -121,21 +120,20 @@ def test_gumbel_max_frequencies_3sigma():
 
 def test_gumbel_max_never_selects_zero_probability():
     p = np.array([0.5, 0.0, 0.5])
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-    idx = kernels.categorical_batch(logp, RngState(3).uniform(20_000 * 3))
-    assert not np.any(idx == 1)
+    codes = kernels.egs_hard_batch(p, RngState(3).uniform(20_000 * 3), 1)
+    assert np.all(codes.sum(axis=1) == 1)
+    assert not np.any(codes[:, 1])
     rng = RngState(4)
     assert all(gumbel_max(p, rng) != 1 for _ in range(200))
 
 
-# --- gumbel_softmax ----------------------------------------------------------
+# --- Gumbel-Softmax: egs_sample at M=1 -------------------------------------
 
 
 def test_gumbel_softmax_rejects_bad_temperature():
     for tau in (0.0, -1.0):
         with pytest.raises(ValueError, match="temperature"):
-            gumbel_softmax([0.5, 0.5], tau, RngState(0))
+            egs_sample([0.5, 0.5], 1, tau, RngState(0))
 
 
 def test_gumbel_softmax_sample_invariants():
@@ -143,7 +141,7 @@ def test_gumbel_softmax_sample_invariants():
     p = np.array([0.1, 0.2, 0.3, 0.4])
     for tau in (0.05, 0.5, 1.0, 10.0):
         for _ in range(50):
-            s = gumbel_softmax(p, tau, rng)
+            s = egs_sample(p, 1, tau, rng)
             soft = s.soft.data
             assert np.all(soft >= 0.0)
             assert abs(soft.sum() - 1.0) <= 1e-12
@@ -151,7 +149,6 @@ def test_gumbel_softmax_sample_invariants():
             assert sorted(hard.tolist()) == [0.0, 0.0, 0.0, 1.0]
             # the one sits at an argmax of soft
             assert soft[int(np.argmax(hard))] == soft.max()
-            assert s.temperature == tau
 
 
 def test_gumbel_softmax_argmax_matches_raw_scores():
@@ -159,7 +156,7 @@ def test_gumbel_softmax_argmax_matches_raw_scores():
     p = np.array([0.25, 0.25, 0.5])
     for seed in range(30):
         noise = gumbel_noise(RngState(seed), 3)
-        s = gumbel_softmax(p, 0.7, RngState(seed))
+        s = egs_sample(p, 1, 0.7, RngState(seed))
         raw = np.log(p) + noise
         assert int(np.argmax(s.hard.data)) == int(np.argmax(raw))
         assert int(np.argmax(s.soft.data)) == int(np.argmax(raw))
@@ -169,7 +166,7 @@ def test_gumbel_softmax_hard_law_equals_gumbel_max_law():
     # identical rng coordinates -> identical noise -> identical winner
     p = np.array([0.15, 0.35, 0.5])
     for seed in range(200):
-        hard_idx = int(np.argmax(gumbel_softmax(p, 0.3, RngState(seed)).hard.data))
+        hard_idx = int(np.argmax(egs_sample(p, 1, 0.3, RngState(seed)).hard.data))
         assert hard_idx == gumbel_max(p, RngState(seed))
 
 
@@ -185,7 +182,7 @@ def test_low_temperature_approaches_one_hot():
         scores = np.sort(np.log(p) + noise)
         if scores[-1] - scores[-2] <= gap_needed:
             continue
-        s = gumbel_softmax(p, tau, RngState(seed))
+        s = egs_sample(p, 1, tau, RngState(seed))
         assert s.soft.data.max() > 0.999
         checked += 1
     assert checked > 80  # distinct scores are the overwhelmingly common case
@@ -195,17 +192,17 @@ def test_high_temperature_approaches_uniform():
     p = np.array([0.7, 0.1, 0.1, 0.1])
     rng = RngState(5)
     for _ in range(20):
-        s = gumbel_softmax(p, 1e6, rng)
+        s = egs_sample(p, 1, 1e6, rng)
         assert np.all(np.abs(s.soft.data - 0.25) <= 1e-3)
 
 
 def test_entropy_of_mean_soft_nondecreasing_in_tau():
     # common random numbers across temperatures isolate the tau effect
     for p in (np.array([0.2, 0.3, 0.5]), np.array([0.05, 0.05, 0.9])):
-        u = RngState(123).uniform(10_000 * p.size)
+        rows = np.tile(p, (10_000, 1))
         entropies = []
         for tau in (0.1, 0.5, 1.0, 5.0):
-            soft = kernels.gs_soft_batch(np.log(p), u, tau)
+            soft = egs_sample(rows, 1, tau, RngState(123)).soft.data
             m = soft.mean(axis=0)
             entropies.append(float(-(m * np.log(m)).sum()))
         assert entropies == sorted(entropies)
@@ -217,12 +214,12 @@ def test_straight_through_gradient_contract():
     for seed in range(10):
         with ad.Tape():
             p = ad.softmax(logits)
-            s = gumbel_softmax(p, 0.5, RngState(seed))
+            s = egs_sample(p, 1, 0.5, RngState(seed))
             ad.backward(ad.pick(s.hard, 1))
         hard_grad = logits.grad.copy()
         with ad.Tape():
             p = ad.softmax(logits)
-            s = gumbel_softmax(p, 0.5, RngState(seed))
+            s = egs_sample(p, 1, 0.5, RngState(seed))
             ad.backward(ad.pick(s.soft, 1))
         soft_grad = logits.grad.copy()
         assert np.array_equal(hard_grad, soft_grad)
@@ -237,7 +234,7 @@ def test_gumbel_softmax_differentiable_wrt_logits_fd():
     def loss_at(vals, seed):
         t = ad.Tensor(vals, requires_grad=True)
         with ad.Tape():
-            s = gumbel_softmax(ad.softmax(t), 0.7, RngState(seed))
+            s = egs_sample(ad.softmax(t), 1, 0.7, RngState(seed))
             out = ad.pick(s.soft, 2)
         return t, out
 

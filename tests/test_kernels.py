@@ -1,8 +1,11 @@
-"""Determinism and output invariants of the batch sampling kernels."""
+"""The audit's batch kernel: determinism, bit counts, and agreement with the
+sampler that trains, draw for draw."""
 
 import numpy as np
+import pytest
 
 from egsearch import kernels
+from egsearch.ensemble import egs_sample
 from egsearch.gumbel import RngState
 
 
@@ -10,22 +13,45 @@ def test_per_backend_bitwise_determinism():
     p = np.array([0.25, 0.35, 0.4])
     u = RngState(77).uniform(10_000 * 2 * 3)
     fn = kernels.egs_hard_batch
-    assert np.array_equal(fn(np.log(p), u, 2), fn(np.log(p), u, 2))
-    s1 = kernels.gs_soft_batch(np.log(p), RngState(5).uniform(1000 * 3), 0.5)
-    s2 = kernels.gs_soft_batch(np.log(p), RngState(5).uniform(1000 * 3), 0.5)
-    assert np.array_equal(s1, s2)
+    assert np.array_equal(fn(p, u, 2), fn(p, u, 2))
 
 
 def test_soft_rows_are_simplex_points():
+    # the trainer's M=1 relaxation of 2,000 rows: simplex points whose
+    # argmax is the kernel's pick on the same uniforms
     p = np.array([0.5, 0.3, 0.2])
-    s = kernels.gs_soft_batch(np.log(p), RngState(4).uniform(2_000 * 3), 0.3)
-    assert np.all(s >= 0.0)
-    assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
+    soft = egs_sample(np.tile(p, (2_000, 1)), 1, 0.3, RngState(4)).soft.data
+    assert np.all(soft >= 0.0)
+    assert np.all(np.abs(soft.sum(axis=1) - 1.0) <= 1e-12)
+    codes = kernels.egs_hard_batch(p, RngState(4).uniform(2_000 * 3), 1)
+    assert np.array_equal(soft.argmax(axis=1), codes.argmax(axis=1))
 
 
 def test_hard_codes_have_valid_bit_counts():
     p = np.full(6, 1.0 / 6.0)
-    codes = kernels.egs_hard_batch(np.log(p), RngState(8).uniform(10_000 * 3 * 6), 3)
+    codes = kernels.egs_hard_batch(p, RngState(8).uniform(10_000 * 3 * 6), 3)
     ones = codes.sum(axis=1)
     assert ones.min() >= 1
     assert ones.max() <= 3
+
+
+@pytest.mark.parametrize("e", [1, 6, 21])
+def test_trained_and_audited_draws_agree_bit_for_bit(e):
+    # egs_sample's hard rows on an (E, K) stack against the kernel, row by
+    # row, on the uniforms each row reads, with zero-probability ops
+    gen = np.random.default_rng(e)
+    for k in range(2, 9):
+        for m in range(1, 9):
+            p = gen.dirichlet(np.ones(k), size=e)
+            zero = gen.random((e, k)) < 0.3
+            zero[np.arange(e), gen.integers(0, k, size=e)] = False
+            p[zero] = 0.0
+            p /= p.sum(axis=1, keepdims=True)
+            seed = int(gen.integers(2**31))
+            hard = egs_sample(p, m, 0.5, RngState(seed)).hard.data
+            u = RngState(seed).uniform(e * m * k).reshape(e, m * k)
+            for r in range(e):
+                row = kernels.egs_hard_batch(p[r], u[r], m)
+                assert row.shape == (1, k)
+                assert np.array_equal(hard[r], row[0]), (e, k, m, r)
+                assert not np.any(row[0][zero[r]])

@@ -24,7 +24,6 @@ from egsearch.space import (
     export_architecture,
     export_dot,
     make_cell,
-    mix_probabilities,
     num_edges,
     parse_architecture,
     sampling_probabilities,
@@ -459,45 +458,58 @@ def test_cell_forward_acyclic_by_construction():
     assert np.allclose(out.data, 7.0 * x, atol=1e-12)
 
 
-# --- mix_probabilities -------------------------------------------------------------
+# --- sampling probabilities --------------------------------------------------------
+
+
+def chain_mix(logits, l, lam):
+    """One edge's sampling vector lam * softmax(logits) + (1 - lam) * l as a
+    chain of primitive ops: the reference the (E, K) op reproduces."""
+    return ad.add(ad.scale(ad.softmax(logits), lam), ad.scale(ad.Tensor(l), 1.0 - lam))
+
+
+def one_edge(h, l, lam):
+    """An edge whose softmax(logits) is h."""
+    logits = ad.Tensor(np.log(np.asarray(h, dtype=np.float64)))
+    return EdgeProbabilities(logits=logits, l=np.asarray(l, dtype=np.float64), lam=lam)
 
 
 def test_mix_degenerate_lambda_one():
     h = np.array([0.8, 0.2])
-    out = mix_probabilities(h, np.array([0.4, 0.6]), 1.0)
-    assert np.allclose(out.data, h, atol=1e-15)
+    out = sampling_probabilities([one_edge(h, [0.4, 0.6], 1.0)])
+    assert np.allclose(out.data[0], h, atol=1e-15)
 
 
 def test_mix_arithmetic():
-    out = mix_probabilities([0.8, 0.2], [0.4, 0.6], 0.5)
-    assert np.allclose(out.data, [0.6, 0.4], atol=1e-15)
+    out = sampling_probabilities([one_edge([0.8, 0.2], [0.4, 0.6], 0.5)])
+    assert np.allclose(out.data[0], [0.6, 0.4], atol=1e-15)
 
 
 def test_mix_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        mix_probabilities([0.8, 0.3], [0.5, 0.5], 0.5)  # h off the simplex
-    with pytest.raises(ValueError):
-        mix_probabilities([0.5, 0.5], [0.7, 0.2], 0.5)
+    with pytest.raises(ValueError, match="h has non-finite"):
+        sampling_probabilities([one_edge([np.nan, 0.5], [0.5, 0.5], 0.5)])
+    with pytest.raises(ValueError, match="l does not sum"):
+        sampling_probabilities([one_edge([0.5, 0.5], [0.7, 0.2], 0.5)])
     with pytest.raises(ValueError, match="mixing weight"):
-        mix_probabilities([0.5, 0.5], [0.5, 0.5], 1.5)
+        sampling_probabilities([one_edge([0.5, 0.5], [0.5, 0.5], 1.5)])
 
 
 def test_mix_differentiable_wrt_h():
-    logits = ad.Tensor(np.array([0.3, -0.1, 0.2]), requires_grad=True)
-    with ad.Tape():
-        p = mix_probabilities(ad.softmax(logits), np.full(3, 1 / 3), 0.5)
-        grads = ad.backward(ad.pick(p, 0))
-    assert np.any(grads[logits] != 0.0)
+    grads = []
+    for lam in (0.5, 0.25):
+        edge = EdgeProbabilities(
+            ad.Tensor(np.array([0.3, -0.1, 0.2]), requires_grad=True), np.full(3, 1 / 3), lam
+        )
+        with ad.Tape():
+            p = sampling_probabilities([edge])
+            grads.append(ad.backward(ad.pick(ad.pick(p, 0), 0))[edge.logits])
+    assert np.any(grads[0] != 0.0)
     # lambda scales the h pathway linearly
-    with ad.Tape():
-        p = mix_probabilities(ad.softmax(logits), np.full(3, 1 / 3), 0.25)
-        grads_q = ad.backward(ad.pick(p, 0))
-    assert np.allclose(grads_q[logits], 0.5 * grads[logits], atol=1e-15)
+    assert np.allclose(grads[1], 0.5 * grads[0], atol=1e-15)
 
 
 def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
     # one (E, K) op: values and gradients bit for bit those of the per-edge
-    # chain mix_probabilities(softmax(logits)), and central differences
+    # primitive chain (chain_mix), and central differences
     rng = np.random.default_rng(21)
     step = 1e-6
     for k in range(2, 9):
@@ -524,7 +536,7 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
                 assert len(tape.nodes) == 1
                 grads = ad.backward(weighted([ad.pick(p, r) for r in range(3)]))
             with ad.Tape():
-                ref = [mix_probabilities(ad.softmax(e.logits), l, lam) for e in edges]
+                ref = [chain_mix(e.logits, l, lam) for e in edges]
                 ref_grads = ad.backward(weighted(ref))
             const = sampling_probabilities(edges, differentiable=False)
             assert const.node is None and np.array_equal(const.data, p.data)
@@ -557,10 +569,10 @@ def test_sampling_probabilities_reject_bad_inputs():
 
 def test_edge_probabilities_on_simplex():
     cell = make_test_cell()
-    for e in edge_list(cell.n):
-        p = cell.edges[e].probabilities()
-        assert np.all(p.data >= 0)
-        assert abs(p.data.sum() - 1.0) <= 1e-12
+    p = cell.probabilities().data
+    assert p.shape == (num_edges(cell.n), len(cell.ops))
+    assert np.all(p >= 0)
+    assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
 
 
 # --- exports ------------------------------------------------------------------------

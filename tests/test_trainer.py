@@ -312,7 +312,7 @@ def test_sampling_matches_exact_law_when_frozen():
     )
     state, report = tr.run_search(cfg)
     # zero learning rates freeze the logits, so p keeps its initial mix
-    p = state.cell.edges[(0, 1)].probabilities().data
+    p = state.cell.probabilities(differentiable=False).data[0]  # edge (0, 1)
     dist = exact_code_distribution(p, 2)
     per_edge = 2 * state.step
     for e, counts in report.histogram.items():
@@ -372,7 +372,7 @@ def test_max_marginal_clamps_to_reachable_codes():
     cfg = small_cfg(nodes=2, lam=1.0, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     state.cell.edges[(0, 1)].logits.data = np.array([2.0, 2.0, 2.0, -5.0, -5.0])
-    p = state.cell.edges[(0, 1)].probabilities().data
+    p = state.cell.probabilities(differentiable=False).data[0]  # edge (0, 1)
     over = [marginal_inclusion_oracle(p, 2, j) >= 0.5 for j in range(K)]
     assert sum(over) == 3  # the threshold alone would pick an unreachable code
     code = tr.derive_architecture(state, "max-marginal")
