@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ensemble import ENUMERATION_MAX_K, marginal_inclusion_oracle, reachable_codes
+from .ensemble import ENUMERATION_BUDGET, ENUMERATION_MAX_K
+from .ensemble import marginal_inclusion_oracle, reachable_codes
 from .gumbel import RngState
 from .space import ArchitectureCode, OpKind, decode, encode, num_edges
 
@@ -195,6 +196,10 @@ def count_audit(k_max: int = 10, m_max: int = 4):
         )
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    largest = k_max ** min(m_max, k_max)  # compositions in the last row
+    if largest > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration range too large: k_max={k_max}, m_max={m_max} "
+                         f"needs {largest} compositions, past {ENUMERATION_BUDGET}")
     rows, lines = [], []
     for k in range(2, k_max + 1):
         for m in range(1, m_max + 1):
@@ -217,10 +222,11 @@ def count_audit(k_max: int = 10, m_max: int = 4):
 
 def run_audit(k_max: int = 10, m_max: int = 4, configs: int = 20,
               draws: int = 100_000, seed: int = 0) -> AuditResult:
+    # the count leg runs first, so a range it rejects fails before the rest
+    count_lines, rows, count_ok = count_audit(k_max=k_max, m_max=m_max)
     bij_lines, bij_ok = bijection_audit(seed=seed)
     marg_lines, marg_ok, max_z = marginal_audit(configs=configs, draws=draws,
                                                 seed=seed)
-    count_lines, rows, count_ok = count_audit(k_max=k_max, m_max=m_max)
     n_disagree = sum(not r.agree for r in rows)
     n_hold = sum(r.holds for r in rows)
 

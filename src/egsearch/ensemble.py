@@ -13,7 +13,7 @@ set live here too, next to the sampler they audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 ENUMERATION_MAX_K = 16
-# brute-force product enumeration is used up to this many compositions
-_PRODUCT_BUDGET = 2_000_000
+# reachable_codes enumerates at most this many M-fold compositions
+ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass
@@ -44,7 +44,6 @@ class BinaryCodeSample:
 
     hard: ad.Tensor
     soft: ad.Tensor
-    M: int
 
 
 def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
@@ -58,7 +57,7 @@ def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
     """
     soft, scores = relaxed_max(p, M, tau, rng)
     hard = ad.straight_through(soft, hard_code(scores))
-    return BinaryCodeSample(hard=hard, soft=soft, M=int(M))
+    return BinaryCodeSample(hard=hard, soft=soft)
 
 
 def marginal_inclusion_oracle(p, M: int, k: int) -> float:
@@ -70,10 +69,9 @@ def marginal_inclusion_oracle(p, M: int, k: int) -> float:
 def reachable_codes(K: int, M: int) -> set:
     """Every binary code expressible as a max of M one-hot K-vectors.
 
-    Enumerates the M-fold compositions directly while K^min(M,K) stays
-    small; beyond that the same set is built as all codes with 1 to
-    min(M, K) ones, which the compositions provably cover (repeat one
-    category to pad, pick distinct categories to spread).
+    Enumerates the K^min(M,K) compositions of one-hots directly, so the
+    count audit compares a real enumeration with the closed form; raises
+    ValueError when there are more than ENUMERATION_BUDGET of them.
     """
     K, M = int(K), int(M)
     if M < 1 or K < 1:
@@ -81,18 +79,13 @@ def reachable_codes(K: int, M: int) -> set:
     if K > ENUMERATION_MAX_K:
         raise ValueError(f"K={K} exceeds the enumeration bound {ENUMERATION_MAX_K}")
     m_eff = min(M, K)  # extra samples only repeat already-set bits
+    if K**m_eff > ENUMERATION_BUDGET:
+        raise ValueError(f"K={K}, M={M} has {K**m_eff} compositions, past the "
+                         f"enumeration budget {ENUMERATION_BUDGET}")
     codes = set()
-    if K**m_eff <= _PRODUCT_BUDGET:
-        for picks in product(range(K), repeat=m_eff):
-            code = [0] * K
-            for k in picks:
-                code[k] = 1
-            codes.add(tuple(code))
-    else:
-        for r in range(1, m_eff + 1):
-            for positions in combinations(range(K), r):
-                code = [0] * K
-                for k in positions:
-                    code[k] = 1
-                codes.add(tuple(code))
+    for picks in product(range(K), repeat=m_eff):
+        code = [0] * K
+        for k in picks:
+            code[k] = 1
+        codes.add(tuple(code))
     return codes

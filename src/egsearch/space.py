@@ -26,7 +26,6 @@ __all__ = [
     "OP_SET",
     "ArchitectureCode",
     "NetworkPlan",
-    "EdgeProbabilities",
     "Cell",
     "edge_list",
     "num_edges",
@@ -34,7 +33,6 @@ __all__ = [
     "decode",
     "edge_forward",
     "cell_forward",
-    "sampling_probabilities",
     "efficiency_credits",
     "make_cell",
     "export_architecture",
@@ -241,67 +239,44 @@ def efficiency_credits(ops=OP_SET) -> np.ndarray:
 
 
 @dataclass
-class EdgeProbabilities:
-    """Per-edge categorical parameters behind the sampling distribution.
-
-    h (effectiveness) is the softmax of the trainable logits; l
-    (efficiency) is a static prior from op costs; the sampling vector is
-    their lam-weighted convex mix.
-    """
-
-    logits: ad.Tensor
-    l: np.ndarray
-    lam: float
-
-
-def sampling_probabilities(edges, differentiable: bool = True) -> ad.Tensor:
-    """Sampling vectors of `edges` (EdgeProbabilities) as one (E, K) op.
-
-    Row r is lam_r * softmax(logits_r) + (1 - lam_r) * l_r: h and l must
-    be on the simplex and lam_r in [0, 1].
-    With differentiable=False the result is a constant: no tape node, for
-    callers that do not use the logits' gradient.
-    """
-    logits = [edge.logits for edge in edges]
-    lam = np.array([[edge.lam] for edge in edges], dtype=np.float64)
-    if not np.all((lam >= 0.0) & (lam <= 1.0)):
-        raise ValueError(f"mixing weight must be in [0, 1], got {lam.ravel()}")
-    z = np.stack([t.data for t in logits])
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    h = check_simplex(e / e.sum(axis=-1, keepdims=True), "h")
-    l = check_simplex(np.stack([edge.l for edge in edges]), "l")
-    p = h * lam + l * (1.0 - lam)
-    if not differentiable:
-        return ad.Tensor(p)
-
-    def back(g):
-        gh = g * lam
-        dot = (gh * h).sum(axis=-1, keepdims=True)
-        return tuple(h * (gh - dot))
-
-    return ad.record(p, tuple(logits), back)
-
-
-@dataclass
 class Cell:
-    """An n-node DAG cell: per-edge distributions plus per-edge op weights."""
+    """An n-node DAG cell: the edges' sampling distribution and op weights.
+
+    Row r of `logits` belongs to edge_list(n)[r].  Its softmax is the
+    edge's effectiveness h; l (efficiency) is a static prior from op costs,
+    shared by every edge; the edge's sampling vector is their lam-weighted
+    convex mix.
+    """
 
     n: int
     ops: tuple
     dim: int
-    edges: dict  # (i, j) -> EdgeProbabilities
+    logits: ad.Tensor  # (E, K), requires grad
+    l: np.ndarray  # (K,), on the simplex
+    lam: float  # in [0, 1]
     params: dict  # (i, j) -> list of per-op parameter dicts
-    input_arity: int = 1
     output_rule: str = "sum"
 
-    def edge_logits(self) -> list:
-        return [self.edges[e].logits for e in edge_list(self.n)]
-
     def probabilities(self, differentiable: bool = True) -> ad.Tensor:
-        """Every edge's sampling vector, (E, K) in edge_list order."""
-        return sampling_probabilities(
-            [self.edges[e] for e in edge_list(self.n)], differentiable
-        )
+        """Every edge's sampling vector lam * softmax(logits) + (1 - lam) * l
+        as one (E, K) op, rows in edge_list order; h must be on the simplex.
+        With differentiable=False the result is a constant: no tape node, for
+        callers that do not use the logits' gradient.
+        """
+        z = self.logits.data
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        h = check_simplex(e / e.sum(axis=-1, keepdims=True), "h")
+        lam = self.lam
+        p = h * lam + self.l * (1.0 - lam)
+        if not differentiable:
+            return ad.Tensor(p)
+
+        def back(g):
+            gh = g * lam
+            dot = (gh * h).sum(axis=-1, keepdims=True)
+            return (h * (gh - dot),)
+
+        return ad.record(p, (self.logits,), back)
 
     def weight_tensors(self) -> list:
         out = []
@@ -315,13 +290,12 @@ def make_cell(n, ops=OP_SET, dim=8, lam=0.5, init_rng=None, output_rule="sum") -
     """Build a cell with uniform logits and small random linear weights."""
     if output_rule not in ("sum", "concat"):
         raise ValueError(f"output_rule must be sum or concat, got {output_rule!r}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"mixing weight must be in [0, 1], got {lam}")
+    l = check_simplex(efficiency_credits(ops), "l")
     init_rng = init_rng if init_rng is not None else np.random.default_rng(0)
-    l = efficiency_credits(ops)
-    edges, params = {}, {}
+    params = {}
     for e in edge_list(n):
-        edges[e] = EdgeProbabilities(
-            logits=ad.Tensor(np.zeros(len(ops)), requires_grad=True), l=l, lam=lam
-        )
         per_op = []
         for op in ops:
             if op.name.startswith("linear_"):
@@ -338,8 +312,9 @@ def make_cell(n, ops=OP_SET, dim=8, lam=0.5, init_rng=None, output_rule="sum") -
                 per_op.append({})
         params[e] = per_op
     return Cell(
-        n=n, ops=tuple(ops), dim=dim, edges=edges, params=params,
-        output_rule=output_rule,
+        n=n, ops=tuple(ops), dim=dim,
+        logits=ad.Tensor(np.zeros((num_edges(n), len(ops))), requires_grad=True),
+        l=l, lam=lam, params=params, output_rule=output_rule,
     )
 
 

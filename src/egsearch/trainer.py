@@ -75,9 +75,6 @@ class Network:
         return [self.w_in, self.b_in, *self.cell.weight_tensors(),
                 self.w_out, self.b_out]
 
-    def logits(self) -> list:
-        return self.cell.edge_logits()
-
     def constant(self) -> "Network":
         """A view with every weight entered as a constant, sharing the data
         and the cell's logits: ops on the weights alone record no node."""
@@ -128,7 +125,7 @@ class SearchState:
         return self.network.weights()
 
     def arch_params(self) -> list:
-        return self.network.logits()
+        return [self.cell.logits]
 
 
 @dataclass
@@ -287,10 +284,10 @@ def search_step(state: SearchState, train_batch, valid_batch) -> SearchState:
         valid_loss, samples = compute_loss(state, valid_batch, reach="logits")
         _check_finite(valid_loss, state, samples, "validation")
         grads = ad.backward(valid_loss)
-    for logits in state.arch_params():
-        g = grads.get(logits)
-        if g is not None:
-            logits.data = logits.data - state.schedule["lr_alpha"] * g
+    logits = state.cell.logits
+    g = grads.get(logits)
+    if g is not None:
+        logits.data = logits.data - state.schedule["lr_alpha"] * g
 
     state.last_losses = (float(train_loss.data), float(valid_loss.data))
     state.step += 1

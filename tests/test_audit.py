@@ -10,6 +10,7 @@ import pytest
 from egsearch import audit, kernels
 from egsearch import trainer as tr
 from egsearch.config import RunConfig
+from egsearch.space import num_edges
 
 ROOT = Path(__file__).resolve().parents[1]
 # the wrong samplers' p: the first op's probability times 1 + TILT, renormalised
@@ -99,7 +100,7 @@ def test_perfbench_tracer_hooks_into_the_package():
         cfg = RunConfig(dataset="spirals", dataset_n=200, dim=4, seed=0)
         state = tr.build_state(cfg, tr.build_dataset(cfg))
         tr.derive_architecture(state, draws=100)
-        assert tracer.n["draws"] == 2 * 1000 + 100 * len(state.cell.edges)
+        assert tracer.n["draws"] == 2 * 1000 + 100 * num_edges(cfg.nodes)
     finally:
         tracer.uninstall()
     for owner, name, original in patched:

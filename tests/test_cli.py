@@ -169,6 +169,11 @@ def test_verify_propositions_fails_on_a_wrong_reachable_count(
 def test_verify_propositions_rejects_oversized_ranges(capsys):
     assert run("verify-propositions", "--k-max", 40) == 2
     assert "k_max" in capsys.readouterr().err
+    # K=12, M=6 has 12^6 compositions, past the enumeration budget
+    assert run("verify-propositions", "--k-max", 12, "--m-max", 6) == 2
+    err = capsys.readouterr().err
+    assert "enumeration range too large" in err
+    assert "k_max=12, m_max=6" in err
 
 
 def test_dump_dataset_round_trips(tmp_path):

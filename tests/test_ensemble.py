@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import kernels
-from egsearch.ensemble import egs_sample, marginal_inclusion_oracle, reachable_codes
+from egsearch.audit import count_audit
+from egsearch.ensemble import (
+    ENUMERATION_BUDGET,
+    egs_sample,
+    marginal_inclusion_oracle,
+    reachable_codes,
+)
 from egsearch.gumbel import RngState, gumbel_noise
-from egsearch.space import EdgeProbabilities, sampling_probabilities
+from egsearch.space import OpKind, make_cell
 
 
 def exact_code_distribution(p, m):
@@ -193,10 +199,15 @@ def test_reachable_known_counts():
     assert len(reachable_codes(10, 4)) == sum(math.comb(10, r) for r in range(1, 5))
 
 
-def test_reachable_large_m_uses_subset_construction():
-    # K^min(M,K) overflows the product budget here, exercising the other path
-    codes = reachable_codes(16, 16)
-    assert len(codes) == 2**16 - 1
+def test_reachable_rejects_past_the_enumeration_budget():
+    # every count is a real enumeration: past the budget there is none
+    assert ENUMERATION_BUDGET < 12**6 and 11**6 <= ENUMERATION_BUDGET
+    with pytest.raises(ValueError, match="enumeration budget"):
+        reachable_codes(12, 6)
+    with pytest.raises(ValueError, match="enumeration budget"):
+        reachable_codes(16, 16)
+    with pytest.raises(ValueError, match="enumeration range too large"):
+        count_audit(k_max=12, m_max=6)
 
 
 def test_reachable_rejects_out_of_range():
@@ -267,20 +278,19 @@ def chain_egs(p, m, tau, rng):
     return ad.straight_through(soft, hard)
 
 
-def chain_mix(edge):
+def chain_mix(logits, cell):
     """One edge's sampling vector as a chain of primitive ops."""
-    h = ad.softmax(edge.logits)
-    return ad.add(ad.scale(h, edge.lam), ad.scale(ad.Tensor(edge.l), 1.0 - edge.lam))
+    h = ad.softmax(logits)
+    return ad.add(ad.scale(h, cell.lam), ad.scale(ad.Tensor(cell.l), 1.0 - cell.lam))
 
 
-def random_edges(rng, e, k):
+def random_cell(rng, k):
+    """A 3-node cell (three edges) with random logits, its K ops costed so
+    that the efficiency prior is a random point of the simplex."""
     l = rng.dirichlet(np.ones(k))
-    return [
-        EdgeProbabilities(
-            logits=ad.Tensor(rng.normal(0.0, 1.5, k), requires_grad=True), l=l, lam=0.5
-        )
-        for _ in range(e)
-    ]
+    cell = make_cell(3, ops=tuple(OpKind(f"op{j}", -np.log(c)) for j, c in enumerate(l)))
+    cell.logits.data = rng.normal(0.0, 1.5, (3, k))
+    return cell
 
 
 def weighted(rows, w):
@@ -298,28 +308,29 @@ def test_batched_draw_equals_per_edge_draws_exactly():
     for k in range(2, 9):
         for m in range(1, 9):
             for tau in (0.1, 1.0):
-                edges = random_edges(rng, 3, k)
+                cell = random_cell(rng, k)
                 w = rng.normal(size=(3, k))
                 seed = int(rng.integers(2**31))
                 batch_rng = RngState(seed)
                 with ad.Tape() as tape:
-                    s = egs_sample(sampling_probabilities(edges), m, tau, batch_rng)
+                    s = egs_sample(cell.probabilities(), m, tau, batch_rng)
                     assert len(tape.nodes) == 3  # probabilities, relaxation, code
                     grads = ad.backward(weighted([ad.pick(s.hard, r) for r in range(3)], w))
                 one = RngState(seed)
-                singles = [egs_sample(ad.pick(sampling_probabilities([e]), 0), m, tau, one)
-                           for e in edges]
+                singles = [egs_sample(ad.pick(cell.probabilities(), r), m, tau, one)
+                           for r in range(3)]
                 ref_rng = RngState(seed)
+                rows = [ad.Tensor(z.copy(), requires_grad=True) for z in cell.logits.data]
                 with ad.Tape():
-                    ref = [chain_egs(chain_mix(e), m, tau, ref_rng) for e in edges]
+                    ref = [chain_egs(chain_mix(z, cell), m, tau, ref_rng) for z in rows]
                     ref_grads = ad.backward(weighted(ref, w))
                 assert batch_rng.position == one.position == ref_rng.position == 3 * m * k
-                for r, edge in enumerate(edges):
+                for r in range(3):
                     assert np.array_equal(s.hard.data[r], singles[r].hard.data)
                     assert np.array_equal(s.soft.data[r], singles[r].soft.data)
                     assert np.array_equal(s.hard.data[r], ref[r].data)
                     assert np.array_equal(s.soft.data[r], ref[r].node.inputs[0].data)
-                    assert np.array_equal(grads[edge.logits], ref_grads[edge.logits])
+                    assert np.array_equal(grads[cell.logits][r], ref_grads[rows[r]])
 
 
 def test_batched_relaxation_matches_finite_differences():
@@ -328,30 +339,30 @@ def test_batched_relaxation_matches_finite_differences():
     for k in range(2, 9):
         for m in range(1, 9):
             for tau in (0.1, 1.0):
-                edges = random_edges(rng, 2, k)
-                w = rng.normal(size=(2, k))
+                cell = random_cell(rng, k)
+                w = rng.normal(size=(3, k))
                 seed = int(rng.integers(2**31))
 
                 def loss_at():
-                    p = sampling_probabilities(edges, differentiable=False)
+                    p = cell.probabilities(differentiable=False)
                     s = egs_sample(p, m, tau, RngState(seed))
                     return float((s.soft.data * w).mean(axis=1).sum())
 
                 with ad.Tape():
-                    s = egs_sample(sampling_probabilities(edges), m, tau, RngState(seed))
-                    grads = ad.backward(weighted([ad.pick(s.soft, r) for r in range(2)], w))
-                for edge in edges:
-                    base = edge.logits.data
+                    s = egs_sample(cell.probabilities(), m, tau, RngState(seed))
+                    grads = ad.backward(weighted([ad.pick(s.soft, r) for r in range(3)], w))
+                base = cell.logits.data
+                for r in range(3):
                     for j in range(k):
                         vals = []
                         for h in (step, -step):
-                            edge.logits.data = base.copy()
-                            edge.logits.data[j] += h
+                            cell.logits.data = base.copy()
+                            cell.logits.data[r, j] += h
                             vals.append(loss_at())
-                        edge.logits.data = base
+                        cell.logits.data = base
                         fd = (vals[0] - vals[1]) / (2 * step)
-                        g = grads[edge.logits][j]
-                        assert abs(g - fd) <= max(1e-7, 1e-4 * abs(fd)), (k, m, tau, j)
+                        g = grads[cell.logits][r, j]
+                        assert abs(g - fd) <= max(1e-7, 1e-4 * abs(fd)), (k, m, tau, r, j)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,8 +1,11 @@
-"""Exports of short default searches, pinned byte for byte.
+"""Exports of short searches, pinned byte for byte.
 
-The fixture holds, for a 5-epoch search at every other default and seeds 0
-and 1: the metrics rows without the wall-clock column, the per-edge code
-histogram, and both architecture exports.  Any change to the sampler, the
+The fixture holds, for each named 5-epoch search below: the metrics rows
+without the wall-clock column, the per-edge code histogram, and both
+architecture exports.  Cases "0" and "1" run every other default at seeds 0
+and 1.  The third runs a 6-node `concat` cell with M 3, lam 0.3 and the
+max-marginal derivation, so a change in how lam, l, a 15-row logits array
+or the marginal rule is read shows too.  Any change to the sampler, the
 forward pass or the update rule that moves a sampled code or a loss digit
 shows here.  Regenerate only for an intended change of behaviour:
 
@@ -19,11 +22,18 @@ from egsearch.space import export_architecture, export_dot
 from egsearch.trainer import metrics_csv, run_search
 
 FIXTURE = Path(__file__).parent / "fixtures" / "pinned_search.json"
-SEEDS = (0, 1)
+CASES = {
+    "0": RunConfig(epochs=5, seed=0),
+    "1": RunConfig(epochs=5, seed=1),
+    "n6-m3-lam0.3-concat-max-marginal": RunConfig(
+        epochs=5, seed=2, nodes=6, M=3, lam=0.3, output_rule="concat",
+        derive_mode="max-marginal",
+    ),
+}
 
 
-def pinned_outputs(seed: int) -> dict:
-    _, report = run_search(RunConfig(epochs=5, seed=seed))
+def pinned_outputs(cfg: RunConfig) -> dict:
+    _, report = run_search(cfg)
     histogram = sorted(
         f"{i}-{j} {''.join(map(str, code))} {count}"
         for (i, j), codes in report.histogram.items()
@@ -37,13 +47,14 @@ def pinned_outputs(seed: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_default_search_reproduces_pinned_outputs(seed):
-    want = json.loads(FIXTURE.read_text())[str(seed)]
-    got = pinned_outputs(seed)
+@pytest.mark.parametrize("name", CASES)
+def test_default_search_reproduces_pinned_outputs(name):
+    want = json.loads(FIXTURE.read_text())[name]
+    got = pinned_outputs(CASES[name])
+    assert set(got) == set(want)
     for key in want:
         assert got[key] == want[key], key
 
 
 if __name__ == "__main__":
-    print(json.dumps({str(s): pinned_outputs(s) for s in SEEDS}, indent=1))
+    print(json.dumps({name: pinned_outputs(cfg) for name, cfg in CASES.items()}, indent=1))

@@ -14,8 +14,8 @@ from egsearch.gumbel import RngState
 from egsearch.space import (
     OP_SET,
     ArchitectureCode,
-    EdgeProbabilities,
     NetworkPlan,
+    OpKind,
     cell_forward,
     decode,
     edge_forward,
@@ -26,7 +26,6 @@ from egsearch.space import (
     make_cell,
     num_edges,
     parse_architecture,
-    sampling_probabilities,
 )
 
 
@@ -467,41 +466,44 @@ def chain_mix(logits, l, lam):
     return ad.add(ad.scale(ad.softmax(logits), lam), ad.scale(ad.Tensor(l), 1.0 - lam))
 
 
-def one_edge(h, l, lam):
-    """An edge whose softmax(logits) is h."""
-    logits = ad.Tensor(np.log(np.asarray(h, dtype=np.float64)))
-    return EdgeProbabilities(logits=logits, l=np.asarray(l, dtype=np.float64), lam=lam)
+def mix_cell(logits, l, lam):
+    """A cell whose edges' logits are the rows of `logits` (one edge, or the
+    three of a 3-node cell) and whose ops are costed -log l, so that its
+    efficiency prior is l."""
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    ops = tuple(OpKind(f"op{k}", -np.log(c)) for k, c in enumerate(l))
+    cell = make_cell({1: 2, 3: 3}[len(logits)], ops=ops, lam=lam)
+    cell.logits.data = logits.copy()
+    return cell
 
 
 def test_mix_degenerate_lambda_one():
     h = np.array([0.8, 0.2])
-    out = sampling_probabilities([one_edge(h, [0.4, 0.6], 1.0)])
+    out = mix_cell(np.log(h), [0.4, 0.6], 1.0).probabilities()
     assert np.allclose(out.data[0], h, atol=1e-15)
 
 
 def test_mix_arithmetic():
-    out = sampling_probabilities([one_edge([0.8, 0.2], [0.4, 0.6], 0.5)])
+    out = mix_cell(np.log([0.8, 0.2]), [0.4, 0.6], 0.5).probabilities()
     assert np.allclose(out.data[0], [0.6, 0.4], atol=1e-15)
 
 
 def test_mix_rejects_bad_inputs():
     with pytest.raises(ValueError, match="h has non-finite"):
-        sampling_probabilities([one_edge([np.nan, 0.5], [0.5, 0.5], 0.5)])
-    with pytest.raises(ValueError, match="l does not sum"):
-        sampling_probabilities([one_edge([0.5, 0.5], [0.7, 0.2], 0.5)])
+        mix_cell([np.nan, 0.5], [0.5, 0.5], 0.5).probabilities()
+    with pytest.raises(ValueError, match="l has non-finite"):
+        make_cell(2, ops=(OpKind("a", 0.0), OpKind("b", np.nan)))
     with pytest.raises(ValueError, match="mixing weight"):
-        sampling_probabilities([one_edge([0.5, 0.5], [0.5, 0.5], 1.5)])
+        make_cell(2, lam=1.5)
 
 
 def test_mix_differentiable_wrt_h():
     grads = []
     for lam in (0.5, 0.25):
-        edge = EdgeProbabilities(
-            ad.Tensor(np.array([0.3, -0.1, 0.2]), requires_grad=True), np.full(3, 1 / 3), lam
-        )
+        cell = mix_cell([0.3, -0.1, 0.2], np.full(3, 1 / 3), lam)
         with ad.Tape():
-            p = sampling_probabilities([edge])
-            grads.append(ad.backward(ad.pick(ad.pick(p, 0), 0))[edge.logits])
+            p = cell.probabilities()
+            grads.append(ad.backward(ad.pick(ad.pick(p, 0), 0))[cell.logits])
     assert np.any(grads[0] != 0.0)
     # lambda scales the h pathway linearly
     assert np.allclose(grads[1], 0.5 * grads[0], atol=1e-15)
@@ -514,14 +516,7 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
     step = 1e-6
     for k in range(2, 9):
         for lam in (0.0, 0.3, 1.0):
-            l = rng.dirichlet(np.ones(k))
-            edges = [
-                EdgeProbabilities(
-                    logits=ad.Tensor(rng.normal(0.0, 1.5, k), requires_grad=True),
-                    l=l, lam=lam,
-                )
-                for _ in range(3)
-            ]
+            cell = mix_cell(rng.normal(0.0, 1.5, (3, k)), rng.dirichlet(np.ones(k)), lam)
             w = rng.normal(size=(3, k))
 
             def weighted(rows):
@@ -532,39 +527,42 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
                 return total
 
             with ad.Tape() as tape:
-                p = sampling_probabilities(edges)
+                p = cell.probabilities()
                 assert len(tape.nodes) == 1
                 grads = ad.backward(weighted([ad.pick(p, r) for r in range(3)]))
+            rows = [ad.Tensor(z.copy(), requires_grad=True) for z in cell.logits.data]
             with ad.Tape():
-                ref = [chain_mix(e.logits, l, lam) for e in edges]
+                ref = [chain_mix(z, cell.l, lam) for z in rows]
                 ref_grads = ad.backward(weighted(ref))
-            const = sampling_probabilities(edges, differentiable=False)
+            const = cell.probabilities(differentiable=False)
             assert const.node is None and np.array_equal(const.data, p.data)
-            for r, edge in enumerate(edges):
+            assert grads[cell.logits].shape == (3, k)
+            base = cell.logits.data
+            for r in range(3):
                 assert np.array_equal(p.data[r], ref[r].data)
-                assert np.array_equal(grads[edge.logits], ref_grads[edge.logits])
-                base = edge.logits.data
+                assert np.array_equal(grads[cell.logits][r], ref_grads[rows[r]])
                 for j in range(k):
                     vals = []
                     for h in (step, -step):
-                        edge.logits.data = base.copy()
-                        edge.logits.data[j] += h
-                        rows = sampling_probabilities(edges, differentiable=False)
-                        vals.append(float((rows.data * w).mean(axis=1).sum()))
-                    edge.logits.data = base
+                        cell.logits.data = base.copy()
+                        cell.logits.data[r, j] += h
+                        out = cell.probabilities(differentiable=False)
+                        vals.append(float((out.data * w).mean(axis=1).sum()))
+                    cell.logits.data = base
                     fd = (vals[0] - vals[1]) / (2 * step)
-                    g = grads[edge.logits][j]
+                    g = grads[cell.logits][r, j]
                     assert abs(g - fd) <= max(1e-8, 1e-5 * abs(fd)), (k, lam, r, j)
 
 
 def test_sampling_probabilities_reject_bad_inputs():
-    good = EdgeProbabilities(ad.Tensor(np.zeros(3)), np.full(3, 1 / 3), 0.5)
     with pytest.raises(ValueError, match="mixing weight"):
-        sampling_probabilities([good, EdgeProbabilities(good.logits, good.l, 1.5)])
-    with pytest.raises(ValueError, match="l does not sum"):
-        sampling_probabilities([EdgeProbabilities(good.logits, np.full(3, 0.5), 0.5)])
+        make_cell(3, lam=1.5)
+    with pytest.raises(ValueError, match="l has non-finite"):
+        make_cell(3, ops=OP_SET + (OpKind("broken", np.nan),))
+    cell = make_cell(3)
+    cell.logits.data[1, 2] = np.nan
     with pytest.raises(ValueError, match="h has non-finite"):
-        sampling_probabilities([EdgeProbabilities(ad.Tensor([np.nan, 0, 0]), good.l, 0.5)])
+        cell.probabilities(differentiable=False)
 
 
 def test_edge_probabilities_on_simplex():

@@ -84,7 +84,7 @@ def test_network_shapes_for_both_output_rules():
     assert net.w_out.shape == (4, 3)
     # 3 linear ops with W and b on each of the 6 edges, plus the two heads
     assert len(net.weights()) == 4 + num_edges(4) * 6
-    assert len(net.logits()) == num_edges(4)
+    assert net.cell.logits.shape == (num_edges(4), K)
     wide = tr.make_network(2, 3, small_cfg(nodes=4, output_rule="concat"),
                            np.random.default_rng(0))
     assert wide.w_out.shape == (4 * 3, 3)
@@ -279,7 +279,7 @@ def test_search_step_reports_divergence_context():
     ds = nan_dataset()
     state = tr.build_state(cfg, ds)
     # pin the edge to the identity op so the bad input reaches the loss
-    state.cell.edges[(0, 1)].logits.data = np.array([-30.0, 30.0, -30.0, -30.0, -30.0])
+    state.cell.logits.data[0] = np.array([-30.0, 30.0, -30.0, -30.0, -30.0])
     x, y = ds.split("train")
     with pytest.raises(tr.SearchDiverged, match=r"training .*codes"):
         tr.search_step(state, (x, y), (x, y))
@@ -334,11 +334,11 @@ def test_derive_modes_agree_on_peaked_distributions():
     rng = np.random.default_rng(7)
     for _ in range(20):
         want = {}
-        for e in edge_list(3):
+        for r, e in enumerate(edge_list(3)):
             j = int(rng.integers(K))
             logits = np.full(K, -20.0)
             logits[j] = 20.0
-            state.cell.edges[e].logits.data = logits
+            state.cell.logits.data[r] = logits
             want[e] = j
         a = tr.derive_architecture(state, "mode-sample")
         b = tr.derive_architecture(state, "max-marginal")
@@ -353,7 +353,7 @@ def test_mode_sample_recovers_the_exact_mode():
     cfg = small_cfg(nodes=2, lam=1.0, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     p = np.array([0.05, 0.7, 0.1, 0.1, 0.05])
-    state.cell.edges[(0, 1)].logits.data = np.log(p)
+    state.cell.logits.data[0] = np.log(p)
     dist = exact_code_distribution(p, 2)
     want = max(dist.items(), key=lambda kv: kv[1])[0]
     code = tr.derive_architecture(state, "mode-sample", draws=4000)
@@ -371,7 +371,7 @@ def test_max_marginal_falls_back_to_argmax():
 def test_max_marginal_clamps_to_reachable_codes():
     cfg = small_cfg(nodes=2, lam=1.0, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
-    state.cell.edges[(0, 1)].logits.data = np.array([2.0, 2.0, 2.0, -5.0, -5.0])
+    state.cell.logits.data[0] = np.array([2.0, 2.0, 2.0, -5.0, -5.0])
     p = state.cell.probabilities(differentiable=False).data[0]  # edge (0, 1)
     over = [marginal_inclusion_oracle(p, 2, j) >= 0.5 for j in range(K)]
     assert sum(over) == 3  # the threshold alone would pick an unreachable code
@@ -383,8 +383,8 @@ def test_derived_codes_stay_reachable():
     cfg = small_cfg(nodes=4, M=3)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     rng = np.random.default_rng(11)
-    for e in edge_list(4):
-        state.cell.edges[e].logits.data = rng.normal(0, 1.5, K)
+    for r in range(num_edges(4)):
+        state.cell.logits.data[r] = rng.normal(0, 1.5, K)
     for mode in ("mode-sample", "max-marginal"):
         code = tr.derive_architecture(state, mode)
         ones = code.bits.sum(axis=1)
