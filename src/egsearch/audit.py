@@ -222,6 +222,10 @@ def count_audit(k_max: int = 10, m_max: int = 4):
 
 def run_audit(k_max: int = 10, m_max: int = 4, configs: int = 20,
               draws: int = 100_000, seed: int = 0) -> AuditResult:
+    # with no configs or no draws the marginal leg would pass on no evidence
+    for name, value in (("configs", configs), ("draws", draws)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     # the count leg runs first, so a range it rejects fails before the rest
     count_lines, rows, count_ok = count_audit(k_max=k_max, m_max=m_max)
     bij_lines, bij_ok = bijection_audit(seed=seed)

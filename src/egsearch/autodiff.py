@@ -1,10 +1,13 @@
 """Minimal reverse-mode autodiff on a dynamic Wengert tape.
 
-Graphs are built define-by-run: every differentiable op links its output to
-a node holding its inputs and backward rule, and appends that node to the
-innermost open `with Tape()` block, if any.  Nodes refer to their outputs
-weakly, so a graph is freed by reference counting as soon as its last
-tensor goes.  Everything is float64.
+Graphs are built define-by-run inside a `with Tape()` block: every
+differentiable op with an input that requires grad links its output to a
+node holding its inputs and backward rule, and appends that node to the
+innermost open tape.  Outside every tape an op returns a constant: no node,
+and `requires_grad` False.  `backward` sweeps the innermost open tape in
+reverse from the loss's node; a tensor recorded anywhere else is a leaf of
+that sweep.  Nodes refer to their outputs weakly, so a graph is freed by
+reference counting as soon as its last tensor goes.  Everything is float64.
 
 A step frees its whole graph at once, and the next step builds one of about
 the same size.  So at import, glibc's allocator is told to keep freed memory
@@ -15,7 +18,6 @@ faulting it back in on the next step.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import threading
 import weakref
 
@@ -82,9 +84,6 @@ def _keep_heap() -> bool:
 
 _keep_heap()
 
-# Node indices are global so nodes from nested tapes still sort in
-# recording order during the backward sweep.
-_NODE_IDS = itertools.count()
 _TLS = threading.local()
 
 
@@ -92,10 +91,9 @@ class TapeNode:
     """One recorded op.  `output` is held weakly: the output tensor owns its
     node (`Tensor.node`), not the other way round, so no graph is a cycle."""
 
-    __slots__ = ("idx", "inputs", "_output", "backward_fn")
+    __slots__ = ("inputs", "_output", "backward_fn")
 
     def __init__(self, inputs, output, backward_fn):
-        self.idx = next(_NODE_IDS)
         self.inputs = inputs
         self._output = weakref.ref(output)
         self.backward_fn = backward_fn
@@ -110,9 +108,12 @@ class Tape:
     """Append-only record of the differentiable ops run inside its block.
 
     Use as a context manager to scope recording; trainer code opens a fresh
-    tape per loss.  Ops run outside every block still build a graph that
-    `backward` can sweep, but no tape keeps it alive.  A tape must stay on
-    the thread that created it.
+    tape per loss.  Ops record only inside a block, each on the innermost
+    open tape, so `nodes` is in recording order, which is a topological
+    order, and `backward` sweeps it in reverse.  A tensor recorded on an
+    outer tape and used inside an inner one is a leaf of the inner sweep: it
+    gets its gradient in the map `backward` returns, and the sweep stops
+    there.  A tape must stay on the thread that created it.
     """
 
     def __init__(self):
@@ -139,16 +140,16 @@ class Tensor:
     """Dense float64 array plus autodiff bookkeeping.
 
     `node` is the handle of the tape node that produced this tensor (None
-    for leaves and constants).  `grad` is populated by `backward`.
+    for leaves and constants).  Tensors hash by identity, so they key the
+    gradient map that `backward` returns.
     """
 
-    __slots__ = ("data", "requires_grad", "node", "grad", "__weakref__")
+    __slots__ = ("data", "requires_grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.node = None
-        self.grad = None
 
     @property
     def shape(self):
@@ -166,19 +167,19 @@ def as_tensor(x):
 def record(out_data, inputs, backward_fn):
     """Wrap `out_data` as the output of an op on the tensors `inputs`.
 
-    When any input requires grad, the output gets a node, which the
-    innermost open tape (if any) appends.  `backward_fn(g)` maps the
-    output's gradient to one gradient per input, in order (None to skip);
-    the binary ops return None for an input that does not require grad.
+    When a tape is open and any input requires grad, the output gets a
+    node, which the innermost open tape appends; otherwise the output is a
+    constant.  `backward_fn(g)` maps the output's gradient to one gradient
+    per input, in order (None to skip); the binary ops return None for an
+    input that does not require grad.
     """
     out = Tensor(out_data)
-    if any(t.requires_grad for t in inputs):
+    stack = _tape_stack()
+    if stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         node = TapeNode(tuple(inputs), out, backward_fn)
         out.node = node
-        stack = _tape_stack()
-        if stack:
-            stack[-1].nodes.append(node)
+        stack[-1].nodes.append(node)
     return out
 
 
@@ -457,53 +458,31 @@ def straight_through(soft, hard_values):
 
 
 def backward(loss):
-    """Reverse sweep from a scalar `loss`; returns {tensor: gradient}.
+    """Reverse sweep of the innermost open tape from a scalar `loss`.
 
-    The map covers every requires_grad tensor reachable from the loss, and
-    each such tensor also gets the gradient stored on `.grad`.
+    Returns {tensor: gradient} for every requires_grad tensor that the loss
+    reaches through the nodes on that tape.  Raises ValueError when no tape
+    is open or the loss's node is not on the innermost one.
     """
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         got = loss.shape if isinstance(loss, Tensor) else type(loss)
         raise ValueError(f"backward expects a scalar tensor, got {got}")
-    if loss.node is None and not loss.requires_grad:
-        raise ValueError("loss is not on the tape (nothing requires grad)")
+    stack = _tape_stack()
+    if not stack or loss.node not in stack[-1].nodes:
+        raise ValueError("backward needs the loss recorded on the innermost open tape")
 
-    # Collect the subgraph below the loss; sorting by recording index
-    # recovers a topological order.
-    nodes = []
-    seen = set()
-    stack = [loss.node] if loss.node is not None else []
-    while stack:
-        node = stack.pop()
-        if node.idx in seen:
-            continue
-        seen.add(node.idx)
-        nodes.append(node)
-        for t in node.inputs:
-            if t.node is not None and t.node.idx not in seen:
-                stack.append(t.node)
-    nodes.sort(key=lambda n: n.idx, reverse=True)
-
-    grads = {id(loss): np.ones((), dtype=np.float64)}
-    tensors = {id(loss): loss}
-    for node in nodes:
-        g = grads.get(id(node.output))
+    nodes = stack[-1].nodes
+    grads = {loss: np.ones((), dtype=np.float64)}
+    for node in reversed(nodes[:nodes.index(loss.node) + 1]):
+        g = grads.get(node.output)
         if g is None:
             continue
         for t, gin in zip(node.inputs, node.backward_fn(g)):
             if not t.requires_grad or gin is None:
                 continue
             gin = np.asarray(gin, dtype=np.float64).reshape(t.data.shape)
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gin
+            if t in grads:
+                grads[t] = grads[t] + gin
             else:
-                grads[key] = gin
-                tensors[key] = t
-
-    result = {}
-    for key, g in grads.items():
-        t = tensors[key]
-        t.grad = g
-        result[t] = g
-    return result
+                grads[t] = gin
+    return grads

@@ -186,7 +186,7 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
         raise ad.ShapeMismatchError("edge-forward", (x.data.shape, code.data.shape))
     params = params if params is not None else [{} for _ in ops]
     c, xd = code.data, x.data
-    on_tape = code.node is not None or code.requires_grad
+    on_tape = code.requires_grad
     total = None
     runs = []  # (k, output, derivative, W, b) of each op that reads x
     for k, kind in enumerate(ops):
@@ -367,12 +367,25 @@ def export_architecture(code: ArchitectureCode, ops=OP_SET) -> str:
 
 
 def parse_architecture(text: str) -> ArchitectureCode:
+    """Read an `export_architecture` document.  A missing key, a value of
+    the wrong type, an edge outside the cell or a row of the wrong length
+    raises ValueError."""
     doc = json.loads(text)
-    n, k = int(doc["n"]), int(doc["K"])
+    try:
+        n, k = int(doc["n"]), int(doc["K"])
+        rows = [((int(d["from"]), int(d["to"])), list(d["bits"])) for d in doc["edges"]]
+    except KeyError as exc:
+        raise ValueError(f"architecture file: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"architecture file: malformed ({exc})") from None
     bits = np.zeros((num_edges(n), k), dtype=np.uint8)
     row = {e: r for r, e in enumerate(edge_list(n))}
-    for entry in doc["edges"]:
-        bits[row[(int(entry["from"]), int(entry["to"]))]] = entry["bits"]
+    for e, values in rows:
+        if e not in row:
+            raise ValueError(f"architecture file: edge {e} is outside the {n}-node cell")
+        if len(values) != k:
+            raise ValueError(f"architecture file: edge {e} has {len(values)} bits, K is {k}")
+        bits[row[e]] = values
     return ArchitectureCode(n=n, K=k, bits=bits)
 
 

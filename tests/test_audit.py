@@ -1,6 +1,7 @@
 """The marginal audit's calibrated bound and its power, and the module
 attributes perfbench's tracer patches."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -101,6 +102,13 @@ def test_perfbench_tracer_hooks_into_the_package():
         state = tr.build_state(cfg, tr.build_dataset(cfg))
         tr.derive_architecture(state, draws=100)
         assert tracer.n["draws"] == 2 * 1000 + 100 * num_edges(cfg.nodes)
+        # a substep records its sampler nodes, its forward nodes and one
+        # cross-entropy node; the tracer counts the nodes the loss reaches,
+        # so equality says the sweep covers every node a substep records
+        tr.run_search(dataclasses.replace(cfg, epochs=1))
+        n = tracer.n
+        assert n["steps"] > 0
+        assert n["backward_nodes"] == n["sampler_nodes"] + n["forward_nodes"] + n["steps"] * 2
     finally:
         tracer.uninstall()
     for owner, name, original in patched:

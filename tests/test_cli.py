@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so the tests stay fast; the
 console script binds to the same entry point.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -119,6 +120,23 @@ def test_evaluate_rejects_missing_code_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("n"), "missing key 'n'"),
+    (lambda doc: doc["edges"].append({"from": 5, "to": 9, "bits": [0] * 5}),
+     "edge (5, 9) is outside the 4-node cell"),
+    (lambda doc: doc["edges"][0].update(bits=[1, 1]), "edge (0, 1) has 2 bits, K is 5"),
+])
+def test_evaluate_rejects_a_malformed_code_file(tmp_path, capsys, edit, message):
+    code_file = tmp_path / "architecture.json"
+    doc = {"n": 4, "K": 5,
+           "edges": [{"from": i, "to": j, "bits": [0, 1, 0, 0, 0]}
+                     for i in range(4) for j in range(i + 1, 4)]}
+    edit(doc)
+    code_file.write_text(json.dumps(doc))
+    assert run("evaluate", code_file, *FAST, "--retrain-epochs", 1) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_baseline_report_schema_matches_evaluate(tmp_path):
     out = tmp_path / "run"
     rc = run("baseline", *FAST, "--baseline-budget", 2,
@@ -174,6 +192,15 @@ def test_verify_propositions_rejects_oversized_ranges(capsys):
     err = capsys.readouterr().err
     assert "enumeration range too large" in err
     assert "k_max=12, m_max=6" in err
+
+
+@pytest.mark.parametrize("flag", ["--draws", "--configs"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_verify_propositions_rejects_no_evidence(tmp_path, capsys, flag, value):
+    out = tmp_path / "audit"
+    assert run("verify-propositions", flag, value, "--out", out) == 2
+    assert f"{flag[2:]} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dump_dataset_round_trips(tmp_path):

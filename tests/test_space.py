@@ -1,5 +1,6 @@
 """Code/network bijection and relaxed forward evaluation of cells."""
 
+import json
 from itertools import product
 
 import numpy as np
@@ -310,7 +311,8 @@ def test_fused_edge_records_one_node():
     # a constant code runs only its set ops, and x is listed once per op
     # that reads it, in reverse op order, each linear op followed by W and b
     code = ad.Tensor(np.array([1.0, 1.0, 0.0, 1.0, 0.0]))
-    out = edge_forward(x, code, OP_SET, cell.params[(0, 1)])
+    with ad.Tape():
+        out = edge_forward(x, code, OP_SET, cell.params[(0, 1)])
     p = cell.params[(0, 1)][3]
     assert out.node.inputs == (code, x, p["W"], p["b"], x)
 
@@ -581,6 +583,22 @@ def test_architecture_export_round_trip():
     for _ in range(20):
         code = random_code(4, 5, rng)
         assert parse_architecture(export_architecture(code)) == code
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("n"), "missing key 'n'"),
+    (lambda doc: doc["edges"][0].pop("bits"), "missing key 'bits'"),
+    (lambda doc: doc["edges"].append({"from": 5, "to": 9, "bits": [0] * 5}),
+     r"edge \(5, 9\) is outside the 4-node cell"),
+    (lambda doc: doc["edges"][2].update(bits=[1, 0, 0]), r"edge \(0, 3\) has 3 bits, K is 5"),
+    (lambda doc: doc["edges"][0].update(bits=3), "malformed"),
+    (lambda doc: doc.update(edges=5), "malformed"),
+])
+def test_parse_architecture_names_what_is_malformed(edit, message):
+    doc = json.loads(export_architecture(random_code(4, 5, np.random.default_rng(14))))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        parse_architecture(json.dumps(doc))
 
 
 def test_export_deterministic_bytes():
