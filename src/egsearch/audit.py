@@ -174,7 +174,7 @@ def marginal_audit(configs: int = 20, draws: int = 100_000, seed: int = 0):
     grid = np.linspace(0.0, 1.0, 51)
     monotone = True
     for m in range(1, 6):
-        vals = [1.0 - (1.0 - x) ** m for x in grid]
+        vals = [marginal_inclusion_oracle([x, 1.0 - x], m, 0) for x in grid]
         monotone &= all(a < b for a, b in zip(vals, vals[1:]))
     ok &= monotone
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import run_audit
-from .config import RunConfig, build_config, config_to_text, parse_config_file
+from .config import RunConfig, build_config, config_to_text, parse_config_file, parse_value
 from .data import dump_dataset
 from .space import (
     OP_SET,
@@ -50,26 +50,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
     group.add_argument("--config", metavar="FILE", help="key=value config file")
     for f in fields(RunConfig):
-        flag = "--" + f.name.lower().replace("_", "-")
-        if f.type == "bool":
-            group.add_argument(flag, dest=f.name, choices=("true", "false"),
-                               default=None)
-        elif f.type == "int":
-            group.add_argument(flag, dest=f.name, type=int, default=None)
-        elif f.type == "float":
-            group.add_argument(flag, dest=f.name, type=float, default=None)
-        else:
-            group.add_argument(flag, dest=f.name, default=None)
+        group.add_argument("--" + f.name.lower().replace("_", "-"), dest=f.name,
+                           metavar=f.type.upper())
 
 
 def _config_from(args) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    flag_values = {}
-    for f in fields(RunConfig):
-        raw = getattr(args, f.name, None)
-        if raw is None:
-            continue
-        flag_values[f.name] = raw == "true" if f.type == "bool" else raw
+    flag_values = {f.name: parse_value(f.name, raw) for f in fields(RunConfig)
+                   if (raw := getattr(args, f.name, None)) is not None}
     return build_config(file_values, flag_values)
 
 

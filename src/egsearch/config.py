@@ -1,14 +1,16 @@
 """Run configuration: documented defaults, key=value files, flag overrides.
 
 Precedence is flags > file > defaults.  The config file format is flat
-`key=value` lines; blank lines and lines starting with # are ignored.
+`key=value` lines; blank lines and lines starting with # are ignored.  File
+values and flags are read by the same `parse_value`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-__all__ = ["RunConfig", "parse_config_file", "build_config", "config_to_text"]
+__all__ = ["RunConfig", "parse_value", "parse_config_file", "build_config", "config_to_text"]
 
 
 @dataclass
@@ -50,6 +52,10 @@ class RunConfig:
     output_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
+        nonfinite = [f.name for f in fields(self)
+                     if f.type == "float" and not math.isfinite(getattr(self, f.name))]
+        if nonfinite:
+            raise ValueError(f"non-finite config field(s): {', '.join(nonfinite)}")
         checks = [
             (self.dataset in ("spirals", "two_moons", "parity"), "dataset"),
             (self.dataset_n >= 10, "dataset_n"),
@@ -80,24 +86,22 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+_PARSERS = {"str": str, "int": int, "float": float,
+            "bool": lambda raw: _BOOLS[raw.lower()]}
 
 
-def _coerce(name: str, raw: str):
+def parse_value(name: str, raw: str):
+    """Read the text of config field `name` as the field's type.  Errors
+    name the key."""
     if name not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {name!r}")
-    kind = _FIELD_TYPES[name]
-    raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {name}: expected a boolean, got {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    kind, raw = _FIELD_TYPES[name], raw.strip()
+    try:
+        return _PARSERS[kind](raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {name}: expected {kind}, got {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -111,7 +115,10 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = _coerce(key.strip(), value)
+            try:
+                out[key.strip()] = parse_value(key.strip(), value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

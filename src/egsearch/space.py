@@ -257,19 +257,15 @@ class Cell:
     params: dict  # (i, j) -> list of per-op parameter dicts
     output_rule: str = "sum"
 
-    def probabilities(self, differentiable: bool = True) -> ad.Tensor:
+    def probabilities(self) -> ad.Tensor:
         """Every edge's sampling vector lam * softmax(logits) + (1 - lam) * l
         as one (E, K) op, rows in edge_list order; h must be on the simplex.
-        With differentiable=False the result is a constant: no tape node, for
-        callers that do not use the logits' gradient.
         """
         z = self.logits.data
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         h = check_simplex(e / e.sum(axis=-1, keepdims=True), "h")
         lam = self.lam
         p = h * lam + self.l * (1.0 - lam)
-        if not differentiable:
-            return ad.Tensor(p)
 
         def back(g):
             gh = g * lam
@@ -366,25 +362,39 @@ def export_architecture(code: ArchitectureCode, ops=OP_SET) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _integer(value, what):
+    if type(value) is not int:  # a JSON integer, not a float or a bool
+        raise ValueError(f"architecture file: {what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_architecture(text: str) -> ArchitectureCode:
     """Read an `export_architecture` document.  A missing key, a value of
-    the wrong type, an edge outside the cell or a row of the wrong length
-    raises ValueError."""
+    the wrong type, a non-integer n, K or edge end, a bit that is not 0 or
+    1, an edge outside the cell or listed twice, or a row of the wrong
+    length raises ValueError."""
     doc = json.loads(text)
     try:
-        n, k = int(doc["n"]), int(doc["K"])
-        rows = [((int(d["from"]), int(d["to"])), list(d["bits"])) for d in doc["edges"]]
+        n, k = _integer(doc["n"], "n"), _integer(doc["K"], "K")
+        rows = [((_integer(d["from"], "from"), _integer(d["to"], "to")), list(d["bits"]))
+                for d in doc["edges"]]
     except KeyError as exc:
         raise ValueError(f"architecture file: missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"architecture file: malformed ({exc})") from None
     bits = np.zeros((num_edges(n), k), dtype=np.uint8)
     row = {e: r for r, e in enumerate(edge_list(n))}
+    seen = set()
     for e, values in rows:
         if e not in row:
             raise ValueError(f"architecture file: edge {e} is outside the {n}-node cell")
+        if e in seen:
+            raise ValueError(f"architecture file: edge {e} is listed twice")
+        seen.add(e)
         if len(values) != k:
             raise ValueError(f"architecture file: edge {e} has {len(values)} bits, K is {k}")
+        if any(type(b) is not int or b not in (0, 1) for b in values):
+            raise ValueError(f"architecture file: edge {e} has bits {values}, not each 0 or 1")
         bits[row[e]] = values
     return ArchitectureCode(n=n, K=k, bits=bits)
 

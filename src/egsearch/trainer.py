@@ -2,12 +2,13 @@
 
 Each search step alternates two substeps: sample per-edge binary codes and
 update the op weights on a training batch, then resample and update the
-per-edge logits on a validation batch.  Each substep records only what
-reaches the parameters it updates.  In the logit substep the binary codes
-enter the forward pass through their straight-through tensors, so one
-ordinary backward pass carries the loss's gradient to the logits, and the
-weights enter as constants, so nothing that only they feed is recorded.  In
-the weight substep the codes enter as constants and only the sampled ops run.
+per-edge logits on a validation batch.  Each substep runs a view of the
+network in which the parameters it does not update are constants, and ops on
+constants record nothing.  In the logit substep the binary codes enter the
+forward pass through their straight-through tensors, so one ordinary
+backward pass carries the loss's gradient to the logits, and nothing that
+only the weights feed is recorded.  In the weight substep the logits are a
+constant, so the codes are too and only the sampled ops run.
 
 The temperature anneals linearly from tau_start to tau_end over the run.
 After the search, the learned edge distributions are collapsed into one
@@ -110,16 +111,18 @@ def make_network(in_dim, n_classes, cfg: RunConfig, init_rng) -> Network:
 
 @dataclass
 class SearchState:
-    cell: Cell
+    cfg: RunConfig
+    total_steps: int
     network: Network
     tau: float
-    M: int
     step: int
     rng: RngState
-    schedule: dict  # tau_start, tau_end, total_steps, lr_w, momentum, lr_alpha
     velocities: dict = field(default_factory=dict)  # momentum buffers by tensor id
     histogram: dict = field(default_factory=dict)  # edge -> {code tuple: count}
-    last_losses: tuple = (np.nan, np.nan)
+
+    @property
+    def cell(self) -> Cell:
+        return self.network.cell
 
     def weights(self) -> list:
         return self.network.weights()
@@ -157,26 +160,15 @@ def build_state(cfg: RunConfig, dataset: Dataset) -> SearchState:
     init_rng = np.random.default_rng(cfg.seed)
     network = make_network(dataset.features.shape[1], dataset.n_classes, cfg, init_rng)
     total = cfg.epochs * _steps_per_epoch(len(dataset.splits["train"]), cfg.batch_size)
-    schedule = {
-        "tau_start": cfg.tau_start,
-        "tau_end": cfg.tau_end,
-        "total_steps": total,
-        "lr_w": cfg.lr_w,
-        "momentum": cfg.momentum,
-        "lr_alpha": cfg.lr_alpha,
-    }
-    return SearchState(
-        cell=network.cell, network=network, tau=cfg.tau_start, M=cfg.M,
-        step=0, rng=RngState(cfg.seed), schedule=schedule,
-    )
+    return SearchState(cfg=cfg, total_steps=total, network=network,
+                       tau=cfg.tau_start, step=0, rng=RngState(cfg.seed))
 
 
-def _tau_at(schedule: dict, step: int) -> float:
-    total = schedule["total_steps"]
-    if total <= 1:
-        return schedule["tau_start"]
-    frac = min(step, total - 1) / (total - 1)
-    return schedule["tau_start"] + (schedule["tau_end"] - schedule["tau_start"]) * frac
+def _tau_at(cfg: RunConfig, total_steps: int, step: int) -> float:
+    if total_steps <= 1:
+        return cfg.tau_start
+    frac = min(step, total_steps - 1) / (total_steps - 1)
+    return cfg.tau_start + (cfg.tau_end - cfg.tau_start) * frac
 
 
 def network_forward(network: Network, x: np.ndarray, samples: dict) -> ad.Tensor:
@@ -185,44 +177,48 @@ def network_forward(network: Network, x: np.ndarray, samples: dict) -> ad.Tensor
     return ad.add(ad.matmul(out, network.w_out), network.b_out)
 
 
-def sample_edges(state: SearchState, use_hard: bool = True,
-                 code_grad: bool = True) -> dict:
-    """One EGS draw for all edges at the current temperature.
+def sample_edges(state: SearchState, cell: Cell) -> dict:
+    """One EGS draw for all edges of `cell` at the current temperature.
 
-    Returns each edge's hard code (or its relaxation, without use_hard).
-    With code_grad the sampler is on the tape: E + 3 nodes through which
-    the loss reaches the logits.  Without it the codes are constants and
-    the sampler records nothing.
+    Returns each edge's hard code.  When the cell's logits are on the tape
+    the sampler records E + 3 nodes, through which the loss reaches them;
+    when they are a constant the codes are constants and it records nothing.
     """
-    p = state.cell.probabilities(differentiable=code_grad)
-    s = egs_sample(p, state.M, state.tau, state.rng)
-    rows = s.hard if use_hard else s.soft
+    s = egs_sample(cell.probabilities(), state.cfg.M, state.tau, state.rng)
     samples = {}
     codes = s.hard.data.astype(np.int64).tolist()
-    for r, e in enumerate(edge_list(state.cell.n)):
+    for r, e in enumerate(edge_list(cell.n)):
         per_edge = state.histogram.setdefault(e, {})
         code = tuple(codes[r])
         per_edge[code] = per_edge.get(code, 0) + 1
-        samples[e] = ad.pick(rows, r)
+        samples[e] = ad.pick(s.hard, r)
     return samples
 
 
-REACH = ("all", "weights", "logits")
+def _fixed_logits(network: Network) -> Network:
+    cell = dataclasses.replace(network.cell, logits=ad.Tensor(network.cell.logits.data))
+    return dataclasses.replace(network, cell=cell)
 
 
-def compute_loss(state: SearchState, batch, use_hard: bool = True,
-                 reach: str = "all"):
+# the network each reach runs: what it does not name enters as a constant
+VIEWS = {"all": lambda network: network, "weights": _fixed_logits,
+         "logits": Network.constant}
+
+
+def compute_loss(state: SearchState, batch, reach: str = "all"):
     """Sample codes, run the network, return the batch cross-entropy.
 
-    `reach` names the parameters the loss's gradient must reach: "weights"
-    enters the codes as constants (only the sampled ops run), "logits"
-    enters the weights as constants, and "all" keeps both on the tape.
+    `reach` names the parameters the loss's gradient must reach, and picks
+    the view of the network the substep runs: "weights" enters the logits
+    as a constant (so the codes are constants and only the sampled ops
+    run), "logits" enters the weights as constants, and "all" is the
+    network itself.  Ops on constants record nothing.
     """
-    if reach not in REACH:
-        raise ValueError(f"reach must be one of {REACH}, got {reach!r}")
+    if reach not in VIEWS:
+        raise ValueError(f"reach must be one of {tuple(VIEWS)}, got {reach!r}")
     x, y = batch
-    samples = sample_edges(state, use_hard=use_hard, code_grad=reach != "weights")
-    network = state.network.constant() if reach == "logits" else state.network
+    network = VIEWS[reach](state.network)
+    samples = sample_edges(state, network.cell)
     logits = network_forward(network, x, samples)
     loss = ad.cross_entropy_with_logits(logits, y)
     return loss, samples
@@ -267,18 +263,17 @@ def _sgd_momentum(tensors, grads, velocities, lr, momentum):
         t.data = t.data - lr * v
 
 
-def search_step(state: SearchState, train_batch, valid_batch) -> SearchState:
-    """One alternating update: w on the train batch, logits on validation."""
-    state.tau = _tau_at(state.schedule, state.step)
+def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
+    """One alternating update: w on the train batch, logits on validation.
+    Returns the two substeps' losses."""
+    cfg = state.cfg
+    state.tau = _tau_at(cfg, state.total_steps, state.step)
 
     with ad.Tape():
         train_loss, samples = compute_loss(state, train_batch, reach="weights")
         _check_finite(train_loss, state, samples, "training")
         grads = ad.backward(train_loss)
-    _sgd_momentum(
-        state.weights(), grads, state.velocities,
-        state.schedule["lr_w"], state.schedule["momentum"],
-    )
+    _sgd_momentum(state.weights(), grads, state.velocities, cfg.lr_w, cfg.momentum)
 
     with ad.Tape():
         valid_loss, samples = compute_loss(state, valid_batch, reach="logits")
@@ -287,11 +282,10 @@ def search_step(state: SearchState, train_batch, valid_batch) -> SearchState:
     logits = state.cell.logits
     g = grads.get(logits)
     if g is not None:
-        logits.data = logits.data - state.schedule["lr_alpha"] * g
+        logits.data = logits.data - cfg.lr_alpha * g
 
-    state.last_losses = (float(train_loss.data), float(valid_loss.data))
     state.step += 1
-    return state
+    return float(train_loss.data), float(valid_loss.data)
 
 
 def _batch_stream(idx, batch_size, rng):
@@ -324,9 +318,9 @@ def run_search(cfg: RunConfig, dataset: Dataset = None):
         for _ in range(spe):
             bi = next(train_order)
             vi = next(valid_stream)
-            search_step(state, (X[bi], y[bi]), (X[vi], y[vi]))
-            tl.append(state.last_losses[0])
-            vl.append(state.last_losses[1])
+            train_loss, valid_loss = search_step(state, (X[bi], y[bi]), (X[vi], y[vi]))
+            tl.append(train_loss)
+            vl.append(valid_loss)
         rows.append(
             (
                 state.step,
@@ -353,13 +347,13 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
     """Collapse the learned distributions into one binary code per edge."""
     if mode not in ("mode-sample", "max-marginal"):
         raise ValueError(f"unknown derive mode {mode!r}")
-    k = len(state.cell.ops)
-    keep = min(state.M, k)
+    k, m = len(state.cell.ops), state.cfg.M
+    keep = min(m, k)
     bits = np.zeros((num_edges(state.cell.n), k), dtype=np.uint8)
     rng = state.rng.clone()  # derivation must not disturb the search stream
-    for row, p in enumerate(state.cell.probabilities(differentiable=False).data):
+    for row, p in enumerate(state.cell.probabilities().data):
         if mode == "mode-sample":
-            codes = kernels.egs_hard_batch(p, rng.uniform(draws * state.M * k), state.M)
+            codes = kernels.egs_hard_batch(p, rng.uniform(draws * m * k), m)
             counts = {}
             for code in map(tuple, codes.tolist()):
                 counts[code] = counts.get(code, 0) + 1
@@ -368,9 +362,7 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
             best = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
             bits[row] = best
         else:
-            marg = np.array(
-                [marginal_inclusion_oracle(p, state.M, j) for j in range(k)]
-            )
+            marg = np.array([marginal_inclusion_oracle(p, m, j) for j in range(k)])
             chosen = marg >= 0.5
             if not np.any(chosen):
                 chosen[int(np.argmax(p))] = True

@@ -105,6 +105,34 @@ def test_invalid_config_fails_before_any_compute(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "abc"], "config key epochs: expected int, got 'abc'"),
+    (["--allow-empty-edges", "maybe"], "config key allow_empty_edges: expected bool"),
+    (["--tau-start", "inf", "--tau-end", "1"], "non-finite config field(s): tau_start"),
+    (["--dataset-noise", "inf"], "non-finite config field(s): dataset_noise"),
+    (["--lr-alpha", "inf"], "non-finite config field(s): lr_alpha"),
+    (["--lam", "nan"], "non-finite config field(s): lam"),
+])
+def test_a_bad_flag_exits_2_and_names_its_key(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    assert run("search", *flags, "--output-dir", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bool_flags_take_the_config_file_spellings(tmp_path):
+    out = tmp_path / "run"
+    assert run("search", *FAST, "--allow-empty-edges", "off", "--output-dir", out) == 0
+    assert "\nallow_empty_edges=False\n" in (out / "summary.txt").read_text()
+
+
+def test_a_bad_config_file_value_exits_2_and_names_its_line(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed=1\nepochs=abc\n")
+    assert run("search", "--config", cfg_file) == 2
+    assert f"{cfg_file}:2: config key epochs: expected int" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_mismatched_dimensions(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("search", *FAST, "--output-dir", out) == 0
@@ -125,6 +153,8 @@ def test_evaluate_rejects_missing_code_file(tmp_path, capsys):
     (lambda doc: doc["edges"].append({"from": 5, "to": 9, "bits": [0] * 5}),
      "edge (5, 9) is outside the 4-node cell"),
     (lambda doc: doc["edges"][0].update(bits=[1, 1]), "edge (0, 1) has 2 bits, K is 5"),
+    (lambda doc: doc["edges"][0].update(bits=[0.5, 1.9, 0, 0, 0]),
+     "edge (0, 1) has bits [0.5, 1.9, 0, 0, 0], not each 0 or 1"),
 ])
 def test_evaluate_rejects_a_malformed_code_file(tmp_path, capsys, edit, message):
     code_file = tmp_path / "architecture.json"

@@ -343,7 +343,7 @@ def test_batched_relaxation_matches_finite_differences():
                 seed = int(rng.integers(2**31))
 
                 def loss_at():
-                    p = cell.probabilities(differentiable=False)
+                    p = cell.probabilities()
                     s = egs_sample(p, m, tau, RngState(seed))
                     return float((s.soft.data * w).mean(axis=1).sum())
 

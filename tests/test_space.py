@@ -536,7 +536,7 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
             with ad.Tape():
                 ref = [chain_mix(z, cell.l, lam) for z in rows]
                 ref_grads = ad.backward(weighted(ref))
-            const = cell.probabilities(differentiable=False)
+            const = cell.probabilities()
             assert const.node is None and np.array_equal(const.data, p.data)
             assert grads[cell.logits].shape == (3, k)
             base = cell.logits.data
@@ -548,7 +548,7 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
                     for h in (step, -step):
                         cell.logits.data = base.copy()
                         cell.logits.data[r, j] += h
-                        out = cell.probabilities(differentiable=False)
+                        out = cell.probabilities()
                         vals.append(float((out.data * w).mean(axis=1).sum()))
                     cell.logits.data = base
                     fd = (vals[0] - vals[1]) / (2 * step)
@@ -564,7 +564,7 @@ def test_sampling_probabilities_reject_bad_inputs():
     cell = make_cell(3)
     cell.logits.data[1, 2] = np.nan
     with pytest.raises(ValueError, match="h has non-finite"):
-        cell.probabilities(differentiable=False)
+        cell.probabilities()
 
 
 def test_edge_probabilities_on_simplex():
@@ -593,6 +593,16 @@ def test_architecture_export_round_trip():
     (lambda doc: doc["edges"][2].update(bits=[1, 0, 0]), r"edge \(0, 3\) has 3 bits, K is 5"),
     (lambda doc: doc["edges"][0].update(bits=3), "malformed"),
     (lambda doc: doc.update(edges=5), "malformed"),
+    (lambda doc: doc.update(n=3.9), "n must be an integer, got 3.9"),
+    (lambda doc: doc.update(K="5"), "K must be an integer, got '5'"),
+    (lambda doc: doc["edges"][1].update({"from": 0.0}), "from must be an integer"),
+    (lambda doc: doc["edges"][0].update(bits=[0.5, 1.9, 0, 0, 0]),
+     r"edge \(0, 1\) has bits \[0.5, 1.9, 0, 0, 0\], not each 0 or 1"),
+    (lambda doc: doc["edges"][0].update(bits=[-1, 0, 0, 0, 0]), "not each 0 or 1"),
+    (lambda doc: doc["edges"][0].update(bits=[256, 0, 0, 0, 0]), "not each 0 or 1"),
+    (lambda doc: doc["edges"][0].update(bits=[None, 0, 0, 0, 0]), "not each 0 or 1"),
+    (lambda doc: doc["edges"][0].update(bits=[True, 0, 0, 0, 0]), "not each 0 or 1"),
+    (lambda doc: doc["edges"].append(dict(doc["edges"][3])), r"edge \(1, 2\) is listed twice"),
 ])
 def test_parse_architecture_names_what_is_malformed(edit, message):
     doc = json.loads(export_architecture(random_code(4, 5, np.random.default_rng(14))))

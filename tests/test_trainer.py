@@ -7,6 +7,7 @@ against the exact code distribution, the derivation rules, and the
 descent direction of the search itself.
 """
 
+import dataclasses
 import gc
 import weakref
 from itertools import product
@@ -69,13 +70,13 @@ def nan_dataset():
 
 
 def test_tau_schedule_endpoints_and_monotone():
-    sched = {"tau_start": 1.0, "tau_end": 0.1, "total_steps": 40}
-    taus = [tr._tau_at(sched, s) for s in range(45)]
+    cfg = RunConfig(tau_start=1.0, tau_end=0.1)
+    taus = [tr._tau_at(cfg, 40, s) for s in range(45)]
     assert taus[0] == 1.0
     assert taus[39] == pytest.approx(0.1)
     assert taus[44] == pytest.approx(0.1)  # clamps past the last step
     assert all(a >= b for a, b in zip(taus, taus[1:]))
-    assert tr._tau_at({"tau_start": 1.0, "tau_end": 0.1, "total_steps": 1}, 0) == 1.0
+    assert tr._tau_at(cfg, 1, 0) == 1.0
 
 
 def test_network_shapes_for_both_output_rules():
@@ -90,11 +91,11 @@ def test_network_shapes_for_both_output_rules():
     assert wide.w_out.shape == (4 * 3, 3)
 
 
-def test_sample_edges_shape_histogram_and_soft_mode():
+def test_sample_edges_shape_histogram_and_constant_mode():
     cfg = small_cfg(nodes=4, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     with ad.Tape() as tape:
-        samples = tr.sample_edges(state)
+        samples = tr.sample_edges(state, state.cell)
     # one draw of E*M*K uniforms; probabilities, relaxation, code, E row picks
     assert state.rng.position == num_edges(4) * 2 * K
     assert len(tape.nodes) == num_edges(4) + 3
@@ -103,17 +104,15 @@ def test_sample_edges_shape_histogram_and_soft_mode():
         assert set(np.unique(s.data)) <= {0.0, 1.0}
         assert 1 <= s.data.sum() <= 2
     assert sum(sum(c.values()) for c in state.histogram.values()) == num_edges(4)
-    with ad.Tape():
-        soft = tr.sample_edges(state, use_hard=False)
-    for s in soft.values():
-        assert np.all((s.data >= 0.0) & (s.data <= 1.0))
-    # without the codes' gradient: the same draw as constants, nothing recorded
+    # from a cell whose logits are a constant: the same draw as constants,
+    # nothing recorded
     twin = tr.build_state(cfg, tr.build_dataset(cfg))
     twin.rng, twin.histogram = state.rng.clone(), {}
+    fixed = dataclasses.replace(twin.cell, logits=ad.Tensor(twin.cell.logits.data))
     with ad.Tape():
-        on_tape = tr.sample_edges(state)
+        on_tape = tr.sample_edges(state, state.cell)
     with ad.Tape() as tape:
-        constant = tr.sample_edges(twin, code_grad=False)
+        constant = tr.sample_edges(twin, fixed)
     assert tape.nodes == []
     for e in edge_list(4):
         assert constant[e].node is None and not constant[e].requires_grad
@@ -131,7 +130,7 @@ def test_one_step_moves_weights_and_logits():
     a_before = [t.data.copy() for t in state.arch_params()]
     x, y = ds.split("train")
     xv, yv = ds.split("valid")
-    tr.search_step(state, (x[:64], y[:64]), (xv[:50], yv[:50]))
+    losses = tr.search_step(state, (x[:64], y[:64]), (xv[:50], yv[:50]))
     moved_w = sum(
         not np.array_equal(b, t.data) for b, t in zip(w_before, state.weights())
     )
@@ -141,7 +140,7 @@ def test_one_step_moves_weights_and_logits():
     assert moved_w > 0
     assert moved_a > 0
     assert state.step == 1
-    assert np.all(np.isfinite(state.last_losses))
+    assert len(losses) == 2 and np.all(np.isfinite(losses))
 
 
 def logit_substeps(**cell):
@@ -194,6 +193,25 @@ def test_compute_loss_rejects_unknown_reach():
     ds = tr.build_dataset(cfg)
     with pytest.raises(ValueError, match="reach"):
         tr.compute_loss(tr.build_state(cfg, ds), ds.split("valid"), reach="codes")
+
+
+def test_weight_substep_keeps_the_logits_off_the_tape():
+    # the first weight substep of benchmarks/bench_search.py's default case,
+    # whose 15 nodes BENCH_search.json records
+    cfg = RunConfig(seed=1)
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    x, y = ds.split("train")
+    logits = state.cell.logits
+    with ad.Tape() as tape:
+        loss, samples = tr.compute_loss(state, (x[:cfg.batch_size], y[:cfg.batch_size]),
+                                        reach="weights")
+        grads = ad.backward(loss)
+    assert not any(t is logits for node in tape.nodes for t in node.inputs)
+    assert logits not in grads
+    assert all(s.node is None for s in samples.values())
+    assert any(t in grads for t in state.weights())
+    assert len(tape.nodes) == 15
 
 
 def test_sgd_momentum_decays_or_skips_absent_gradients():
@@ -312,7 +330,7 @@ def test_sampling_matches_exact_law_when_frozen():
     )
     state, report = tr.run_search(cfg)
     # zero learning rates freeze the logits, so p keeps its initial mix
-    p = state.cell.probabilities(differentiable=False).data[0]  # edge (0, 1)
+    p = state.cell.probabilities().data[0]  # edge (0, 1)
     dist = exact_code_distribution(p, 2)
     per_edge = 2 * state.step
     for e, counts in report.histogram.items():
@@ -372,7 +390,7 @@ def test_max_marginal_clamps_to_reachable_codes():
     cfg = small_cfg(nodes=2, lam=1.0, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     state.cell.logits.data[0] = np.array([2.0, 2.0, 2.0, -5.0, -5.0])
-    p = state.cell.probabilities(differentiable=False).data[0]  # edge (0, 1)
+    p = state.cell.probabilities().data[0]  # edge (0, 1)
     over = [marginal_inclusion_oracle(p, 2, j) >= 0.5 for j in range(K)]
     assert sum(over) == 3  # the threshold alone would pick an unreachable code
     code = tr.derive_architecture(state, "max-marginal")
