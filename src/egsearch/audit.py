@@ -27,9 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ensemble import ENUMERATION_BUDGET, ENUMERATION_MAX_K
-from .ensemble import marginal_inclusion_oracle, reachable_codes
-from .gumbel import RngState
+from .gumbel import (
+    ENUMERATION_BUDGET,
+    ENUMERATION_MAX_K,
+    RngState,
+    marginal_inclusion_oracle,
+    reachable_codes,
+)
 from .space import ArchitectureCode, OpKind, decode, encode, num_edges
 
 __all__ = [
@@ -78,10 +82,6 @@ class AuditResult:
     max_z: float
     counts: list
     report: str
-
-    @property
-    def disagreements(self) -> list:
-        return [row for row in self.counts if not row.agree]
 
 
 def closed_form_count(K: int, M: int) -> int:
@@ -164,7 +164,7 @@ def marginal_audit(configs: int = 20, draws: int = 100_000, seed: int = 0):
         p = p / p.sum()
         u = RngState(seed + 1 + i).uniform(draws * m * k)
         freq = kernels.egs_hard_batch(p, u, m).mean(axis=0)
-        q = np.array([marginal_inclusion_oracle(p, m, j) for j in range(k)])
+        q = marginal_inclusion_oracle(p, m)
         max_z = max(max_z, float(bit_z(freq, q, draws).max()))
         comparisons += k
     bound = sidak_z_bound(comparisons)
@@ -174,7 +174,7 @@ def marginal_audit(configs: int = 20, draws: int = 100_000, seed: int = 0):
     grid = np.linspace(0.0, 1.0, 51)
     monotone = True
     for m in range(1, 6):
-        vals = [marginal_inclusion_oracle([x, 1.0 - x], m, 0) for x in grid]
+        vals = [marginal_inclusion_oracle([x, 1.0 - x], m)[0] for x in grid]
         monotone &= all(a < b for a, b in zip(vals, vals[1:]))
     ok &= monotone
 
@@ -223,9 +223,10 @@ def count_audit(k_max: int = 10, m_max: int = 4):
 def run_audit(k_max: int = 10, m_max: int = 4, configs: int = 20,
               draws: int = 100_000, seed: int = 0) -> AuditResult:
     # with no configs or no draws the marginal leg would pass on no evidence
-    for name, value in (("configs", configs), ("draws", draws)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value, least in (("configs", configs, 1), ("draws", draws, 1),
+                               ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     # the count leg runs first, so a range it rejects fails before the rest
     count_lines, rows, count_ok = count_audit(k_max=k_max, m_max=m_max)
     bij_lines, bij_ok = bijection_audit(seed=seed)

@@ -78,6 +78,7 @@ class RunConfig:
             (self.retrain_epochs >= 1, "retrain_epochs"),
             (self.baseline_budget >= 1, "baseline_budget"),
             (self.baseline_retrain_epochs >= 1, "baseline_retrain_epochs"),
+            (self.seed >= 0, "seed"),
         ]
         bad = [name for ok, name in checks if not ok]
         if bad:

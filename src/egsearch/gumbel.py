@@ -1,11 +1,17 @@
-"""Gumbel noise, the noisy scores, the hard EGS code and its relaxation.
+"""The ensemble Gumbel-Softmax (EGS) sampler: Gumbel noise, the draw, and
+the exact oracles that audit it.
 
-An EGS draw of M components over K categories is defined once here: the
-noisy scores log p + G, shaped (..., M, K) and read from the uniforms in
-(row, component, category) order (`noisy_scores`), and the binary code, the
-OR over M of the argmax over K (`hard_code`).  The trainer's relaxation
-(`relaxed_max`), the audit's batch kernel and Gumbel-Max (the M=1 case) all
-build on these two.
+An EGS code over K categories is the element-wise max of M independent
+Gumbel-Softmax one-hots, and its relaxation, the max of the M soft
+vectors, carries the gradient.  A draw is defined once here: the noisy
+scores log p + G, shaped (..., M, K) and read from the uniforms in (row,
+component, category) order (`noisy_scores`), and the binary code, the OR
+over M of the argmax over K (`hard_code`).  `egs_sample` is the one call
+that draws a code with its relaxation, for one edge or a stack of them;
+the batch kernel of the audit and the derivation (`kernels.egs_hard_batch`)
+and Gumbel-Max (the M=1 case) build on the same two.  The exact oracles
+for the inclusion marginals and the reachable code set live next to the
+sampler they audit.
 
 All randomness flows through RngState, a (seed, position) counter over the
 PCG64 stream, so any draw can be replayed exactly from its coordinates.
@@ -16,6 +22,7 @@ as an argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -24,19 +31,25 @@ from . import autodiff as ad
 __all__ = [
     "UNIFORM_EPS",
     "RngState",
+    "BinaryCodeSample",
     "gumbel_transform",
     "gumbel_noise",
     "noisy_scores",
     "hard_code",
-    "gumbel_max",
-    "relaxed_max",
+    "egs_sample",
     "check_simplex",
+    "marginal_inclusion_oracle",
+    "reachable_codes",
 ]
 
 # uniform draws are clamped into [eps, 1-eps] before the double log
 UNIFORM_EPS = 1e-12
 
 SIMPLEX_TOL = 1e-9
+
+ENUMERATION_MAX_K = 16
+# reachable_codes enumerates at most this many M-fold compositions
+ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass
@@ -113,29 +126,31 @@ def hard_code(scores: np.ndarray) -> np.ndarray:
     return code
 
 
-def gumbel_max(p, rng: RngState) -> int:
-    """Sample a category index with P(k) proportional to p_k: the hard
-    code of a one-component draw.
+@dataclass
+class BinaryCodeSample:
+    """Sampled binary codes with their differentiable relaxation.
 
-    Zero entries are never selected; an all-zero p is rejected.
+    hard is the element-wise max of the component one-hots (exposed with
+    straight-through behavior); soft is the element-wise max of the
+    component soft vectors, its gradient routed to the lowest component
+    attaining the max.
     """
-    p = np.asarray(p.data if isinstance(p, ad.Tensor) else p, dtype=np.float64)
-    if not np.any(p > 0.0):
-        raise ValueError("gumbel_max: all-zero probability vector")
-    check_simplex(p)
-    scores = noisy_scores(p, rng.uniform(p.size).reshape(1, p.size))
-    return int(np.argmax(hard_code(scores)))
+
+    hard: ad.Tensor
+    soft: ad.Tensor
 
 
-def relaxed_max(p, M: int, tau: float, rng: RngState):
-    """Max over M Gumbel-Softmax relaxations of p, as one tape op.
+def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
+    """Draw a binary code: the max of M independent Gumbel-Softmax samples.
 
-    p is (..., K), on the tape or constant.  One rng.uniform call draws the
-    draw's noisy scores (`noisy_scores`, (..., M, K)).  The output is
-    soft = max_m softmax(scores_m / tau), (..., K); its gradient reaches p
-    through the component attaining each max, the lowest one on ties.
-    Returns (soft, scores); the hard code is `hard_code(scores)`, which the
-    softmax never reorders.
+    p is one probability vector (K,), or a stack (E, K) drawn row by row,
+    on the tape or constant.  One rng.uniform call draws the noisy scores
+    (`noisy_scores`, (..., M, K)).  soft = max_m softmax(scores_m / tau),
+    its gradient reaching p through the component attaining each max, the
+    lowest one on ties.  hard = `hard_code(scores)`, which the softmax
+    never reorders, passes soft's gradient straight through.  On the tape
+    this records two ops whatever the shape.  M=1 is a Gumbel-Softmax
+    sample with its one-hot.
     """
     M = int(M)
     if M < 1:
@@ -144,10 +159,7 @@ def relaxed_max(p, M: int, tau: float, rng: RngState):
     if not tau > 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     p = ad.as_tensor(p)
-    check_simplex(p.data)
-    if not np.all(np.any(p.data > 0.0, axis=-1)):
-        raise ValueError("relaxed_max: all-zero probability vector")
-    p_data = p.data
+    p_data = check_simplex(p.data)
     shape = p_data.shape[:-1] + (M, p_data.shape[-1])
     scores = noisy_scores(p_data, rng.uniform(int(np.prod(shape))).reshape(shape))
     factor = 1.0 / tau
@@ -170,4 +182,40 @@ def relaxed_max(p, M: int, tau: float, rng: RngState):
             total = total + res[..., i, :]
         return (total,)
 
-    return ad.record(soft, (p,), back), scores
+    soft = ad.record(soft, (p,), back)
+    return BinaryCodeSample(hard=ad.straight_through(soft, hard_code(scores)), soft=soft)
+
+
+def marginal_inclusion_oracle(p, M: int) -> np.ndarray:
+    """Exact P(bit k set) = 1 - (1 - p_k)^M under independent draws, for
+    every k of one probability vector p (K,)."""
+    p = check_simplex(p)
+    M = int(M)
+    # one scalar power per entry: numpy's array power can differ from it in
+    # the last bit, and the audit and the derivation read these bits
+    return np.array([1.0 - (1.0 - x) ** M for x in p])
+
+
+def reachable_codes(K: int, M: int) -> set:
+    """Every binary code expressible as a max of M one-hot K-vectors.
+
+    Enumerates the K^min(M,K) compositions of one-hots directly, so the
+    count audit compares a real enumeration with the closed form; raises
+    ValueError when there are more than ENUMERATION_BUDGET of them.
+    """
+    K, M = int(K), int(M)
+    if M < 1 or K < 1:
+        raise ValueError(f"need K >= 1 and M >= 1, got K={K}, M={M}")
+    if K > ENUMERATION_MAX_K:
+        raise ValueError(f"K={K} exceeds the enumeration bound {ENUMERATION_MAX_K}")
+    m_eff = min(M, K)  # extra samples only repeat already-set bits
+    if K**m_eff > ENUMERATION_BUDGET:
+        raise ValueError(f"K={K}, M={M} has {K**m_eff} compositions, past the "
+                         f"enumeration budget {ENUMERATION_BUDGET}")
+    codes = set()
+    for picks in product(range(K), repeat=m_eff):
+        code = [0] * K
+        for k in picks:
+            code[k] = 1
+        codes.add(tuple(code))
+    return codes

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .ensemble import BinaryCodeSample
 from .gumbel import check_simplex
 
 __all__ = [
@@ -110,34 +109,20 @@ class NetworkPlan:
     edge_ops: tuple  # sorted tuple of ((i, j), (k, ...)) pairs
 
 
-def _normalize_assignment(n, K, edge_ops):
-    valid = set(edge_list(n))
-    items = []
-    for (i, j), ks in sorted(dict(edge_ops).items()):
-        if (i, j) not in valid:
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        ks = tuple(sorted(set(int(k) for k in ks)))
-        if not ks:
-            continue
-        if ks[0] < 0 or ks[-1] >= K:
-            raise ValueError(f"op index out of range on edge ({i}, {j}): {ks}")
-        items.append(((i, j), ks))
-    return tuple(items)
-
-
-def encode(plan) -> ArchitectureCode:
-    """Set bit (i, j, k) for every op k the plan assigns to edge (i, j)."""
-    if isinstance(plan, NetworkPlan):
-        n, K, edge_ops = plan.n, plan.K, dict(plan.edge_ops)
-    else:
-        n, K, edge_ops = plan["n"], plan["K"], plan["edge_ops"]
-    items = _normalize_assignment(n, K, edge_ops)
-    bits = np.zeros((num_edges(n), K), dtype=np.uint8)
-    row = {e: r for r, e in enumerate(edge_list(n))}
-    for (i, j), ks in items:
+def encode(plan: NetworkPlan) -> ArchitectureCode:
+    """Set bit (i, j, k) for every op k the plan assigns to edge (i, j).
+    An edge outside the cell or an op index outside 0..K-1 raises
+    ValueError."""
+    bits = np.zeros((num_edges(plan.n), plan.K), dtype=np.uint8)
+    row = {e: r for r, e in enumerate(edge_list(plan.n))}
+    for (i, j), ks in dict(plan.edge_ops).items():
+        if (i, j) not in row:
+            raise ValueError(f"edge ({i}, {j}) out of range for n={plan.n}")
         for k in ks:
-            bits[row[(i, j)], k] = 1
-    return ArchitectureCode(n=n, K=K, bits=bits)
+            if not 0 <= int(k) < plan.K:
+                raise ValueError(f"op index out of range on edge ({i}, {j}): {ks}")
+            bits[row[(i, j)], int(k)] = 1
+    return ArchitectureCode(n=plan.n, K=plan.K, bits=bits)
 
 
 def decode(code: ArchitectureCode, ops=OP_SET) -> NetworkPlan:
@@ -179,8 +164,6 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
     matmul, activation), and x is listed once per op that reads it, in
     reverse op order, so its gradient accumulates in the same order too.
     """
-    if isinstance(code, BinaryCodeSample):
-        code = code.hard
     code, x = ad.as_tensor(code), ad.as_tensor(x)
     if code.data.shape != (len(ops),) or x.data.ndim != 2:
         raise ad.ShapeMismatchError("edge-forward", (x.data.shape, code.data.shape))
@@ -317,9 +300,8 @@ def make_cell(n, ops=OP_SET, dim=8, lam=0.5, init_rng=None, output_rule="sum") -
 def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict) -> ad.Tensor:
     """Evaluate the cell: node j sums edge contributions from all i < j.
 
-    `samples` maps every edge to its code (BinaryCodeSample or weight
-    tensor).  The output aggregates the non-input nodes by the cell's
-    output rule.
+    `samples` maps every edge to its code, a K-vector tensor.  The output
+    aggregates the non-input nodes by the cell's output rule.
     """
     for e in edge_list(cell.n):
         if e not in samples:

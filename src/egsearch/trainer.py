@@ -27,8 +27,7 @@ from . import autodiff as ad
 from . import kernels
 from .config import RunConfig
 from .data import Dataset, make_dataset
-from .ensemble import egs_sample, marginal_inclusion_oracle
-from .gumbel import RngState
+from .gumbel import RngState, egs_sample, marginal_inclusion_oracle
 from .space import (
     OP_SET,
     ArchitectureCode,
@@ -302,6 +301,12 @@ def run_search(cfg: RunConfig, dataset: Dataset = None):
     cfg.validate()
     dataset = dataset if dataset is not None else build_dataset(cfg)
     state = build_state(cfg, dataset)
+    # the derivation's block size is known now: refuse it before the search
+    uniforms = cfg.derive_draws * cfg.M * len(state.cell.ops)
+    if uniforms > DERIVE_UNIFORMS_BUDGET:
+        raise ValueError(
+            f"derive_draws={cfg.derive_draws} needs {uniforms} uniforms per edge "
+            f"(derive_draws*M*K), past the budget of {DERIVE_UNIFORMS_BUDGET}")
     train_idx = dataset.splits["train"]
     valid_idx = dataset.splits["valid"]
     spe = _steps_per_epoch(len(train_idx), cfg.batch_size)
@@ -342,6 +347,10 @@ def run_search(cfg: RunConfig, dataset: Dataset = None):
 # ---------------------------------------------------------------------------
 # derivation
 
+# mode-sample draws each edge's codes from one block of draws*M*K uniforms;
+# past this many (80 MB of float64) it is refused rather than allocated
+DERIVE_UNIFORMS_BUDGET = 10_000_000
+
 
 def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> ArchitectureCode:
     """Collapse the learned distributions into one binary code per edge."""
@@ -362,14 +371,13 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
             best = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
             bits[row] = best
         else:
-            marg = np.array([marginal_inclusion_oracle(p, m, j) for j in range(k)])
-            chosen = marg >= 0.5
+            chosen = marginal_inclusion_oracle(p, m) >= 0.5
             if not np.any(chosen):
                 chosen[int(np.argmax(p))] = True
             if chosen.sum() > keep:  # stay inside the reachable code set
-                order = np.argsort(-p, kind="stable")
-                keep_set = set(order[:keep].tolist())
-                chosen = np.array([j in keep_set and chosen[j] for j in range(k)])
+                top = np.zeros(k, dtype=bool)
+                top[np.argsort(-p, kind="stable")[:keep]] = True
+                chosen &= top
             bits[row] = chosen.astype(np.uint8)
     return ArchitectureCode(n=state.cell.n, K=k, bits=bits)
 

@@ -80,7 +80,7 @@ def test_marginal_audit_fails_a_sampler_with_tilted_p(monkeypatch):
 def test_audit_fails_a_non_monotone_oracle(monkeypatch):
     real = audit.marginal_inclusion_oracle
     monkeypatch.setattr(audit, "marginal_inclusion_oracle",
-                        lambda p, m, k: 1.0 - real(p, m, k))
+                        lambda p, m: 1.0 - real(p, m))
     result = audit.run_audit(k_max=3, m_max=2, configs=2, draws=1000)
     assert "oracle strictly increasing in p for M in 1..5: NO" in result.report
     assert not result.marginal_ok and not result.ok

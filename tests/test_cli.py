@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egsearch import audit
+from egsearch import audit, trainer
 from egsearch.cli import OUT_ENV, main
 from egsearch.data import load_dataset, make_dataset
 from egsearch.space import parse_architecture
@@ -112,12 +112,33 @@ def test_invalid_config_fails_before_any_compute(tmp_path, capsys):
     (["--dataset-noise", "inf"], "non-finite config field(s): dataset_noise"),
     (["--lr-alpha", "inf"], "non-finite config field(s): lr_alpha"),
     (["--lam", "nan"], "non-finite config field(s): lam"),
+    (["--seed", "-1"], "invalid config field(s): seed"),
 ])
 def test_a_bad_flag_exits_2_and_names_its_key(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
     assert run("search", *flags, "--output-dir", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_derive_draws_past_the_budget_exit_2_before_the_first_step(
+        tmp_path, monkeypatch, capsys):
+    def no_step(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(trainer, "search_step", no_step)
+    out = tmp_path / "run"
+    assert run("search", *FAST, "--epochs", 1, "--derive-draws", 100_000_000_000,
+               "--output-dir", out) == 2
+    err = capsys.readouterr().err
+    assert "derive_draws=100000000000" in err and "budget" in err
+
+
+def test_derive_draws_within_the_budget_run(tmp_path):
+    out = tmp_path / "run"
+    assert run("search", *FAST, "--epochs", 1, "--derive-draws", 100_000,
+               "--output-dir", out) == 0
+    assert (out / "architecture.json").exists()
 
 
 def test_bool_flags_take_the_config_file_spellings(tmp_path):
@@ -230,6 +251,13 @@ def test_verify_propositions_rejects_no_evidence(tmp_path, capsys, flag, value):
     out = tmp_path / "audit"
     assert run("verify-propositions", flag, value, "--out", out) == 2
     assert f"{flag[2:]} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_propositions_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "audit"
+    assert run("verify-propositions", "--seed", -1, "--out", out) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

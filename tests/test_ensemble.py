@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from egsearch import autodiff as ad
 from egsearch import kernels
 from egsearch.audit import count_audit
-from egsearch.ensemble import (
+from egsearch.gumbel import (
     ENUMERATION_BUDGET,
+    RngState,
     egs_sample,
+    gumbel_noise,
     marginal_inclusion_oracle,
     reachable_codes,
 )
-from egsearch.gumbel import RngState, gumbel_noise
 from egsearch.space import OpKind, make_cell
 
 
@@ -122,16 +123,14 @@ def test_empirical_matches_exact_distribution():
 
 
 def test_marginal_oracle_closed_forms():
-    assert marginal_inclusion_oracle([0.0, 1.0], 3, 0) == 0.0
-    assert marginal_inclusion_oracle([0.0, 1.0], 3, 1) == 1.0
-    assert marginal_inclusion_oracle([0.2, 0.3, 0.5], 2, 2) == pytest.approx(0.75)
+    assert marginal_inclusion_oracle([0.0, 1.0], 3).tolist() == [0.0, 1.0]
+    assert marginal_inclusion_oracle([0.2, 0.3, 0.5], 2)[2] == pytest.approx(0.75)
 
 
 def test_marginal_oracle_vs_million_sample_mc():
     p = [0.2, 0.3, 0.5]
     codes = sample_codes(p, 2, 1_000_000, seed=5)
-    for k in range(3):
-        q = marginal_inclusion_oracle(p, 2, k)
+    for k, q in enumerate(marginal_inclusion_oracle(p, 2)):
         sigma = math.sqrt(q * (1 - q) / codes.shape[0])
         assert abs(codes[:, k].mean() - q) <= 3 * sigma
 
@@ -145,10 +144,24 @@ def test_marginal_accuracy_random_configs():
         p = rng.uniform(0.05, 1.0, size=k)
         p = p / p.sum()
         codes = sample_codes(p, m, n, seed=1000 + trial)
-        for j in range(k):
-            q = marginal_inclusion_oracle(p, m, j)
+        for j, q in enumerate(marginal_inclusion_oracle(p, m)):
             sigma = math.sqrt(q * (1 - q) / n)
             assert abs(codes[:, j].mean() - q) <= 3 * sigma + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 8), m=st.integers(1, 8), seed=st.integers(0, 2**31 - 1),
+       zeros=st.integers(0, 7))
+def test_marginal_oracle_equals_the_per_bit_formula_bit_for_bit(k, m, seed, zeros):
+    # the K-vector oracle against the per-bit scalar it replaced, on points
+    # of the simplex with and without zero entries
+    p = np.random.default_rng(seed).dirichlet(np.ones(k))
+    p[: min(zeros, k - 1)] = 0.0
+    p /= p.sum()
+    per_bit = [float(1.0 - (1.0 - p[j]) ** m) for j in range(k)]
+    got = marginal_inclusion_oracle(p, m)
+    assert got.shape == (k,)
+    assert got.tolist() == per_bit
 
 
 def test_marginal_oracle_strictly_increasing_in_p():
@@ -163,10 +176,10 @@ def test_empirical_monotonicity_in_p():
     n = 100_000
     codes = sample_codes(p, 3, n, seed=88)
     freqs = codes.mean(axis=0)
+    q = marginal_inclusion_oracle(p, 3)
     # ordered p must give ordered inclusion frequencies, with 3 sigma slack
     for a, b in zip(range(3), range(1, 4)):
-        qa = marginal_inclusion_oracle(p, 3, a)
-        qb = marginal_inclusion_oracle(p, 3, b)
+        qa, qb = q[a], q[b]
         slack = 3 * (math.sqrt(qa * (1 - qa) / n) + math.sqrt(qb * (1 - qb) / n))
         assert freqs[a] <= freqs[b] + slack
 

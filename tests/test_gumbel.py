@@ -1,7 +1,8 @@
 """Gumbel noise, Gumbel-Max, and Gumbel-Softmax behavior.
 
 A Gumbel-Softmax sample is the one-component EGS draw, egs_sample(p, 1, tau,
-rng); Gumbel-Max in bulk is the batch kernel at M=1.
+rng), and Gumbel-Max is its hard code; Gumbel-Max in bulk is the batch
+kernel at M=1.
 """
 
 import math
@@ -11,8 +12,7 @@ import pytest
 
 from egsearch import autodiff as ad
 from egsearch import kernels
-from egsearch.ensemble import egs_sample
-from egsearch.gumbel import RngState, gumbel_max, gumbel_noise, gumbel_transform
+from egsearch.gumbel import RngState, egs_sample, gumbel_noise, gumbel_transform
 
 EULER_MASCHERONI = 0.5772156649015329
 GUMBEL_STD = math.pi / math.sqrt(6.0)
@@ -72,26 +72,31 @@ def test_gumbel_noise_rejects_bad_count():
         gumbel_noise(RngState(0), 0)
 
 
-# --- gumbel_max --------------------------------------------------------------
+# --- Gumbel-Max: the hard code of egs_sample at M=1 -------------------------
+
+
+def pick(p, rng):
+    """The category a one-component draw selects: Gumbel-Max."""
+    return int(np.argmax(egs_sample(p, 1, 1.0, rng).hard.data))
 
 
 def test_gumbel_max_degenerate_always_first():
     rng = RngState(7)
-    assert all(gumbel_max([1.0, 0.0, 0.0], rng) == 0 for _ in range(50))
+    assert all(pick([1.0, 0.0, 0.0], rng) == 0 for _ in range(50))
 
 
 def test_gumbel_max_rejects_bad_input():
-    with pytest.raises(ValueError, match="all-zero"):
-        gumbel_max([0.0, 0.0], RngState(0))
-    with pytest.raises(ValueError):
-        gumbel_max([0.7, 0.7], RngState(0))  # off the simplex
-    with pytest.raises(ValueError):
-        gumbel_max([1.5, -0.5], RngState(0))
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        pick([0.0, 0.0], RngState(0))  # all zero
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        pick([0.7, 0.7], RngState(0))  # off the simplex
+    with pytest.raises(ValueError, match="negative"):
+        pick([1.5, -0.5], RngState(0))
 
 
 def test_gumbel_max_frequencies_symmetric():
     rng = RngState(11)
-    draws = np.array([gumbel_max([0.5, 0.5], rng) for _ in range(10_000)])
+    draws = np.array([pick([0.5, 0.5], rng) for _ in range(10_000)])
     freq = (draws == 0).mean()
     sigma = math.sqrt(0.25 / draws.size)
     assert abs(freq - 0.5) <= 3 * sigma
@@ -103,7 +108,7 @@ def test_gumbel_max_matches_batch_kernel_draw_for_draw():
     # the large-batch Monte-Carlo legs
     p = np.array([0.2, 0.3, 0.5])
     rng = RngState(31)
-    singles = np.array([gumbel_max(p, rng) for _ in range(500)])
+    singles = np.array([pick(p, rng) for _ in range(500)])
     batch = kernels.egs_hard_batch(p, RngState(31).uniform(500 * 3), 1)
     assert np.array_equal(singles, batch.argmax(axis=1))
 
@@ -124,7 +129,7 @@ def test_gumbel_max_never_selects_zero_probability():
     assert np.all(codes.sum(axis=1) == 1)
     assert not np.any(codes[:, 1])
     rng = RngState(4)
-    assert all(gumbel_max(p, rng) != 1 for _ in range(200))
+    assert all(pick(p, rng) != 1 for _ in range(200))
 
 
 # --- Gumbel-Softmax: egs_sample at M=1 -------------------------------------
@@ -167,7 +172,8 @@ def test_gumbel_softmax_hard_law_equals_gumbel_max_law():
     p = np.array([0.15, 0.35, 0.5])
     for seed in range(200):
         hard_idx = int(np.argmax(egs_sample(p, 1, 0.3, RngState(seed)).hard.data))
-        assert hard_idx == gumbel_max(p, RngState(seed))
+        kernel = kernels.egs_hard_batch(p, RngState(seed).uniform(3), 1)
+        assert hard_idx == int(np.argmax(kernel[0]))
 
 
 def test_low_temperature_approaches_one_hot():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from egsearch import kernels
-from egsearch.ensemble import egs_sample
-from egsearch.gumbel import RngState
+from egsearch.gumbel import RngState, egs_sample
 
 
 def test_per_backend_bitwise_determinism():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import space
-from egsearch.ensemble import egs_sample
-from egsearch.gumbel import RngState
+from egsearch.gumbel import RngState, egs_sample
 from egsearch.space import (
     OP_SET,
     ArchitectureCode,
@@ -72,7 +71,7 @@ def test_encode_empty_network():
 
 def test_encode_single_assignment():
     # identity (op index 1) on the edge from the input to node 2 only
-    code = encode({"n": 3, "K": 2, "edge_ops": {(0, 2): (1,)}})
+    code = encode(NetworkPlan(n=3, K=2, edge_ops=(((0, 2), (1,)),)))
     assert code.bit_count() == 1
     row = edge_list(3).index((0, 2))
     assert code.bits[row, 1] == 1
@@ -80,9 +79,9 @@ def test_encode_single_assignment():
 
 def test_encode_rejects_out_of_range():
     with pytest.raises(ValueError, match="edge"):
-        encode({"n": 3, "K": 2, "edge_ops": {(2, 1): (0,)}})
+        encode(NetworkPlan(n=3, K=2, edge_ops=(((2, 1), (0,)),)))
     with pytest.raises(ValueError, match="op index"):
-        encode({"n": 3, "K": 2, "edge_ops": {(0, 1): (5,)}})
+        encode(NetworkPlan(n=3, K=2, edge_ops=(((0, 1), (5,)),)))
 
 
 def test_decode_rejects_dimension_mismatch():
@@ -207,7 +206,7 @@ def test_edge_forward_gradient_reaches_logits_and_weights():
     for seed in range(10):
         with ad.Tape():
             sample = egs_sample(ad.softmax(logits), 2, 0.5, RngState(seed))
-            out = edge_forward(x, sample, cell.ops, cell.params[(0, 1)])
+            out = edge_forward(x, sample.hard, cell.ops, cell.params[(0, 1)])
             grads = ad.backward(ad.mean(out))
         # the straight-through path always carries gradient to the logits
         assert logits in grads
