@@ -1,9 +1,11 @@
 """Wall time, page faults, peak memory and tape nodes per substep of two
-searches, and the throughput of the batch draw of hard EGS codes that the
-audit and the derivation use; writes BENCH_search.json.
+searches, the throughput of the batch draw of hard EGS codes that the
+audit and the derivation use, and the forward time of the edges'
+activations; writes BENCH_search.json.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_search.py [--repeats R]
           [--draws N] [--out BENCH_search.json]
+          [--baseline-src DIR --baseline-label LABEL]
 
 Each search runs R times at seed SEED, each time in a fresh interpreter with
 the BLAS pools pinned to one thread, so its minor faults (a getrusage delta
@@ -12,7 +14,16 @@ process counts the tape nodes that one weight substep and one logit substep
 record on a fresh state (the search's first draw).  The cases are the README's
 default search and a search at the benchmark's search-wide shape.  The
 batch draw gets a pre-drawn uniform block, so its timing is the noisy scores
-and the hard code alone; it is the best of R calls.
+and the hard code alone; it is the best of R calls.  `autodiff.relu`, `tanh`
+and `sigmoid` are timed on constant (64, 8) and (256, 128) inputs, the
+shapes of the default search and of search-wide, in us per call.  The
+kernel figures are the best over R fresh pinned processes of the best of R
+calls (or loops of calls) in each.
+
+With --baseline-src, every search and kernel figure is measured a second
+time with the `egsearch` package under DIR (another checkout's `src`), the
+two interleaved, and recorded under "baseline" with LABEL, so one file holds
+before and after figures from the same session.
 """
 
 import argparse
@@ -34,6 +45,8 @@ CASES = {
              "batch_size": 256, "epochs": 10},
 }
 BLAS_THREADS = 1
+# (batch, dim) of the default search and of search-wide
+ACTIVATION_SHAPES = ((64, 8), (256, 128))
 
 
 def run_case(name):
@@ -74,11 +87,15 @@ def substep_nodes(cfg, dataset):
     return counts
 
 
-def spawn_case(name):
+def spawn(src, *args):
+    """Run this script with `args` in a fresh pinned process that imports
+    egsearch from `src` (None: this process's path); returns its JSON."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(BLAS_THREADS)
-    proc = subprocess.run([sys.executable, __file__, "--case", name],
+    if src is not None:
+        env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, __file__, *args],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -101,7 +118,47 @@ def kernel_rates(draws, repeats):
     u = RngState(1).uniform(draws * m * k)
     t = best_of(lambda: kernels.egs_hard_batch(p, u, m), repeats)
     return {"draws": draws, "K": k, "M": m,
-            "kernels": {"egs hard": {"seconds": t, "draws_per_s": draws / t}}}
+            "kernels": {"egs hard": {"seconds": t, "draws_per_s": draws / t}},
+            "activations_us": activation_times(repeats)}
+
+
+def activation_times(repeats):
+    """Forward time of each activation op on a constant input, in us per
+    call, keyed "op batchxdim"."""
+    from egsearch import autodiff as ad
+
+    rng = np.random.default_rng(0)
+    out = {}
+    for shape in ACTIVATION_SHAPES:
+        x = ad.Tensor(rng.normal(size=shape))
+        loops = max(20, 400_000 // x.data.size)
+        for name in ("relu", "tanh", "sigmoid"):
+            op = getattr(ad, name)
+
+            def run():
+                for _ in range(loops):
+                    op(x)
+
+            out[f"{name} {shape[0]}x{shape[1]}"] = 1e6 * best_of(run, repeats) / loops
+    return out
+
+
+def best_kernels(records):
+    """The fastest of each kernel figure over several processes' records."""
+    best = dict(records[0])
+    best["kernels"] = {name: max((r["kernels"][name] for r in records),
+                                 key=lambda k: k["draws_per_s"])
+                       for name in records[0]["kernels"]}
+    best["activations_us"] = {name: min(r["activations_us"][name] for r in records)
+                              for name in records[0]["activations_us"]}
+    return best
+
+
+def summarise(runs):
+    return {name: {"config": CASES[name], "seed": SEED, "runs": r,
+                   "median": {key: statistics.median(x[key] for x in r)
+                              for key in r[0]}}
+            for name, r in runs.items()}
 
 
 def main():
@@ -109,20 +166,36 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--draws", type=int, default=1_000_000)
     parser.add_argument("--out", default="BENCH_search.json")
+    parser.add_argument("--baseline-src", metavar="DIR",
+                        help="also measure the egsearch package under DIR")
+    parser.add_argument("--baseline-label", default="baseline",
+                        help="what the baseline is, e.g. its commit")
     parser.add_argument("--case", choices=sorted(CASES), help=argparse.SUPPRESS)
+    parser.add_argument("--kernels", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.case:
         print(json.dumps(run_case(args.case)))
         return
+    if args.kernels:
+        print(json.dumps(kernel_rates(args.draws, args.repeats)))
+        return
 
-    searches = {}
-    for name, overrides in CASES.items():
-        runs = [spawn_case(name) for _ in range(args.repeats)]
-        searches[name] = {
-            "config": overrides, "seed": SEED, "runs": runs,
-            "median": {key: statistics.median(r[key] for r in runs)
-                       for key in runs[0]},
-        }
+    sources = {"this": None}
+    if args.baseline_src:
+        sources["baseline"] = os.path.abspath(args.baseline_src)
+    # the trees take turns within each repeat, so a drift of the host's
+    # speed falls on both
+    runs = {label: {name: [] for name in CASES} for label in sources}
+    kernels = {label: [] for label in sources}
+    for _ in range(args.repeats):
+        for label, src in sources.items():
+            for name in CASES:
+                runs[label][name].append(spawn(src, "--case", name))
+            kernels[label].append(spawn(src, "--kernels", "--repeats", str(args.repeats),
+                                        "--draws", str(args.draws)))
+    measured = {label: (summarise(runs[label]), best_kernels(kernels[label]))
+                for label in sources}
+    searches, kernels = measured["this"]
     record = {
         "environment": {
             "python": sys.version.split()[0], "numpy": np.__version__,
@@ -130,17 +203,25 @@ def main():
             "blas_threads": BLAS_THREADS,
         },
         "searches": searches,
-        "kernels": kernel_rates(args.draws, args.repeats),
+        "kernels": kernels,
     }
+    if args.baseline_src:
+        base_searches, base_kernels = measured["baseline"]
+        record["baseline"] = {"label": args.baseline_label,
+                              "searches": base_searches, "kernels": base_kernels}
     with open(args.out, "w") as fh:
         fh.write(json.dumps(record, indent=1) + "\n")
-    for name, s in searches.items():
-        m = s["median"]
-        print(f"{name:<8} {m['wall_s']:8.3f} s {m['ms_per_step']:8.3f} ms/step "
-              f"{m['minor_faults']:>9.0f} faults {m['peak_rss_mb']:8.1f} MB "
-              f"{m['weight_substep_nodes']:>4} / {m['logit_substep_nodes']:>4} nodes")
-    for name, k in record["kernels"]["kernels"].items():
-        print(f"{name:<12} {k['draws_per_s']:12.4g} draws/s")
+    for label, (searches, kernels) in measured.items():
+        print(f"[{label}]")
+        for name, s in searches.items():
+            m = s["median"]
+            print(f"{name:<8} {m['wall_s']:8.3f} s {m['ms_per_step']:8.3f} ms/step "
+                  f"{m['minor_faults']:>9.0f} faults {m['peak_rss_mb']:8.1f} MB "
+                  f"{m['weight_substep_nodes']:>4} / {m['logit_substep_nodes']:>4} nodes")
+        for name, k in kernels["kernels"].items():
+            print(f"{name:<16} {k['draws_per_s']:12.4g} draws/s")
+        for name, us in kernels["activations_us"].items():
+            print(f"{name:<16} {us:12.2f} us")
 
 
 if __name__ == "__main__":

@@ -51,6 +51,13 @@ __all__ = [
 
 # The chance that a correct sampler fails the marginal leg on some seed.
 FAMILYWISE_ALPHA = 1e-3
+# The marginal leg draws each config's uniforms in blocks of this many
+# (1 MiB of float64), so its memory does not grow with `draws`.
+MARGINAL_CHUNK_UNIFORMS = 1 << 17
+# run_audit refuses more draws per config than this, for time: over the 20
+# default configs a draw costs about 8 us on one x86-64 core, so the
+# marginal leg takes about 80 s at the ceiling.
+MAX_DRAWS = 10_000_000
 # The uncorrected 3-sigma bound.  The marginal leg gates on sidak_z_bound;
 # perfbench's audit check holds its seed-0 audit to this stricter figure.
 Z_BOUND = 3.0
@@ -153,7 +160,13 @@ def bit_z(freq: np.ndarray, q: np.ndarray, draws: int) -> np.ndarray:
 
 
 def marginal_audit(configs: int = 20, draws: int = 100_000, seed: int = 0):
-    """Monte-Carlo inclusion frequencies against the exact marginal."""
+    """Monte-Carlo inclusion frequencies against the exact marginal.
+
+    Each config draws from its own stream in blocks of about
+    MARGINAL_CHUNK_UNIFORMS uniforms.  PCG64 spends one word per double, so
+    the blocks are one stream, and the set bits are counted as integers and
+    divided once: the frequencies are those of a single block of draws.
+    """
     gen = np.random.default_rng(seed)
     max_z = 0.0
     comparisons = 0
@@ -162,8 +175,13 @@ def marginal_audit(configs: int = 20, draws: int = 100_000, seed: int = 0):
         m = int(gen.integers(1, 6))
         p = gen.random(k)
         p = p / p.sum()
-        u = RngState(seed + 1 + i).uniform(draws * m * k)
-        freq = kernels.egs_hard_batch(p, u, m).mean(axis=0)
+        rng = RngState(seed + 1 + i)
+        chunk = max(1, MARGINAL_CHUNK_UNIFORMS // (m * k))
+        ones = np.zeros(k, dtype=np.int64)
+        for start in range(0, draws, chunk):
+            u = rng.uniform(min(chunk, draws - start) * m * k)
+            ones += kernels.egs_hard_batch(p, u, m).sum(axis=0, dtype=np.int64)
+        freq = ones / draws
         q = marginal_inclusion_oracle(p, m)
         max_z = max(max_z, float(bit_z(freq, q, draws).max()))
         comparisons += k
@@ -227,6 +245,8 @@ def run_audit(k_max: int = 10, m_max: int = 4, configs: int = 20,
                                ("seed", seed, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    if draws > MAX_DRAWS:
+        raise ValueError(f"draws must be <= {MAX_DRAWS}, got {draws}")
     # the count leg runs first, so a range it rejects fails before the rest
     count_lines, rows, count_ok = count_audit(k_max=k_max, m_max=m_max)
     bij_lines, bij_ok = bijection_audit(seed=seed)

@@ -272,13 +272,19 @@ def tanh(x):
 
 
 def stable_sigmoid(d):
-    """The logistic function of an array, without overflow in exp."""
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function of an array, without overflow in exp.
+
+    With e = exp(-|d|), it is 1 / (1 + e) where d >= 0 and e / (1 + e)
+    elsewhere: the same two roundings on the same values as the masked
+    forms 1 / (1 + exp(-d)) and exp(d) / (1 + exp(d)), computed in place
+    with no boolean indexing.
+    """
+    e = np.abs(d, out=np.empty_like(d))  # out= keeps a 0-d input an array
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(d >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    return np.divide(out, e, out=out)
 
 
 def sigmoid(x):

@@ -163,6 +163,16 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
     arithmetic of the same sum recorded op by op (pick, multiply, add,
     matmul, activation), and x is listed once per op that reads it, in
     reverse op order, so its gradient accumulates in the same order too.
+
+    Work whose result is known is skipped.  Where code[k] is exactly 1.0,
+    the forward term is op_k(x) itself and the backward uses g itself, with
+    no multiply.  Where code[k] is exactly 0.0, the identity op passes x no
+    gradient, and a linear op whose W and b need none (the logit substep's
+    constant view) computes neither its derivative nor its product for x.
+    Each skipped contribution was exactly +-0, so every gradient equals the
+    op chain's under ==; only the sign of an entry that is exactly zero may
+    differ.  The output may share x's array, and the gradient for x may be
+    g's; nothing here or downstream writes into either in place.
     """
     code, x = ad.as_tensor(code), ad.as_tensor(x)
     if code.data.shape != (len(ops),) or x.data.ndim != 2:
@@ -183,7 +193,7 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
             a = act(xd @ W.data + b.data)
         else:
             raise ValueError(f"unknown op kind {kind.name!r}")
-        term = c[k] * a
+        term = a if c[k] == 1.0 else c[k] * a
         total = term if total is None else total + term
         runs.append((k, a, deriv, W, b))
     if total is None:
@@ -197,15 +207,17 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
         gc = np.zeros(len(ops)) if code.requires_grad else None
         out = [gc]
         for k, a, deriv, W, b in runs:
+            ck = c[k]
             if gc is not None:
                 gc[k] += (g * a).sum(axis=0).sum(axis=0)
+            to_x = x.requires_grad and ck != 0.0
             if deriv is None:
-                out.append(g * c[k] if x.requires_grad else None)
+                out.append((g if ck == 1.0 else g * ck) if to_x else None)
                 continue
-            if not (x.requires_grad or W.requires_grad or b.requires_grad):
+            if not (to_x or W.requires_grad or b.requires_grad):
                 out += [None, None, None]
                 continue
-            gz = deriv(g * c[k], a)
+            gz = deriv(g if ck == 1.0 else g * ck, a)
             out += [gz @ W.data.T if x.requires_grad else None,
                     xd.T @ gz if W.requires_grad else None,
                     gz.sum(axis=0) if b.requires_grad else None]

@@ -50,6 +50,46 @@ def test_marginal_audit_passes_a_correct_sampler_past_three_sigma():
     assert "over 99 bit frequencies" in lines[1] and "bound 4.41" in lines[1]
 
 
+def one_block_frequencies(configs, draws, seed):
+    """Each config's bit frequencies from one block of its stream's
+    uniforms: the marginal leg before it drew in chunks."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for i in range(configs):
+        k = int(gen.integers(2, 9))
+        m = int(gen.integers(1, 6))
+        p = gen.random(k)
+        p = p / p.sum()
+        u = audit.RngState(seed + 1 + i).uniform(draws * m * k)
+        out.append(kernels.egs_hard_batch(p, u, m).mean(axis=0))
+    return out
+
+
+def test_marginal_audit_in_chunks_equals_one_block(monkeypatch):
+    # 100 uniforms a chunk is 2..50 draws; none of them divides 1009 draws
+    seen = []
+    real = audit.bit_z
+    monkeypatch.setattr(audit, "bit_z", lambda f, q, d: seen.append(f) or real(f, q, d))
+    monkeypatch.setattr(audit, "MARGINAL_CHUNK_UNIFORMS", 100)
+    audit.marginal_audit(configs=6, draws=1009, seed=4)
+    want = one_block_frequencies(6, 1009, 4)
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_run_audit_refuses_draws_past_the_ceiling_before_any_leg(monkeypatch):
+    def leg(*args, **kwargs):
+        raise AssertionError("a leg ran")
+
+    for name in ("count_audit", "bijection_audit", "marginal_audit"):
+        monkeypatch.setattr(audit, name, leg)
+    with pytest.raises(ValueError, match=f"draws must be <= {audit.MAX_DRAWS}"):
+        audit.run_audit(draws=audit.MAX_DRAWS + 1)
+    # perfbench/README.md reports the audit at 400k draws
+    assert audit.MAX_DRAWS >= 400_000
+
+
 def fails_with(monkeypatch, sampler):
     monkeypatch.setattr(kernels, "egs_hard_batch", sampler)
     lines, ok, max_z = audit.marginal_audit()

@@ -7,6 +7,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from egsearch import autodiff as ad
 from egsearch import trainer as tr
@@ -124,6 +127,45 @@ def test_grad_tanh():
 def test_grad_sigmoid():
     check_op(lambda ts: scalarize(ad.sigmoid(ts[0])),
              lambda rng: [rng.normal(size=7) * 3.0])
+
+
+def masked_sigmoid(d):
+    """The logistic function by boolean masks: 1 / (1 + exp(-d)) where
+    d >= 0, exp(d) / (1 + exp(d)) elsewhere.  The reference for
+    stable_sigmoid."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_INPUTS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+    elements=st.one_of(
+        st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=SIGMOID_INPUTS)
+def test_stable_sigmoid_equals_the_masked_formula_bit_for_bit(d):
+    got = ad.stable_sigmoid(d)
+    want = masked_sigmoid(d)
+    assert isinstance(got, np.ndarray) and got.shape == d.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_stable_sigmoid_maps_nan_to_nan_and_keeps_shapes():
+    d = np.array([np.nan, -np.nan, 0.0, -0.0])
+    got = ad.stable_sigmoid(d)
+    assert np.all(np.isnan(got[:2])) and np.array_equal(got[2:], [0.5, 0.5])
+    assert ad.stable_sigmoid(np.array([[]])).shape == (1, 0)
+    assert ad.stable_sigmoid(np.array(-0.0)).shape == ()
 
 
 def test_grad_softmax():

@@ -261,6 +261,14 @@ def test_verify_propositions_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_propositions_refuses_draws_past_the_ceiling(tmp_path, capsys):
+    # a block of 1e11 draws once died with a 20.4 TiB allocation (exit 1)
+    out = tmp_path / "audit"
+    assert run("verify-propositions", "--draws", 100_000_000_000, "--out", out) == 2
+    assert "draws must be <= 10000000, got 100000000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dump_dataset_round_trips(tmp_path):
     out = tmp_path / "data"
     rc = run("dump-dataset", "--dataset", "parity", "--dataset-bits", 4,

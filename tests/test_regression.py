@@ -5,7 +5,9 @@ without the wall-clock column, the per-edge code histogram, and both
 architecture exports.  Cases "0" and "1" run every other default at seeds 0
 and 1.  The third runs a 6-node `concat` cell with M 3, lam 0.3 and the
 max-marginal derivation, so a change in how lam, l, a 15-row logits array
-or the marginal rule is read shows too.  Any change to the sampler, the
+or the marginal rule is read shows too.  The wide case runs a 2-epoch
+search at the `search-wide` benchmark's shape (two_moons, 4000 points, dim
+128, batch 256), where the edges' large matmuls and activations run.  Any change to the sampler, the
 forward pass or the update rule that moves a sampled code or a loss digit
 shows here.  Regenerate only for an intended change of behaviour:
 
@@ -28,6 +30,10 @@ CASES = {
     "n6-m3-lam0.3-concat-max-marginal": RunConfig(
         epochs=5, seed=2, nodes=6, M=3, lam=0.3, output_rule="concat",
         derive_mode="max-marginal",
+    ),
+    "wide-two_moons-dim128-batch256": RunConfig(
+        epochs=2, seed=0, dataset="two_moons", dataset_n=4000, dim=128,
+        batch_size=256,
     ),
 }
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import space
+from egsearch import trainer as tr
+from egsearch.config import RunConfig
 from egsearch.gumbel import RngState, egs_sample
 from egsearch.space import (
     OP_SET,
@@ -314,6 +316,87 @@ def test_fused_edge_records_one_node():
         out = edge_forward(x, code, OP_SET, cell.params[(0, 1)])
     p = cell.params[(0, 1)][3]
     assert out.node.inputs == (code, x, p["W"], p["b"], x)
+
+
+def count_derivatives(monkeypatch):
+    """Make each linear op's activation derivative log its op's name."""
+    calls = []
+    for name, (act, deriv) in list(space._ACTIVATIONS.items()):
+        def counted(g, a, deriv=deriv, name=name):
+            calls.append(name)
+            return deriv(g, a)
+        monkeypatch.setitem(space._ACTIVATIONS, name, (act, counted))
+    return calls
+
+
+@pytest.mark.parametrize("w_grad", [False, True])
+def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
+    # the code is on the tape, as in the logit substep.  Code entry 0.0: the
+    # identity op and a linear op with constant W and b return None and
+    # compute no derivative; with W on the tape its derivative still runs.
+    # Code entry 1.0: the identity op hands x the output gradient itself.
+    calls = count_derivatives(monkeypatch)
+    cell = make_test_cell()
+    params = edge_params(cell, (0, 1), w_grad)
+    x = ad.Tensor(np.random.default_rng(12).normal(size=(3, 4)), requires_grad=True)
+    g = np.random.default_rng(13).normal(size=(3, 4))
+    for bits, x_grads, derivatives in (
+        ([0, 0, 1, 0, 1], [True, False, True, False], ["linear_sigmoid", "linear_relu"]),
+        ([1, 1, 0, 1, 0], [False, True, False, True], ["linear_tanh"]),
+    ):
+        code = ad.Tensor(np.array(bits, dtype=np.float64), requires_grad=True)
+        with ad.Tape():
+            out = edge_forward(x, code, OP_SET, params)
+        calls.clear()
+        grads = out.node.backward_fn(g)
+        # after the code: sigmoid, tanh, relu (each x, W, b), then identity
+        for r, on in enumerate(x_grads):
+            if r == 3:
+                assert (grads[10] is g) if on else grads[10] is None
+                continue
+            gx, gw, gb = grads[1 + 3 * r:4 + 3 * r]
+            assert (gx is not None) == (on or w_grad)
+            assert (gw is not None) == (gb is not None) == w_grad
+        if w_grad:
+            assert sorted(calls) == ["linear_relu", "linear_sigmoid", "linear_tanh"]
+        else:
+            assert sorted(calls) == sorted(derivatives)
+
+
+SUBSTEP_CELLS = [dict(nodes=4), dict(nodes=7, output_rule="concat")]
+
+
+@pytest.mark.parametrize("cell_cfg", SUBSTEP_CELLS, ids=["default", "n7-concat"])
+def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
+    # every substep's loss and gradients with the fused edge equal those with
+    # the edge recorded op by op: for the logits, every weight and every
+    # edge's code.  A skipped zero-bit contribution may change only the sign
+    # of a zero, which == does not see.
+    cfg = RunConfig(seed=5, epochs=1, **cell_cfg)
+    dataset = tr.build_dataset(cfg)
+    x, y = dataset.split("valid")
+    batch = (x[:cfg.batch_size], y[:cfg.batch_size])
+    runs = []
+    for forward in (edge_forward, chain_edge_forward):
+        monkeypatch.setattr(space, "edge_forward", forward)
+        state = tr.build_state(cfg, dataset)
+        seen = []
+        for _ in range(3):
+            for reach in ("weights", "logits", "all"):
+                with ad.Tape():
+                    loss, samples = tr.compute_loss(state, batch, reach=reach)
+                    grads = ad.backward(loss)
+                tensors = [state.cell.logits, *state.weights(), *samples.values()]
+                seen.append((reach, loss.data, [grads.get(t) for t in tensors]))
+            tr.search_step(state, batch, batch)
+        seen.append(("end", state.cell.logits.data, [t.data for t in state.weights()]))
+        runs.append(seen)
+    for (reach, loss, fused), (_, chain_loss, chain) in zip(*runs):
+        assert loss.tobytes() == chain_loss.tobytes(), reach
+        for f, c in zip(fused, chain):
+            assert (f is None) == (c is None), reach
+            if c is not None:
+                assert np.array_equal(f, c), reach
 
 
 def test_edge_forward_rejects_bad_shapes():
