@@ -34,7 +34,7 @@ from .gumbel import (
     marginal_inclusion_oracle,
     reachable_codes,
 )
-from .space import ArchitectureCode, OpKind, decode, encode, num_edges
+from .space import ArchitectureCode, decode, encode, num_edges
 
 __all__ = [
     "AuditResult",
@@ -107,13 +107,12 @@ def bijection_audit(random_trials: int = 1000, seed: int = 0):
 
     passed = 0
     e = num_edges(3)
-    two_ops = (OpKind("zero", 0.0), OpKind("identity", 0.1))
     for packed in range(2 ** (e * 2)):
         bits = np.array(
             [(packed >> i) & 1 for i in range(e * 2)], dtype=np.uint8
         ).reshape(e, 2)
         code = ArchitectureCode(n=3, K=2, bits=bits)
-        if encode(decode(code, two_ops)) == code:
+        if encode(decode(code)) == code:
             passed += 1
     total = 2 ** (e * 2)
     ok &= passed == total

@@ -9,6 +9,10 @@ reverse from the loss's node; a tensor recorded anywhere else is a leaf of
 that sweep.  Nodes refer to their outputs weakly, so a graph is freed by
 reference counting as soon as its last tensor goes.  Everything is float64.
 
+Each activation's forward and its derivative from the output are written
+once, in `ACTIVATIONS`: the `relu`, `tanh` and `sigmoid` ops are built from
+it, and `space.edge_forward` reads it for the linear ops.
+
 A step frees its whole graph at once, and the next step builds one of about
 the same size.  So at import, glibc's allocator is told to keep freed memory
 in the heap (`_keep_heap`) instead of returning it to the system and
@@ -32,6 +36,7 @@ __all__ = [
     "add",
     "multiply",
     "matmul",
+    "ACTIVATIONS",
     "relu",
     "tanh",
     "sigmoid",
@@ -226,49 +231,17 @@ def multiply(a, b):
 
 
 def matmul(a, b):
+    """Matrix product of two 2-D tensors."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[0]:
-
-        def back(g):
-            return (g @ bd.T if a.requires_grad else None,
-                    ad.T @ g if b.requires_grad else None)
-
-    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
-
-        def back(g):
-            return (g[:, None] * bd[None, :] if a.requires_grad else None,
-                    ad.T @ g if b.requires_grad else None)
-
-    elif ad.ndim == 1 and bd.ndim == 2 and ad.shape[0] == bd.shape[0]:
-
-        def back(g):
-            return (bd @ g if a.requires_grad else None,
-                    np.outer(ad, g) if b.requires_grad else None)
-
-    else:
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeMismatchError("matmul", (a.shape, b.shape))
+
+    def back(g):
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
+
     return record(ad @ bd, (a, b), back)
-
-
-def relu(x):
-    x = as_tensor(x)
-    mask = x.data > 0.0
-
-    def back(g):
-        return (g * mask,)
-
-    return record(np.where(mask, x.data, 0.0), (x,), back)
-
-
-def tanh(x):
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-
-    def back(g):
-        return (g * (1.0 - out * out),)
-
-    return record(out, (x,), back)
 
 
 def stable_sigmoid(d):
@@ -287,14 +260,34 @@ def stable_sigmoid(d):
     return np.divide(out, e, out=out)
 
 
-def sigmoid(x):
-    x = as_tensor(x)
-    out = stable_sigmoid(x.data)
+def _relu(z):
+    """max(z, 0) with +0.0 for z = -0.0 and 0.0 for NaN: fmax drops NaN,
+    and adding +0.0 turns the -0.0 fmax keeps into +0.0."""
+    out = np.fmax(z, 0.0)
+    out += 0.0
+    return out
 
-    def back(g):
-        return (g * out * (1.0 - out),)
 
-    return record(out, (x,), back)
+# each activation's forward, and its derivative from the output a
+ACTIVATIONS = {
+    "relu": (_relu, lambda g, a: g * (a > 0.0)),
+    "tanh": (np.tanh, lambda g, a: g * (1.0 - a * a)),
+    "sigmoid": (stable_sigmoid, lambda g, a: g * a * (1.0 - a)),
+}
+
+
+def _activation(name):
+    forward, derivative = ACTIVATIONS[name]
+
+    def op(x):
+        x = as_tensor(x)
+        out = forward(x.data)
+        return record(out, (x,), lambda g: (derivative(g, out),))
+
+    return op
+
+
+relu, tanh, sigmoid = map(_activation, ("relu", "tanh", "sigmoid"))
 
 
 def softmax(x):

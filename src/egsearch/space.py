@@ -5,9 +5,11 @@ A cell is a DAG on nodes 0..n-1 (node 0 is the input); every ordered edge
 that edge.  Codes and concrete networks are in bijection: bit (i, j, k) is
 set exactly when op k is used on edge (i, j).
 
-The candidate set is desk-scale: a hard zero, a skip connection, and three
-learnable linear transforms with different nonlinearities.  Their relative
-compute costs feed the static efficiency credits.
+`OP_SET` is the one candidate set; no function takes another.  It is
+desk-scale: a hard zero, a skip connection, and three learnable linear
+transforms act(x @ W + b), each naming its activation in
+`autodiff.ACTIVATIONS`.  Their relative compute costs feed the static
+efficiency credits.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ __all__ = [
 class OpKind:
     name: str
     cost: float  # relative compute credit, feeds the efficiency prior
+    activation: str | None = None  # autodiff.ACTIVATIONS key of a linear op
 
 
 OP_SET = (
     OpKind("zero", 0.0),
     OpKind("identity", 0.1),
-    OpKind("linear_relu", 1.0),
-    OpKind("linear_tanh", 1.0),
-    OpKind("linear_sigmoid", 1.0),
+    OpKind("linear_relu", 1.0, "relu"),
+    OpKind("linear_tanh", 1.0, "tanh"),
+    OpKind("linear_sigmoid", 1.0, "sigmoid"),
 )
 
 
@@ -125,10 +128,8 @@ def encode(plan: NetworkPlan) -> ArchitectureCode:
     return ArchitectureCode(n=plan.n, K=plan.K, bits=bits)
 
 
-def decode(code: ArchitectureCode, ops=OP_SET) -> NetworkPlan:
-    """Invert encode: list the ops each edge applies."""
-    if code.K != len(ops):
-        raise ValueError(f"code has K={code.K} but op set has {len(ops)} entries")
+def decode(code: ArchitectureCode) -> NetworkPlan:
+    """Invert encode: list the op indices set on each edge, for any K."""
     edge_ops = []
     for row, e in enumerate(edge_list(code.n)):
         ks = tuple(int(k) for k in np.flatnonzero(code.bits[row]))
@@ -141,16 +142,7 @@ def decode(code: ArchitectureCode, ops=OP_SET) -> NetworkPlan:
 # forward evaluation
 
 
-# forward and derivative (from the output a) of each linear op's activation,
-# with the arithmetic of autodiff's relu, tanh and sigmoid
-_ACTIVATIONS = {
-    "linear_relu": (lambda z: np.where(z > 0.0, z, 0.0), lambda g, a: g * (a > 0.0)),
-    "linear_tanh": (np.tanh, lambda g, a: g * (1.0 - a * a)),
-    "linear_sigmoid": (ad.stable_sigmoid, lambda g, a: g * a * (1.0 - a)),
-}
-
-
-def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
+def edge_forward(x: ad.Tensor, code, params=None) -> ad.Tensor:
     """Weighted sum of op outputs along one edge, recorded as one op.
 
     `code` is a K-vector of op weights: an edge's row of the sampled
@@ -159,10 +151,11 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
     zero weights skip their op entirely.  x is a (batch, dim) tensor.
 
     The output is sum_k code[k] * op_k(x), summed in op order, with each
-    linear op computing act(x @ W + b).  The backward repeats the
-    arithmetic of the same sum recorded op by op (pick, multiply, add,
-    matmul, activation), and x is listed once per op that reads it, in
-    reverse op order, so its gradient accumulates in the same order too.
+    linear op computing act(x @ W + b) by its `ad.ACTIVATIONS` entry.  The
+    backward repeats the arithmetic of the same sum recorded op by op (pick,
+    multiply, add, matmul, activation), and x is listed once per op that
+    reads it, in reverse op order, so its gradient accumulates in the same
+    order too.
 
     Work whose result is known is skipped.  Where code[k] is exactly 1.0,
     the forward term is op_k(x) itself and the backward uses g itself, with
@@ -175,24 +168,22 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
     g's; nothing here or downstream writes into either in place.
     """
     code, x = ad.as_tensor(code), ad.as_tensor(x)
-    if code.data.shape != (len(ops),) or x.data.ndim != 2:
+    if code.data.shape != (len(OP_SET),) or x.data.ndim != 2:
         raise ad.ShapeMismatchError("edge-forward", (x.data.shape, code.data.shape))
-    params = params if params is not None else [{} for _ in ops]
+    params = params if params is not None else [{} for _ in OP_SET]
     c, xd = code.data, x.data
     on_tape = code.requires_grad
     total = None
     runs = []  # (k, output, derivative, W, b) of each op that reads x
-    for k, kind in enumerate(ops):
+    for k, kind in enumerate(OP_SET):
         if (not on_tape and c[k] == 0.0) or kind.name == "zero":
             continue
-        if kind.name == "identity":
+        if kind.activation is None:  # identity
             a, deriv, W, b = xd, None, None, None
-        elif kind.name in _ACTIVATIONS:
-            act, deriv = _ACTIVATIONS[kind.name]
+        else:
+            act, deriv = ad.ACTIVATIONS[kind.activation]
             W, b = params[k]["W"], params[k]["b"]
             a = act(xd @ W.data + b.data)
-        else:
-            raise ValueError(f"unknown op kind {kind.name!r}")
         term = a if c[k] == 1.0 else c[k] * a
         total = term if total is None else total + term
         runs.append((k, a, deriv, W, b))
@@ -204,7 +195,7 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
         inputs += [x] if deriv is None else [x, W, b]
 
     def back(g):
-        gc = np.zeros(len(ops)) if code.requires_grad else None
+        gc = np.zeros(len(OP_SET)) if code.requires_grad else None
         out = [gc]
         for k, a, deriv, W, b in runs:
             ck = c[k]
@@ -226,9 +217,9 @@ def edge_forward(x: ad.Tensor, code, ops=OP_SET, params=None) -> ad.Tensor:
     return ad.record(total, inputs, back)
 
 
-def efficiency_credits(ops=OP_SET) -> np.ndarray:
+def efficiency_credits() -> np.ndarray:
     """Static efficiency prior: softmax of negated op costs."""
-    costs = np.array([op.cost for op in ops], dtype=np.float64)
+    costs = np.array([op.cost for op in OP_SET], dtype=np.float64)
     e = np.exp(-costs + costs.min())
     return e / e.sum()
 
@@ -244,7 +235,6 @@ class Cell:
     """
 
     n: int
-    ops: tuple
     dim: int
     logits: ad.Tensor  # (E, K), requires grad
     l: np.ndarray  # (K,), on the simplex
@@ -277,19 +267,19 @@ class Cell:
         return out
 
 
-def make_cell(n, ops=OP_SET, dim=8, lam=0.5, init_rng=None, output_rule="sum") -> Cell:
+def make_cell(n, dim=8, lam=0.5, init_rng=None, output_rule="sum") -> Cell:
     """Build a cell with uniform logits and small random linear weights."""
     if output_rule not in ("sum", "concat"):
         raise ValueError(f"output_rule must be sum or concat, got {output_rule!r}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must be in [0, 1], got {lam}")
-    l = check_simplex(efficiency_credits(ops), "l")
+    l = check_simplex(efficiency_credits(), "l")
     init_rng = init_rng if init_rng is not None else np.random.default_rng(0)
     params = {}
     for e in edge_list(n):
         per_op = []
-        for op in ops:
-            if op.name.startswith("linear_"):
+        for op in OP_SET:
+            if op.activation is not None:
                 per_op.append(
                     {
                         "W": ad.Tensor(
@@ -303,8 +293,8 @@ def make_cell(n, ops=OP_SET, dim=8, lam=0.5, init_rng=None, output_rule="sum") -
                 per_op.append({})
         params[e] = per_op
     return Cell(
-        n=n, ops=tuple(ops), dim=dim,
-        logits=ad.Tensor(np.zeros((num_edges(n), len(ops))), requires_grad=True),
+        n=n, dim=dim,
+        logits=ad.Tensor(np.zeros((num_edges(n), len(OP_SET))), requires_grad=True),
         l=l, lam=lam, params=params, output_rule=output_rule,
     )
 
@@ -322,9 +312,7 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict) -> ad.Tensor:
     for j in range(1, cell.n):
         acc = None
         for i in range(j):
-            term = edge_forward(
-                nodes[i], samples[(i, j)], cell.ops, cell.params[(i, j)]
-            )
+            term = edge_forward(nodes[i], samples[(i, j)], cell.params[(i, j)])
             acc = term if acc is None else ad.add(acc, term)
         nodes.append(acc)
     intermediates = nodes[1:]
@@ -342,12 +330,12 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict) -> ad.Tensor:
 # exports
 
 
-def export_architecture(code: ArchitectureCode, ops=OP_SET) -> str:
+def export_architecture(code: ArchitectureCode) -> str:
     """Structured text export: dims, op names, and the bit array."""
     doc = {
         "n": code.n,
         "K": code.K,
-        "ops": [op.name for op in ops[: code.K]],
+        "ops": [op.name for op in OP_SET[: code.K]],
         "edges": [
             {"from": i, "to": j, "bits": [int(b) for b in code.bits[r]]}
             for r, (i, j) in enumerate(edge_list(code.n))
@@ -364,9 +352,12 @@ def _integer(value, what):
 
 def parse_architecture(text: str) -> ArchitectureCode:
     """Read an `export_architecture` document.  A missing key, a value of
-    the wrong type, a non-integer n, K or edge end, a bit that is not 0 or
-    1, an edge outside the cell or listed twice, or a row of the wrong
-    length raises ValueError."""
+    the wrong type, a non-integer n, K or edge end, an n below 2, a K other
+    than the op set's size, a bit that is not 0 or 1, an edge outside the
+    cell or listed twice, a row of the wrong length, or an edge list that
+    is not each of the cell's edges once raises ValueError.  The edges are
+    checked before anything sized by n is built, so the file's own length
+    bounds n."""
     doc = json.loads(text)
     try:
         n, k = _integer(doc["n"], "n"), _integer(doc["K"], "K")
@@ -376,31 +367,36 @@ def parse_architecture(text: str) -> ArchitectureCode:
         raise ValueError(f"architecture file: missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"architecture file: malformed ({exc})") from None
-    bits = np.zeros((num_edges(n), k), dtype=np.uint8)
-    row = {e: r for r, e in enumerate(edge_list(n))}
-    seen = set()
+    if n < 2:
+        raise ValueError(f"architecture file: n is {n}, a cell has at least 2 nodes")
+    if k != len(OP_SET):
+        raise ValueError(f"architecture file: K is {k}, the op set has {len(OP_SET)} ops")
+    given = {}
     for e, values in rows:
-        if e not in row:
+        if not 0 <= e[0] < e[1] < n:
             raise ValueError(f"architecture file: edge {e} is outside the {n}-node cell")
-        if e in seen:
+        if e in given:
             raise ValueError(f"architecture file: edge {e} is listed twice")
-        seen.add(e)
         if len(values) != k:
             raise ValueError(f"architecture file: edge {e} has {len(values)} bits, K is {k}")
         if any(type(b) is not int or b not in (0, 1) for b in values):
             raise ValueError(f"architecture file: edge {e} has bits {values}, not each 0 or 1")
-        bits[row[e]] = values
+        given[e] = values
+    if len(given) != num_edges(n):
+        raise ValueError(f"architecture file: edges lists {len(given)} edges, "
+                         f"the {n}-node cell has {num_edges(n)}")
+    bits = np.array([given[e] for e in edge_list(n)], dtype=np.uint8)
     return ArchitectureCode(n=n, K=k, bits=bits)
 
 
-def export_dot(code: ArchitectureCode, ops=OP_SET) -> str:
+def export_dot(code: ArchitectureCode) -> str:
     """Graph-description text: one digraph with op labels per active edge."""
     lines = ["digraph cell {", "  rankdir=LR;"]
     for v in range(code.n):
         label = "in" if v == 0 else f"x{v}"
         lines.append(f'  n{v} [label="{label}"];')
     for r, (i, j) in enumerate(edge_list(code.n)):
-        names = [ops[k].name for k in np.flatnonzero(code.bits[r])]
+        names = [OP_SET[k].name for k in np.flatnonzero(code.bits[r])]
         if names:
             lines.append(f'  n{i} -> n{j} [label="{"+".join(names)}"];')
     lines.append("}")

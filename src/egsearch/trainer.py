@@ -302,7 +302,7 @@ def run_search(cfg: RunConfig, dataset: Dataset = None):
     dataset = dataset if dataset is not None else build_dataset(cfg)
     state = build_state(cfg, dataset)
     # the derivation's block size is known now: refuse it before the search
-    uniforms = cfg.derive_draws * cfg.M * len(state.cell.ops)
+    uniforms = cfg.derive_draws * cfg.M * len(OP_SET)
     if uniforms > DERIVE_UNIFORMS_BUDGET:
         raise ValueError(
             f"derive_draws={cfg.derive_draws} needs {uniforms} uniforms per edge "
@@ -356,7 +356,7 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
     """Collapse the learned distributions into one binary code per edge."""
     if mode not in ("mode-sample", "max-marginal"):
         raise ValueError(f"unknown derive mode {mode!r}")
-    k, m = len(state.cell.ops), state.cfg.M
+    k, m = len(OP_SET), state.cfg.M
     keep = min(m, k)
     bits = np.zeros((num_edges(state.cell.n), k), dtype=np.uint8)
     rng = state.rng.clone()  # derivation must not disturb the search stream

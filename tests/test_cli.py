@@ -176,6 +176,12 @@ def test_evaluate_rejects_missing_code_file(tmp_path, capsys):
     (lambda doc: doc["edges"][0].update(bits=[1, 1]), "edge (0, 1) has 2 bits, K is 5"),
     (lambda doc: doc["edges"][0].update(bits=[0.5, 1.9, 0, 0, 0]),
      "edge (0, 1) has bits [0.5, 1.9, 0, 0, 0], not each 0 or 1"),
+    (lambda doc: doc.update(n=100_000_000, edges=[]),
+     "edges lists 0 edges, the 100000000-node cell has 4999999950000000"),
+    (lambda doc: doc.update(K=100_000_000_000), "K is 100000000000, the op set has 5 ops"),
+    (lambda doc: doc.update(K=-1), "K is -1, the op set has 5 ops"),
+    (lambda doc: doc.update(edges={}), "edges lists 0 edges, the 4-node cell has 6"),
+    (lambda doc: doc.update(edges=[]), "edges lists 0 edges, the 4-node cell has 6"),
 ])
 def test_evaluate_rejects_a_malformed_code_file(tmp_path, capsys, edit, message):
     code_file = tmp_path / "architecture.json"

@@ -1,5 +1,6 @@
 """Ensemble Gumbel-Softmax sampler, oracles, and reachability."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -19,7 +20,7 @@ from egsearch.gumbel import (
     marginal_inclusion_oracle,
     reachable_codes,
 )
-from egsearch.space import OpKind, make_cell
+from egsearch.space import make_cell
 
 
 def exact_code_distribution(p, m):
@@ -297,12 +298,12 @@ def chain_mix(logits, cell):
 
 
 def random_cell(rng, k):
-    """A 3-node cell (three edges) with random logits, its K ops costed so
-    that the efficiency prior is a random point of the simplex."""
+    """A 3-node cell (three edges) with random K-column logits and a random
+    point of the simplex as its efficiency prior."""
     l = rng.dirichlet(np.ones(k))
-    cell = make_cell(3, ops=tuple(OpKind(f"op{j}", -np.log(c)) for j, c in enumerate(l)))
-    cell.logits.data = rng.normal(0.0, 1.5, (3, k))
-    return cell
+    return dataclasses.replace(
+        make_cell(3), l=l,
+        logits=ad.Tensor(rng.normal(0.0, 1.5, (3, k)), requires_grad=True))
 
 
 def weighted(rows, w):

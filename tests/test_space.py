@@ -1,5 +1,6 @@
 """Code/network bijection and relaxed forward evaluation of cells."""
 
+import dataclasses
 import json
 from itertools import product
 
@@ -17,7 +18,6 @@ from egsearch.space import (
     OP_SET,
     ArchitectureCode,
     NetworkPlan,
-    OpKind,
     cell_forward,
     decode,
     edge_forward,
@@ -86,15 +86,8 @@ def test_encode_rejects_out_of_range():
         encode(NetworkPlan(n=3, K=2, edge_ops=(((0, 1), (5,)),)))
 
 
-def test_decode_rejects_dimension_mismatch():
-    code = ArchitectureCode(n=3, K=2, bits=np.zeros((3, 2), dtype=np.uint8))
-    with pytest.raises(ValueError, match="op set"):
-        decode(code, OP_SET)  # K=2 code against the 5-op set
-
-
 def test_round_trip_plan_to_code_random():
     rng = np.random.default_rng(0)
-    ops2 = OP_SET[:5]
     for _ in range(1000):
         n, k = 4, 5
         edge_ops = {}
@@ -103,15 +96,14 @@ def test_round_trip_plan_to_code_random():
             if len(ks):
                 edge_ops[e] = tuple(int(x) for x in ks)
         plan = NetworkPlan(n=n, K=k, edge_ops=tuple(sorted(edge_ops.items())))
-        assert decode(encode(plan), ops2) == plan
+        assert decode(encode(plan)) == plan
 
 
 def test_round_trip_code_exhaustive_n3_k2():
-    ops2 = OP_SET[:2]
     count = 0
     for bits in product((0, 1), repeat=6):
         code = ArchitectureCode(n=3, K=2, bits=np.array(bits).reshape(3, 2))
-        assert encode(decode(code, ops2)) == code
+        assert encode(decode(code)) == code
         count += 1
     assert count == 64
 
@@ -120,11 +112,7 @@ def test_round_trip_code_random_n7_k5():
     rng = np.random.default_rng(1)
     for _ in range(1000):
         code = random_code(7, 5, rng)
-        assert encode(decode(code, OP_SET)) == code
-
-
-def op_list(k):
-    return tuple(space.OpKind(f"op{i}", 1.0) for i in range(k))
+        assert encode(decode(code)) == code
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,14 +124,14 @@ def test_decode_inverts_encode_for_any_n_and_k(n, k, data):
         if ks:
             edge_ops.append((e, tuple(sorted(ks))))
     plan = NetworkPlan(n=n, K=k, edge_ops=tuple(edge_ops))
-    assert decode(encode(plan), op_list(k)) == plan
+    assert decode(encode(plan)) == plan
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(2, 8), k=st.integers(1, 8), seed=st.integers(0, 2**32))
 def test_encode_inverts_decode_for_any_n_and_k(n, k, seed):
     code = random_code(n, k, np.random.default_rng(seed))
-    assert encode(decode(code, op_list(k))) == code
+    assert encode(decode(code)) == code
 
 
 # --- edge_forward ---------------------------------------------------------------
@@ -156,7 +144,7 @@ def make_test_cell(n=3, dim=4, seed=0):
 def test_edge_forward_zero_code_is_zero():
     cell = make_test_cell()
     x = ad.Tensor(np.random.default_rng(2).normal(size=(5, 4)))
-    out = edge_forward(x, ad.Tensor(np.zeros(5)), cell.ops, cell.params[(0, 1)])
+    out = edge_forward(x, ad.Tensor(np.zeros(5)), cell.params[(0, 1)])
     assert np.array_equal(out.data, np.zeros((5, 4)))
 
 
@@ -164,7 +152,7 @@ def test_edge_forward_identity_only():
     cell = make_test_cell()
     x = ad.Tensor(np.random.default_rng(3).normal(size=(5, 4)))
     code = ad.Tensor(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    out = edge_forward(x, code, cell.ops, cell.params[(0, 1)])
+    out = edge_forward(x, code, cell.params[(0, 1)])
     assert np.array_equal(out.data, x.data)
 
 
@@ -174,7 +162,7 @@ def test_edge_forward_residual_pair_matches_hand_build():
     params = cell.params[(0, 2)]
     x = ad.Tensor(np.random.default_rng(4).normal(size=(6, 4)))
     code = ad.Tensor(np.array([0.0, 1.0, 1.0, 0.0, 0.0]))
-    out = edge_forward(x, code, cell.ops, params)
+    out = edge_forward(x, code, params)
     w, b = params[2]["W"].data, params[2]["b"].data
     hand = x.data + np.maximum(x.data @ w + b, 0.0)
     assert np.allclose(out.data, hand, atol=1e-12)
@@ -184,10 +172,10 @@ def test_edge_forward_single_forced_bit_reduces_to_plain_op():
     # one bit per edge is the constrained special case: a single-op edge
     cell = make_test_cell()
     x = np.random.default_rng(5).normal(size=(3, 4))
-    for k, op in enumerate(cell.ops):
+    for k, op in enumerate(OP_SET):
         code = np.zeros(5)
         code[k] = 1.0
-        out = edge_forward(ad.Tensor(x), ad.Tensor(code), cell.ops, cell.params[(1, 2)])
+        out = edge_forward(ad.Tensor(x), ad.Tensor(code), cell.params[(1, 2)])
         p = cell.params[(1, 2)][k]
         z = x @ p["W"].data + p["b"].data if "W" in p else None
         direct = {
@@ -208,7 +196,7 @@ def test_edge_forward_gradient_reaches_logits_and_weights():
     for seed in range(10):
         with ad.Tape():
             sample = egs_sample(ad.softmax(logits), 2, 0.5, RngState(seed))
-            out = edge_forward(x, sample.hard, cell.ops, cell.params[(0, 1)])
+            out = edge_forward(x, sample.hard, cell.params[(0, 1)])
             grads = ad.backward(ad.mean(out))
         # the straight-through path always carries gradient to the logits
         assert logits in grads
@@ -220,14 +208,14 @@ def test_edge_forward_gradient_reaches_logits_and_weights():
     assert saw_linear
 
 
-def chain_edge_forward(x, code, ops, params):
+def chain_edge_forward(x, code, params):
     """The edge recorded op by op (pick, multiply, add, and matmul, add and
     activation for a linear op): the reference for the fused edge_forward."""
     on_tape = code.node is not None or code.requires_grad
     acts = {"linear_relu": ad.relu, "linear_tanh": ad.tanh,
             "linear_sigmoid": ad.sigmoid}
     total = None
-    for k, kind in enumerate(ops):
+    for k, kind in enumerate(OP_SET):
         if not on_tape and code.data[k] == 0.0:
             continue
         if kind.name == "zero":
@@ -249,8 +237,8 @@ def edge_params(cell, edge, on_tape):
 def two_edge_loss(forward, x, codes, params, weights):
     # x feeds both edges and the loss itself, so its gradient accumulates
     # from three places
-    a = forward(x, codes[0], OP_SET, params[0])
-    b = forward(x, codes[1], OP_SET, params[1])
+    a = forward(x, codes[0], params[0])
+    b = forward(x, codes[1], params[1])
     return ad.mean(ad.multiply(ad.add(ad.add(a, b), x), weights)), (a, b)
 
 
@@ -306,26 +294,25 @@ def test_fused_edge_records_one_node():
     cell = make_test_cell()
     x = ad.Tensor(np.ones((2, 4)), requires_grad=True)
     with ad.Tape() as tape:
-        edge_forward(x, ad.Tensor(np.ones(5), requires_grad=True), OP_SET,
-                     cell.params[(0, 1)])
+        edge_forward(x, ad.Tensor(np.ones(5), requires_grad=True), cell.params[(0, 1)])
     assert len(tape.nodes) == 1
     # a constant code runs only its set ops, and x is listed once per op
     # that reads it, in reverse op order, each linear op followed by W and b
     code = ad.Tensor(np.array([1.0, 1.0, 0.0, 1.0, 0.0]))
     with ad.Tape():
-        out = edge_forward(x, code, OP_SET, cell.params[(0, 1)])
+        out = edge_forward(x, code, cell.params[(0, 1)])
     p = cell.params[(0, 1)][3]
     assert out.node.inputs == (code, x, p["W"], p["b"], x)
 
 
 def count_derivatives(monkeypatch):
-    """Make each linear op's activation derivative log its op's name."""
+    """Make each activation's derivative log its name."""
     calls = []
-    for name, (act, deriv) in list(space._ACTIVATIONS.items()):
+    for name, (act, deriv) in list(ad.ACTIVATIONS.items()):
         def counted(g, a, deriv=deriv, name=name):
             calls.append(name)
             return deriv(g, a)
-        monkeypatch.setitem(space._ACTIVATIONS, name, (act, counted))
+        monkeypatch.setitem(ad.ACTIVATIONS, name, (act, counted))
     return calls
 
 
@@ -341,12 +328,12 @@ def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
     x = ad.Tensor(np.random.default_rng(12).normal(size=(3, 4)), requires_grad=True)
     g = np.random.default_rng(13).normal(size=(3, 4))
     for bits, x_grads, derivatives in (
-        ([0, 0, 1, 0, 1], [True, False, True, False], ["linear_sigmoid", "linear_relu"]),
-        ([1, 1, 0, 1, 0], [False, True, False, True], ["linear_tanh"]),
+        ([0, 0, 1, 0, 1], [True, False, True, False], ["sigmoid", "relu"]),
+        ([1, 1, 0, 1, 0], [False, True, False, True], ["tanh"]),
     ):
         code = ad.Tensor(np.array(bits, dtype=np.float64), requires_grad=True)
         with ad.Tape():
-            out = edge_forward(x, code, OP_SET, params)
+            out = edge_forward(x, code, params)
         calls.clear()
         grads = out.node.backward_fn(g)
         # after the code: sigmoid, tanh, relu (each x, W, b), then identity
@@ -358,7 +345,7 @@ def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
             assert (gx is not None) == (on or w_grad)
             assert (gw is not None) == (gb is not None) == w_grad
         if w_grad:
-            assert sorted(calls) == ["linear_relu", "linear_sigmoid", "linear_tanh"]
+            assert sorted(calls) == ["relu", "sigmoid", "tanh"]
         else:
             assert sorted(calls) == sorted(derivatives)
 
@@ -420,11 +407,11 @@ def test_fused_edge_gradients_match_finite_differences(k):
     assert np.min(np.abs(z)) > 1e-3  # away from the relu kink
 
     def value():
-        return float((edge_forward(ad.Tensor(x.data), ad.Tensor(code.data), OP_SET,
+        return float((edge_forward(ad.Tensor(x.data), ad.Tensor(code.data),
                                    params).data * weights).sum())
 
     with ad.Tape():
-        out = edge_forward(x, code, OP_SET, params)
+        out = edge_forward(x, code, params)
         grads = ad.backward(ad.mean(ad.multiply(out, ad.Tensor(weights * out.data.size))))
     step = 1e-6
     for t in (x, code, params[k]["W"], params[k]["b"]):
@@ -456,9 +443,7 @@ def test_cell_forward_two_nodes_is_edge_forward():
     x = ad.Tensor(np.random.default_rng(7).normal(size=(5, 4)))
     code = ArchitectureCode(n=2, K=5, bits=np.array([[0, 1, 1, 0, 0]], dtype=np.uint8))
     out = cell_forward(cell, x, constant_samples(code))
-    direct = edge_forward(
-        x, ad.Tensor(code.bits[0].astype(float)), cell.ops, cell.params[(0, 1)]
-    )
+    direct = edge_forward(x, ad.Tensor(code.bits[0].astype(float)), cell.params[(0, 1)])
     assert np.array_equal(out.data, direct.data)
 
 
@@ -502,7 +487,7 @@ def unrolled_oracle(cell, x, code):
         for i in range(j):
             bits = code.bits[rows[(i, j)]]
             for k in np.flatnonzero(bits):
-                acc = acc + op_out(cell.ops[k], cell.params[(i, j)][k], nodes[i])
+                acc = acc + op_out(OP_SET[k], cell.params[(i, j)][k], nodes[i])
         nodes.append(acc)
     return np.sum(nodes[1:], axis=0)
 
@@ -552,13 +537,11 @@ def chain_mix(logits, l, lam):
 
 def mix_cell(logits, l, lam):
     """A cell whose edges' logits are the rows of `logits` (one edge, or the
-    three of a 3-node cell) and whose ops are costed -log l, so that its
-    efficiency prior is l."""
+    three of a 3-node cell) and whose efficiency prior is l."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    ops = tuple(OpKind(f"op{k}", -np.log(c)) for k, c in enumerate(l))
-    cell = make_cell({1: 2, 3: 3}[len(logits)], ops=ops, lam=lam)
-    cell.logits.data = logits.copy()
-    return cell
+    return dataclasses.replace(make_cell({1: 2, 3: 3}[len(logits)], lam=lam),
+                               logits=ad.Tensor(logits, requires_grad=True),
+                               l=np.asarray(l, dtype=np.float64))
 
 
 def test_mix_degenerate_lambda_one():
@@ -575,8 +558,6 @@ def test_mix_arithmetic():
 def test_mix_rejects_bad_inputs():
     with pytest.raises(ValueError, match="h has non-finite"):
         mix_cell([np.nan, 0.5], [0.5, 0.5], 0.5).probabilities()
-    with pytest.raises(ValueError, match="l has non-finite"):
-        make_cell(2, ops=(OpKind("a", 0.0), OpKind("b", np.nan)))
     with pytest.raises(ValueError, match="mixing weight"):
         make_cell(2, lam=1.5)
 
@@ -641,8 +622,6 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
 def test_sampling_probabilities_reject_bad_inputs():
     with pytest.raises(ValueError, match="mixing weight"):
         make_cell(3, lam=1.5)
-    with pytest.raises(ValueError, match="l has non-finite"):
-        make_cell(3, ops=OP_SET + (OpKind("broken", np.nan),))
     cell = make_cell(3)
     cell.logits.data[1, 2] = np.nan
     with pytest.raises(ValueError, match="h has non-finite"):
@@ -652,7 +631,7 @@ def test_sampling_probabilities_reject_bad_inputs():
 def test_edge_probabilities_on_simplex():
     cell = make_test_cell()
     p = cell.probabilities().data
-    assert p.shape == (num_edges(cell.n), len(cell.ops))
+    assert p.shape == (num_edges(cell.n), len(OP_SET))
     assert np.all(p >= 0)
     assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -685,6 +664,14 @@ def test_architecture_export_round_trip():
     (lambda doc: doc["edges"][0].update(bits=[None, 0, 0, 0, 0]), "not each 0 or 1"),
     (lambda doc: doc["edges"][0].update(bits=[True, 0, 0, 0, 0]), "not each 0 or 1"),
     (lambda doc: doc["edges"].append(dict(doc["edges"][3])), r"edge \(1, 2\) is listed twice"),
+    (lambda doc: doc.update(n=1), "n is 1, a cell has at least 2 nodes"),
+    (lambda doc: doc.update(K=100_000_000_000), "K is 100000000000, the op set has 5 ops"),
+    (lambda doc: doc.update(K=-1), "K is -1, the op set has 5 ops"),
+    (lambda doc: doc.update(n=100_000_000, edges=[]),
+     "edges lists 0 edges, the 100000000-node cell has 4999999950000000"),
+    (lambda doc: doc.update(edges={}), "edges lists 0 edges, the 4-node cell has 6"),
+    (lambda doc: doc.update(edges=[]), "edges lists 0 edges, the 4-node cell has 6"),
+    (lambda doc: doc["edges"].pop(4), "edges lists 5 edges, the 4-node cell has 6"),
 ])
 def test_parse_architecture_names_what_is_malformed(edit, message):
     doc = json.loads(export_architecture(random_code(4, 5, np.random.default_rng(14))))
