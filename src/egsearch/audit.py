@@ -103,30 +103,18 @@ def reachable_count(K: int, M: int) -> int:
 
 def bijection_audit(random_trials: int = 1000, seed: int = 0):
     """Round-trip every n=3, K=2 code, then random n=7, K=5 codes."""
-    lines, ok = [], True
-
-    passed = 0
     e = num_edges(3)
-    for packed in range(2 ** (e * 2)):
-        bits = np.array(
-            [(packed >> i) & 1 for i in range(e * 2)], dtype=np.uint8
-        ).reshape(e, 2)
-        code = ArchitectureCode(n=3, K=2, bits=bits)
-        if encode(decode(code)) == code:
-            passed += 1
-    total = 2 ** (e * 2)
-    ok &= passed == total
-    lines.append(f"    exhaustive n=3 K=2: {passed}/{total} codes round-trip")
-
+    every = [np.array([(packed >> i) & 1 for i in range(e * 2)], dtype=np.uint8).reshape(e, 2)
+             for packed in range(2 ** (e * 2))]
     rng = np.random.default_rng(seed)
-    passed = 0
-    for _ in range(random_trials):
-        bits = rng.integers(0, 2, size=(num_edges(7), 5), dtype=np.uint8)
-        code = ArchitectureCode(n=7, K=5, bits=bits)
-        if encode(decode(code)) == code:
-            passed += 1
-    ok &= passed == random_trials
-    lines.append(f"    random n=7 K=5: {passed}/{random_trials} codes round-trip")
+    drawn = [rng.integers(0, 2, size=(num_edges(7), 5), dtype=np.uint8)
+             for _ in range(random_trials)]
+    lines, ok = [], True
+    for what, n, k, blocks in (("exhaustive", 3, 2, every), ("random", 7, 5, drawn)):
+        codes = [ArchitectureCode(n=n, K=k, bits=bits) for bits in blocks]
+        passed = sum(encode(decode(code)) == code for code in codes)
+        ok &= passed == len(codes)
+        lines.append(f"    {what} n={n} K={k}: {passed}/{len(codes)} codes round-trip")
     return lines, ok
 
 

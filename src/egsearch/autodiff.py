@@ -11,7 +11,9 @@ reference counting as soon as its last tensor goes.  Everything is float64.
 
 Each activation's forward and its derivative from the output are written
 once, in `ACTIVATIONS`: the `relu`, `tanh` and `sigmoid` ops are built from
-it, and `space.edge_forward` reads it for the linear ops.
+it, and `space.edge_forward` reads it for the linear ops.  The shifted
+softmax and its gradient are written once too (`softmax_of`,
+`softmax_vjp`), and every softmax in the package uses them.
 
 A step frees its whole graph at once, and the next step builds one of about
 the same size.  So at import, glibc's allocator is told to keep freed memory
@@ -41,6 +43,8 @@ __all__ = [
     "tanh",
     "sigmoid",
     "stable_sigmoid",
+    "softmax_of",
+    "softmax_vjp",
     "softmax",
     "log",
     "exp",
@@ -290,18 +294,23 @@ def _activation(name):
 relu, tanh, sigmoid = map(_activation, ("relu", "tanh", "sigmoid"))
 
 
+def softmax_of(z):
+    """Shifted softmax of an array over its last axis; preserves the argmax
+    exactly, and a -inf entry (a zero probability) maps to 0."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_vjp(y, g):
+    """The gradient for z of g . y, where y = softmax_of(z)."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(x):
-    """Shifted softmax over the last axis; preserves the argmax exactly."""
+    """Shifted softmax over the last axis, as an op."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return record(out, (x,), back)
+    out = softmax_of(x.data)
+    return record(out, (x,), lambda g: (softmax_vjp(out, g),))
 
 
 def log(x):

@@ -14,6 +14,7 @@ mismatched inputs).
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import fields
@@ -24,14 +25,7 @@ import numpy as np
 from .audit import run_audit
 from .config import RunConfig, build_config, config_to_text, parse_config_file, parse_value
 from .data import dump_dataset
-from .space import (
-    OP_SET,
-    decode,
-    edge_list,
-    export_architecture,
-    export_dot,
-    parse_architecture,
-)
+from .space import edge_op_names, export_architecture, export_dot, parse_architecture
 from .trainer import (
     SearchDiverged,
     build_dataset,
@@ -44,6 +38,8 @@ from .trainer import (
 __all__ = ["main"]
 
 OUT_ENV = "EGSEARCH_OUT"
+# verify-propositions' int flags: run_audit's parameters, with its defaults
+AUDIT_FLAGS = inspect.signature(run_audit).parameters
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -61,8 +57,8 @@ def _config_from(args) -> RunConfig:
     return build_config(file_values, flag_values)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(os.environ.get(OUT_ENV) or cfg.output_dir)
+def _out_dir(default: str) -> Path:
+    out = Path(os.environ.get(OUT_ENV) or default)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -73,13 +69,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _edge_ops_lines(code) -> list:
-    plan = decode(code)
-    ops = dict(plan.edge_ops)
-    lines = []
-    for e in edge_list(code.n):
-        names = "+".join(OP_SET[k].name for k in ops.get(e, ())) or "none"
-        lines.append(f"edge {e}: {names}")
-    return lines
+    return [f"edge {e}: {names or 'none'}" for e, names in edge_op_names(code)]
 
 
 def _accuracy_block(result) -> str:
@@ -93,7 +83,7 @@ def _accuracy_block(result) -> str:
 
 def cmd_search(args) -> int:
     cfg = _config_from(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.output_dir)
     state, report = run_search(cfg)
     _write(out / "metrics.csv", metrics_csv(report))
     _write(out / "architecture.json", export_architecture(report.derived))
@@ -123,7 +113,7 @@ def cmd_search(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.output_dir)
     code = parse_architecture(Path(args.code_file).read_text())
     result = retrain(code, build_dataset(cfg), cfg)
     text = "\n".join(
@@ -142,7 +132,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _config_from(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.output_dir)
     baseline = random_search_baseline(build_dataset(cfg), cfg)
     parts = [
         "baseline report",
@@ -162,20 +152,15 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_verify_propositions(args) -> int:
-    result = run_audit(
-        k_max=args.k_max, m_max=args.m_max, configs=args.configs,
-        draws=args.draws, seed=args.seed,
-    )
+    result = run_audit(**{name: getattr(args, name) for name in AUDIT_FLAGS})
     print(result.report, end="")
-    out = Path(os.environ.get(OUT_ENV) or args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "audit.txt", result.report)
+    _write(_out_dir(args.out) / "audit.txt", result.report)
     return 0 if result.ok else 1
 
 
 def cmd_dump_dataset(args) -> int:
     cfg = _config_from(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.output_dir)
     _write(out / "dataset.txt", dump_dataset(build_dataset(cfg)))
     return 0
 
@@ -204,11 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-propositions",
         help="audit sampler properties: bijection, marginals, reachable counts",
     )
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--configs", type=int, default=20)
-    p.add_argument("--draws", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    for name, param in AUDIT_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=param.default)
     p.add_argument("--out", default="runs")
     p.set_defaults(func=cmd_verify_propositions)
 

@@ -3,7 +3,8 @@
 Every generator is a pure function of its arguments; the same seed gives
 bit-identical features, labels, and train/validation/test splits.  The
 split ratio is 50/25/25, keeping a separate validation set for the
-architecture reward.
+architecture reward.  Two moons and spirals share one helper for the
+jitter, the labels and the splits; `trainer.build_dataset` picks one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "make_two_moons",
     "make_spirals",
     "make_parity",
-    "make_dataset",
     "dump_dataset",
     "load_dataset",
 ]
@@ -54,23 +54,28 @@ def _make_splits(n: int, rng: np.random.Generator) -> dict:
     }
 
 
+def _two_classes(x0, x1, noise, seed) -> Dataset:
+    """Class 0 at the points x0 and class 1 at x1, each jittered by Gaussian
+    noise, with seeded splits; the noise and the splits share one stream."""
+    rng = np.random.default_rng(seed)
+    features = np.concatenate([x0, x1], axis=0)
+    features = features + rng.normal(0.0, noise, features.shape)
+    labels = np.concatenate([np.zeros(len(x0), dtype=np.int64),
+                             np.ones(len(x1), dtype=np.int64)])
+    return Dataset(features, labels, _make_splits(len(features), rng), seed)
+
+
 def make_two_moons(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     """Two interleaved half-circles with Gaussian jitter."""
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
-    rng = np.random.default_rng(seed)
-    n0 = n // 2
-    n1 = n - n0
-    t0 = np.linspace(0.0, np.pi, n0)
-    t1 = np.linspace(0.0, np.pi, n1)
+    t0 = np.linspace(0.0, np.pi, n // 2)
+    t1 = np.linspace(0.0, np.pi, n - n // 2)
     x0 = np.stack([np.cos(t0), np.sin(t0)], axis=1)
     x1 = np.stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)], axis=1)
-    features = np.concatenate([x0, x1], axis=0)
-    features = features + rng.normal(0.0, noise, features.shape)
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    return Dataset(features, labels, _make_splits(n, rng), seed)
+    return _two_classes(x0, x1, noise, seed)
 
 
 def make_spirals(n: int, turns: float = 1.5, noise: float = 0.1, seed: int = 0) -> Dataset:
@@ -79,19 +84,12 @@ def make_spirals(n: int, turns: float = 1.5, noise: float = 0.1, seed: int = 0) 
         raise ValueError(f"n must be >= 10, got {n}")
     if turns <= 0:
         raise ValueError(f"turns must be > 0, got {turns}")
-    rng = np.random.default_rng(seed)
-    n0 = n // 2
-    n1 = n - n0
     parts = []
-    for size, phase in ((n0, 0.0), (n1, np.pi)):
+    for size, phase in ((n // 2, 0.0), (n - n // 2, np.pi)):
         t = np.linspace(0.05, 1.0, size)
         angle = t * turns * 2.0 * np.pi + phase
-        radius = t
-        parts.append(np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1))
-    features = np.concatenate(parts, axis=0)
-    features = features + rng.normal(0.0, noise, features.shape)
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    return Dataset(features, labels, _make_splits(n, rng), seed)
+        parts.append(np.stack([t * np.cos(angle), t * np.sin(angle)], axis=1))
+    return _two_classes(*parts, noise, seed)
 
 
 def make_parity(bits: int, seed: int = 0) -> Dataset:
@@ -102,19 +100,6 @@ def make_parity(bits: int, seed: int = 0) -> Dataset:
     labels = rows.sum(axis=1).astype(np.int64) % 2
     rng = np.random.default_rng(seed)
     return Dataset(rows, labels, _make_splits(rows.shape[0], rng), seed)
-
-
-_GENERATORS = {
-    "two_moons": make_two_moons,
-    "spirals": make_spirals,
-    "parity": make_parity,
-}
-
-
-def make_dataset(name: str, **kwargs) -> Dataset:
-    if name not in _GENERATORS:
-        raise ValueError(f"unknown dataset {name!r}; choose from {sorted(_GENERATORS)}")
-    return _GENERATORS[name](**kwargs)
 
 
 def dump_dataset(ds: Dataset, path=None) -> str:

@@ -7,14 +7,16 @@ vectors, carries the gradient.  A draw is defined once here: the noisy
 scores log p + G, shaped (..., M, K) and read from the uniforms in (row,
 component, category) order (`noisy_scores`), and the binary code, the OR
 over M of the argmax over K (`hard_code`).  `egs_sample` is the one call
-that draws a code with its relaxation, for one edge or a stack of them;
-the batch kernel of the audit and the derivation (`kernels.egs_hard_batch`)
-and Gumbel-Max (the M=1 case) build on the same two.  The exact oracles
-for the inclusion marginals and the reachable code set live next to the
-sampler they audit.
+that draws a code with its relaxation, for one edge or a stack of them; its
+softmax and that softmax's gradient are `autodiff.softmax_of` and
+`autodiff.softmax_vjp`.  The batch kernel of the audit and the derivation
+(`kernels.egs_hard_batch`) and Gumbel-Max (the M=1 case) build on the same
+two.  The exact oracles for the inclusion marginals and the reachable code
+set live next to the sampler they audit.
 
 All randomness flows through RngState, a (seed, position) counter over the
 PCG64 stream, so any draw can be replayed exactly from its coordinates.
+Gumbel noise is `gumbel_transform` of its uniforms; nothing else spells it.
 Temperature scheduling is the caller's business; everything here takes tau
 as an argument.
 """
@@ -33,7 +35,6 @@ __all__ = [
     "RngState",
     "BinaryCodeSample",
     "gumbel_transform",
-    "gumbel_noise",
     "noisy_scores",
     "hard_code",
     "egs_sample",
@@ -99,13 +100,6 @@ def gumbel_transform(u: np.ndarray) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def gumbel_noise(rng: RngState, count: int) -> np.ndarray:
-    """`count` standard Gumbel draws from the next `count` uniforms of rng."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return gumbel_transform(rng.uniform(count))
-
-
 def noisy_scores(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The noisy scores log p + G, (..., M, K), of an EGS draw.
 
@@ -163,9 +157,7 @@ def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
     shape = p_data.shape[:-1] + (M, p_data.shape[-1])
     scores = noisy_scores(p_data, rng.uniform(int(np.prod(shape))).reshape(shape))
     factor = 1.0 / tau
-    z = scores * factor
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = ad.softmax_of(scores * factor)
     winner = y.argmax(axis=-2)[..., None, :]
     soft = np.take_along_axis(y, winner, axis=-2)[..., 0, :]
 
@@ -173,8 +165,7 @@ def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
         # the arithmetic and the order of the sum over components follow the
         # per-component chain log -> add -> scale -> softmax -> max exactly
         routed = np.where(winner == np.arange(M)[:, None], g[..., None, :], 0.0)
-        dot = (routed * y).sum(axis=-1, keepdims=True)
-        gz = y * (routed - dot) * factor
+        gz = ad.softmax_vjp(y, routed) * factor
         res = np.zeros_like(gz)
         np.divide(gz, p_data[..., None, :], out=res, where=gz != 0.0)
         total = res[..., M - 1, :]

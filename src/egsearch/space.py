@@ -8,8 +8,9 @@ set exactly when op k is used on edge (i, j).
 `OP_SET` is the one candidate set; no function takes another.  It is
 desk-scale: a hard zero, a skip connection, and three learnable linear
 transforms act(x @ W + b), each naming its activation in
-`autodiff.ACTIVATIONS`.  Their relative compute costs feed the static
-efficiency credits.
+`autodiff.ACTIVATIONS`.  Their relative compute costs feed `EFFICIENCY`,
+the static prior l every cell shares, computed and checked once at import.
+`edge_op_names` names each edge's ops, for the dot export and the CLI.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ __all__ = [
     "edge_forward",
     "cell_forward",
     "efficiency_credits",
+    "EFFICIENCY",
     "make_cell",
     "export_architecture",
     "parse_architecture",
+    "edge_op_names",
     "export_dot",
 ]
 
@@ -219,9 +222,12 @@ def edge_forward(x: ad.Tensor, code, params=None) -> ad.Tensor:
 
 def efficiency_credits() -> np.ndarray:
     """Static efficiency prior: softmax of negated op costs."""
-    costs = np.array([op.cost for op in OP_SET], dtype=np.float64)
-    e = np.exp(-costs + costs.min())
-    return e / e.sum()
+    return ad.softmax_of(-np.array([op.cost for op in OP_SET], dtype=np.float64))
+
+
+# the prior l every cell shares, checked once and read-only
+EFFICIENCY = check_simplex(efficiency_credits(), "l")
+EFFICIENCY.setflags(write=False)
 
 
 @dataclass
@@ -246,18 +252,10 @@ class Cell:
         """Every edge's sampling vector lam * softmax(logits) + (1 - lam) * l
         as one (E, K) op, rows in edge_list order; h must be on the simplex.
         """
-        z = self.logits.data
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        h = check_simplex(e / e.sum(axis=-1, keepdims=True), "h")
+        h = check_simplex(ad.softmax_of(self.logits.data), "h")
         lam = self.lam
         p = h * lam + self.l * (1.0 - lam)
-
-        def back(g):
-            gh = g * lam
-            dot = (gh * h).sum(axis=-1, keepdims=True)
-            return (h * (gh - dot),)
-
-        return ad.record(p, (self.logits,), back)
+        return ad.record(p, (self.logits,), lambda g: (ad.softmax_vjp(h, g * lam),))
 
     def weight_tensors(self) -> list:
         out = []
@@ -273,7 +271,6 @@ def make_cell(n, dim=8, lam=0.5, init_rng=None, output_rule="sum") -> Cell:
         raise ValueError(f"output_rule must be sum or concat, got {output_rule!r}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must be in [0, 1], got {lam}")
-    l = check_simplex(efficiency_credits(), "l")
     init_rng = init_rng if init_rng is not None else np.random.default_rng(0)
     params = {}
     for e in edge_list(n):
@@ -295,7 +292,7 @@ def make_cell(n, dim=8, lam=0.5, init_rng=None, output_rule="sum") -> Cell:
     return Cell(
         n=n, dim=dim,
         logits=ad.Tensor(np.zeros((num_edges(n), len(OP_SET))), requires_grad=True),
-        l=l, lam=lam, params=params, output_rule=output_rule,
+        l=EFFICIENCY, lam=lam, params=params, output_rule=output_rule,
     )
 
 
@@ -389,15 +386,21 @@ def parse_architecture(text: str) -> ArchitectureCode:
     return ArchitectureCode(n=n, K=k, bits=bits)
 
 
+def edge_op_names(code: ArchitectureCode) -> list:
+    """(edge, "op+op") for every edge in edge_list order: the names of the
+    ops its code sets, joined by "+", or "" on an edge with none."""
+    return [(e, "+".join(OP_SET[k].name for k in np.flatnonzero(code.bits[r])))
+            for r, e in enumerate(edge_list(code.n))]
+
+
 def export_dot(code: ArchitectureCode) -> str:
     """Graph-description text: one digraph with op labels per active edge."""
     lines = ["digraph cell {", "  rankdir=LR;"]
     for v in range(code.n):
         label = "in" if v == 0 else f"x{v}"
         lines.append(f'  n{v} [label="{label}"];')
-    for r, (i, j) in enumerate(edge_list(code.n)):
-        names = [OP_SET[k].name for k in np.flatnonzero(code.bits[r])]
+    for (i, j), names in edge_op_names(code):
         if names:
-            lines.append(f'  n{i} -> n{j} [label="{"+".join(names)}"];')
+            lines.append(f'  n{i} -> n{j} [label="{names}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

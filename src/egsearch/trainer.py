@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .config import RunConfig
-from .data import Dataset, make_dataset
+from .data import Dataset, make_parity, make_spirals, make_two_moons
 from .gumbel import RngState, egs_sample, marginal_inclusion_oracle
 from .space import (
     OP_SET,
@@ -126,9 +126,6 @@ class SearchState:
     def weights(self) -> list:
         return self.network.weights()
 
-    def arch_params(self) -> list:
-        return [self.cell.logits]
-
 
 @dataclass
 class SearchReport:
@@ -140,15 +137,11 @@ class SearchReport:
 
 def build_dataset(cfg: RunConfig) -> Dataset:
     if cfg.dataset == "parity":
-        return make_dataset("parity", bits=cfg.dataset_bits, seed=cfg.seed)
+        return make_parity(cfg.dataset_bits, seed=cfg.seed)
     if cfg.dataset == "two_moons":
-        return make_dataset(
-            "two_moons", n=cfg.dataset_n, noise=cfg.dataset_noise, seed=cfg.seed
-        )
-    return make_dataset(
-        "spirals", n=cfg.dataset_n, turns=cfg.dataset_turns,
-        noise=cfg.dataset_noise, seed=cfg.seed,
-    )
+        return make_two_moons(cfg.dataset_n, noise=cfg.dataset_noise, seed=cfg.seed)
+    return make_spirals(cfg.dataset_n, turns=cfg.dataset_turns,
+                        noise=cfg.dataset_noise, seed=cfg.seed)
 
 
 def _steps_per_epoch(n_train: int, batch_size: int) -> int:
@@ -223,14 +216,14 @@ def compute_loss(state: SearchState, batch, reach: str = "all"):
     return loss, samples
 
 
-def _check_finite(loss, state, samples, which):
+def _check_finite(loss, samples, which, state=None):
+    """Raise SearchDiverged if `loss` is not finite, naming each edge's code
+    and, in the search, the step and the temperature."""
     if np.isfinite(loss.data):
         return
-    codes = {e: tuple(int(b) for b in ad.as_tensor(s).data) for e, s in samples.items()}
-    raise SearchDiverged(
-        f"non-finite {which} loss at step {state.step}, tau={state.tau:.4f}, "
-        f"sampled codes {codes}"
-    )
+    codes = {e: tuple(int(b) for b in s.data) for e, s in samples.items()}
+    at = "," if state is None else f" at step {state.step}, tau={state.tau:.4f}, sampled"
+    raise SearchDiverged(f"non-finite {which} loss{at} codes {codes}")
 
 
 # resampling the architecture every step occasionally produces huge weight
@@ -270,13 +263,13 @@ def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
 
     with ad.Tape():
         train_loss, samples = compute_loss(state, train_batch, reach="weights")
-        _check_finite(train_loss, state, samples, "training")
+        _check_finite(train_loss, samples, "training", state)
         grads = ad.backward(train_loss)
     _sgd_momentum(state.weights(), grads, state.velocities, cfg.lr_w, cfg.momentum)
 
     with ad.Tape():
         valid_loss, samples = compute_loss(state, valid_batch, reach="logits")
-        _check_finite(valid_loss, state, samples, "validation")
+        _check_finite(valid_loss, samples, "validation", state)
         grads = ad.backward(valid_loss)
     logits = state.cell.logits
     g = grads.get(logits)
@@ -396,9 +389,8 @@ class RetrainResult:
 
 
 def _constant_samples(code: ArchitectureCode) -> dict:
-    rows = {e: r for r, e in enumerate(edge_list(code.n))}
-    return {e: ad.Tensor(code.bits[rows[e]].astype(np.float64))
-            for e in edge_list(code.n)}
+    return {e: ad.Tensor(code.bits[r].astype(np.float64))
+            for r, e in enumerate(edge_list(code.n))}
 
 
 def _accuracy(network, samples, x, y) -> float:
@@ -432,8 +424,7 @@ def retrain(code: ArchitectureCode, dataset: Dataset, cfg: RunConfig,
         with ad.Tape():
             logits = network_forward(network, X[bi], samples)
             loss = ad.cross_entropy_with_logits(logits, y[bi])
-            if not np.isfinite(loss.data):
-                raise SearchDiverged(f"non-finite retrain loss for code {code.bits}")
+            _check_finite(loss, samples, "retrain")
             grads = ad.backward(loss)
         _sgd_momentum(network.weights(), grads, velocities, cfg.lr_w, cfg.momentum)
         loss_value = float(loss.data)

@@ -19,7 +19,7 @@ from egsearch.config import RunConfig
 from egsearch.gumbel import (
     RngState,
     egs_sample,
-    gumbel_noise,
+    gumbel_transform,
     marginal_inclusion_oracle,
 )
 from egsearch.space import (
@@ -175,7 +175,7 @@ def test_criterion_1_gradient_correctness():
         loss = relaxed_loss()
         grads = ad.backward(loss)
     checked = 0
-    for t in state.weights() + state.arch_params():
+    for t in state.weights() + [state.cell.logits]:
         analytic = grads.get(t)
         assert analytic is not None
         flat = t.data.reshape(-1)
@@ -206,7 +206,7 @@ def test_criterion_2_gumbel_softmax_limits():
     conditioned = 0
     with ad.Tape():
         for _ in range(1000):
-            noise = gumbel_noise(rng.clone(), len(p))
+            noise = gumbel_transform(rng.clone().uniform(len(p)))
             scores = np.sort(np.log(p) + noise)[::-1]
             s = egs_sample(p, 1, tau, rng)
             if scores[0] - scores[1] > gap_needed:

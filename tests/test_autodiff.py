@@ -179,6 +179,43 @@ def test_grad_softmax():
              lambda rng: [rng.normal(size=(3, 5))])
 
 
+# (K,), (E, K) and (E, M, K): one edge, every edge, every edge's M components
+SOFTMAX_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 6)),
+    st.tuples(st.integers(1, 4), st.integers(1, 6)),
+    st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_softmax_pair_equals_the_inline_formulas_bit_for_bit(data):
+    shape = data.draw(SOFTMAX_SHAPES)
+    # large magnitudes, and -inf where a probability is zero; every row keeps
+    # one finite entry, as every row of a simplex has one nonzero entry
+    z = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.floats(-1e300, 1e300), st.just(-np.inf))))
+    z[..., 0] = np.where(np.isneginf(z).all(axis=-1), 0.0, z[..., 0])
+    g = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e150, 1e150)))
+
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    want_y = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * want_y).sum(axis=-1, keepdims=True)
+    want_g = want_y * (g - dot)
+
+    def bits(a):
+        return np.asarray(a).view(np.int64)
+
+    y = ad.softmax_of(z)
+    assert np.array_equal(bits(y), bits(want_y))
+    assert np.array_equal(bits(ad.softmax_vjp(y, g)), bits(want_g))
+    with ad.Tape():
+        out = ad.softmax(ad.Tensor(z, requires_grad=True))
+    assert np.array_equal(bits(out.data), bits(want_y))
+    assert np.array_equal(bits(out.node.backward_fn(g)[0]), bits(want_g))
+
+
 def test_grad_log():
     check_op(lambda ts: scalarize(ad.log(ts[0])),
              lambda rng: [rng.uniform(0.2, 3.0, size=6)])

@@ -15,7 +15,7 @@ import pytest
 
 from egsearch import audit, trainer
 from egsearch.cli import OUT_ENV, main
-from egsearch.data import load_dataset, make_dataset
+from egsearch.data import load_dataset, make_parity
 from egsearch.space import parse_architecture
 
 FAST = ["--dataset-n", "200", "--epochs", "2", "--dim", "4"]
@@ -113,6 +113,7 @@ def test_invalid_config_fails_before_any_compute(tmp_path, capsys):
     (["--lr-alpha", "inf"], "non-finite config field(s): lr_alpha"),
     (["--lam", "nan"], "non-finite config field(s): lam"),
     (["--seed", "-1"], "invalid config field(s): seed"),
+    (["--dataset", "mnist"], "invalid config field(s): dataset"),
 ])
 def test_a_bad_flag_exits_2_and_names_its_key(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
@@ -281,7 +282,7 @@ def test_dump_dataset_round_trips(tmp_path):
              "--output-dir", out)
     assert rc == 0
     loaded = load_dataset((out / "dataset.txt").read_text())
-    built = make_dataset("parity", bits=4, seed=0)
+    built = make_parity(4, seed=0)
     assert np.array_equal(loaded.features, built.features)
     assert np.array_equal(loaded.labels, built.labels)
     for name in ("train", "valid", "test"):

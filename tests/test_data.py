@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from egsearch.data import (
     dump_dataset,
     load_dataset,
-    make_dataset,
     make_parity,
     make_spirals,
     make_two_moons,
@@ -102,8 +101,6 @@ def test_generator_input_validation():
         make_two_moons(100, noise=-0.1)
     with pytest.raises(ValueError):
         make_spirals(100, turns=0.0)
-    with pytest.raises(ValueError):
-        make_dataset("mnist")
 
 
 def test_dump_load_round_trip():

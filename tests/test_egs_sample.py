@@ -16,7 +16,7 @@ from egsearch.gumbel import (
     ENUMERATION_BUDGET,
     RngState,
     egs_sample,
-    gumbel_noise,
+    gumbel_transform,
     marginal_inclusion_oracle,
     reachable_codes,
 )
@@ -49,7 +49,7 @@ def sample_codes(p, m, draws, seed):
 def components(p, m, tau, rng):
     """Each component's softmax((log p + G_m) / tau) and the one-hot at its
     argmax, (M, K), from the uniforms a draw at rng would read."""
-    scores = np.log(p) + gumbel_noise(rng.clone(), m * p.size).reshape(m, p.size)
+    scores = np.log(p) + gumbel_transform(rng.clone().uniform(m * p.size)).reshape(m, p.size)
     z = scores * (1.0 / tau)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     onehots = (scores.argmax(axis=-1)[:, None] == np.arange(p.size)).astype(np.float64)
@@ -282,7 +282,7 @@ def chain_egs(p, m, tau, rng):
     the reference the fused relaxation reproduces bit for bit."""
     soft = hard = None
     for _ in range(m):
-        scores = ad.add(ad.log(p), ad.Tensor(gumbel_noise(rng, p.data.size)))
+        scores = ad.add(ad.log(p), ad.Tensor(gumbel_transform(rng.uniform(p.data.size))))
         comp = ad.softmax(ad.scale(scores, 1.0 / tau))
         onehot = np.zeros(p.data.size)
         onehot[int(np.argmax(scores.data))] = 1.0

@@ -12,7 +12,7 @@ import pytest
 
 from egsearch import autodiff as ad
 from egsearch import kernels
-from egsearch.gumbel import RngState, egs_sample, gumbel_noise, gumbel_transform
+from egsearch.gumbel import RngState, egs_sample, gumbel_transform
 
 EULER_MASCHERONI = 0.5772156649015329
 GUMBEL_STD = math.pi / math.sqrt(6.0)
@@ -43,7 +43,7 @@ def test_rng_clone_is_independent():
     assert np.array_equal(c.uniform(4), a)
 
 
-# --- gumbel_noise ------------------------------------------------------------
+# --- Gumbel noise ------------------------------------------------------------
 
 
 def test_gumbel_transform_closed_form():
@@ -62,14 +62,9 @@ def test_gumbel_transform_clamped_at_boundaries():
 
 def test_gumbel_noise_mean_matches_euler_mascheroni():
     n = 1_000_000
-    g = gumbel_noise(RngState(2024), n)
+    g = gumbel_transform(RngState(2024).uniform(n))
     se = GUMBEL_STD / math.sqrt(n)
     assert abs(g.mean() - EULER_MASCHERONI) <= 3 * se
-
-
-def test_gumbel_noise_rejects_bad_count():
-    with pytest.raises(ValueError):
-        gumbel_noise(RngState(0), 0)
 
 
 # --- Gumbel-Max: the hard code of egs_sample at M=1 -------------------------
@@ -160,7 +155,7 @@ def test_gumbel_softmax_argmax_matches_raw_scores():
     # the softmax never reorders: argmax(soft) == argmax(log p + G)
     p = np.array([0.25, 0.25, 0.5])
     for seed in range(30):
-        noise = gumbel_noise(RngState(seed), 3)
+        noise = gumbel_transform(RngState(seed).uniform(3))
         s = egs_sample(p, 1, 0.7, RngState(seed))
         raw = np.log(p) + noise
         assert int(np.argmax(s.hard.data)) == int(np.argmax(raw))
@@ -184,7 +179,7 @@ def test_low_temperature_approaches_one_hot():
     gap_needed = tau * math.log(999.0 * (p.size - 1))
     checked = 0
     for seed in range(100, 200):
-        noise = gumbel_noise(RngState(seed), 3)
+        noise = gumbel_transform(RngState(seed).uniform(3))
         scores = np.sort(np.log(p) + noise)
         if scores[-1] - scores[-2] <= gap_needed:
             continue

@@ -62,7 +62,32 @@ def test_efficiency_credits_prefer_cheap_ops():
     assert l[2] == l[3] == l[4]
 
 
+def test_efficiency_prior_is_the_softmax_of_negated_costs_bit_for_bit():
+    c = np.array([op.cost for op in OP_SET], dtype=np.float64)
+    e = np.exp(-c + c.min())
+    want = (e / e.sum()).view(np.int64)
+    assert np.array_equal(space.efficiency_credits().view(np.int64), want)
+    # the shared prior is that array, checked once and read-only
+    assert np.array_equal(space.EFFICIENCY.view(np.int64), want)
+    assert not space.EFFICIENCY.flags.writeable
+    assert make_cell(3).l is space.EFFICIENCY
+
+
 # --- encode / decode -----------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+def test_edge_op_names_agree_with_decode(n, seed):
+    rng = np.random.default_rng(seed)
+    code = random_code(n, len(OP_SET), rng)
+    code.bits[rng.random(num_edges(n)) < 0.3] = 0  # some edges carry no op
+    ops = dict(decode(code).edge_ops)
+    names = space.edge_op_names(code)
+    assert [e for e, _ in names] == edge_list(n)
+    for e, joined in names:
+        assert joined == "+".join(OP_SET[k].name for k in ops.get(e, ()))
+        assert (joined == "") == (e not in ops)
 
 
 def test_encode_empty_network():
