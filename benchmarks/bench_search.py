@@ -1,7 +1,7 @@
 """Wall time, page faults, peak memory and tape nodes per substep of two
-searches, the throughput of the batch draw of hard EGS codes that the
-audit and the derivation use, and the forward time of the edges'
-activations; writes BENCH_search.json.
+searches, the wall time of each leg of the property audit, the throughput
+of the batch draw of hard EGS codes that the audit and the derivation use,
+and the forward time of the edges' activations; writes BENCH_search.json.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_search.py [--repeats R]
           [--draws N] [--out BENCH_search.json]
@@ -13,17 +13,23 @@ around `run_search`) and peak RSS are its own.  After the search, the same
 process counts the tape nodes that one weight substep and one logit substep
 record on a fresh state (the search's first draw).  The cases are the README's
 default search and a search at the benchmark's search-wide shape.  The
-batch draw gets a pre-drawn uniform block, so its timing is the noisy scores
-and the hard code alone; it is the best of R calls.  `autodiff.relu`, `tanh`
-and `sigmoid` are timed on constant (64, 8) and (256, 128) inputs, the
-shapes of the default search and of search-wide, in us per call.  The
+audit's legs (`count_audit`, `bijection_audit`, `marginal_audit`) and
+`run_audit` as a whole are timed at `run_audit`'s defaults, which are
+`verify-propositions`' defaults.  The batch draw is timed at each (K, M) of
+KERNEL_SHAPES on blocks of `audit.MARGINAL_CHUNK_UNIFORMS` pre-drawn
+uniforms, the blocks the marginal leg draws, so its timing is the kernel
+alone; "derive" is the mode-sample derivation's call, one block of the
+default `derive_draws` draws at the default (K, M).  Each rate is N draws
+(at least one block) over their time.  `autodiff.relu`, `tanh` and
+`sigmoid` are timed on constant (64, 8) and (256, 128) inputs, the shapes
+of the default search and of search-wide, in us per call.  The audit and
 kernel figures are the best over R fresh pinned processes of the best of R
 calls (or loops of calls) in each.
 
-With --baseline-src, every search and kernel figure is measured a second
-time with the `egsearch` package under DIR (another checkout's `src`), the
-two interleaved, and recorded under "baseline" with LABEL, so one file holds
-before and after figures from the same session.
+With --baseline-src, every search, audit and kernel figure is measured a
+second time with the `egsearch` package under DIR (another checkout's
+`src`), the two interleaved, and recorded under "baseline" with LABEL, so
+one file holds before and after figures from the same session.
 """
 
 import argparse
@@ -47,6 +53,9 @@ CASES = {
 BLAS_THREADS = 1
 # (batch, dim) of the default search and of search-wide
 ACTIVATION_SHAPES = ((64, 8), (256, 128))
+# (K, M) of the batch draw on the marginal leg's blocks (its K is 2..8, its
+# M 1..5); the derivation's (5, 2) is timed on its own blocks
+KERNEL_SHAPES = ((2, 5), (8, 1), (8, 5))
 
 
 def run_case(name):
@@ -110,16 +119,50 @@ def best_of(fn, repeats):
 
 
 def kernel_rates(draws, repeats):
-    from egsearch import kernels
+    from egsearch import audit, kernels
+    from egsearch.config import RunConfig
     from egsearch.gumbel import RngState
+    from egsearch.space import OP_SET
 
-    k, m = 5, 3
-    p = np.full(k, 1.0 / k)
-    u = RngState(1).uniform(draws * m * k)
-    t = best_of(lambda: kernels.egs_hard_batch(p, u, m), repeats)
-    return {"draws": draws, "K": k, "M": m,
-            "kernels": {"egs hard": {"seconds": t, "draws_per_s": draws / t}},
+    shapes = {f"audit K{k} M{m}": (k, m, audit.MARGINAL_CHUNK_UNIFORMS // (m * k))
+              for k, m in KERNEL_SHAPES}
+    cfg = RunConfig()
+    shapes["derive"] = (len(OP_SET), cfg.M, cfg.derive_draws)
+    rates = {}
+    for name, (k, m, block) in shapes.items():
+        p = np.random.default_rng(k * 10 + m).dirichlet(np.ones(k))
+        u = RngState(1).uniform(block * m * k)
+        calls = max(1, draws // block)
+
+        def run():
+            for _ in range(calls):
+                kernels.egs_hard_batch(p, u, m)
+
+        t = best_of(run, repeats)
+        rates[name] = {"K": k, "M": m, "block_draws": block, "calls": calls,
+                       "seconds": t, "draws_per_s": calls * block / t}
+    return {"draws": draws, "kernels": rates,
+            "audit_s": audit_times(repeats),
             "activations_us": activation_times(repeats)}
+
+
+def audit_times(repeats):
+    """Seconds of each audit leg, and of `run_audit`, at `run_audit`'s
+    defaults: the best of R calls."""
+    import inspect
+
+    from egsearch import audit
+
+    d = {name: arg.default
+         for name, arg in inspect.signature(audit.run_audit).parameters.items()}
+    legs = {
+        "count": lambda: audit.count_audit(k_max=d["k_max"], m_max=d["m_max"]),
+        "bijection": lambda: audit.bijection_audit(seed=d["seed"]),
+        "marginal": lambda: audit.marginal_audit(configs=d["configs"], draws=d["draws"],
+                                                 seed=d["seed"]),
+        "run_audit": audit.run_audit,
+    }
+    return {name: best_of(leg, repeats) for name, leg in legs.items()}
 
 
 def activation_times(repeats):
@@ -149,8 +192,8 @@ def best_kernels(records):
     best["kernels"] = {name: max((r["kernels"][name] for r in records),
                                  key=lambda k: k["draws_per_s"])
                        for name in records[0]["kernels"]}
-    best["activations_us"] = {name: min(r["activations_us"][name] for r in records)
-                              for name in records[0]["activations_us"]}
+    for key in ("audit_s", "activations_us"):
+        best[key] = {name: min(r[key][name] for r in records) for name in records[0][key]}
     return best
 
 
@@ -220,6 +263,8 @@ def main():
                   f"{m['weight_substep_nodes']:>4} / {m['logit_substep_nodes']:>4} nodes")
         for name, k in kernels["kernels"].items():
             print(f"{name:<16} {k['draws_per_s']:12.4g} draws/s")
+        for name, sec in kernels["audit_s"].items():
+            print(f"audit {name:<10} {sec:12.3f} s")
         for name, us in kernels["activations_us"].items():
             print(f"{name:<16} {us:12.2f} us")
 

@@ -55,8 +55,9 @@ FAMILYWISE_ALPHA = 1e-3
 # (1 MiB of float64), so its memory does not grow with `draws`.
 MARGINAL_CHUNK_UNIFORMS = 1 << 17
 # run_audit refuses more draws per config than this, for time: over the 20
-# default configs a draw costs about 8 us on one x86-64 core, so the
-# marginal leg takes about 80 s at the ceiling.
+# default configs a draw costs about 4 us on one x86-64 core (3.5-4.1 us
+# measured at 1,000,000 draws), so the marginal leg takes about 40 s at the
+# ceiling.
 MAX_DRAWS = 10_000_000
 # The uncorrected 3-sigma bound.  The marginal leg gates on sidak_z_bound;
 # perfbench's audit check holds its seed-0 audit to this stricter figure.

@@ -9,16 +9,19 @@ component, category) order (`noisy_scores`), and the binary code, the OR
 over M of the argmax over K (`hard_code`).  `egs_sample` is the one call
 that draws a code with its relaxation, for one edge or a stack of them; its
 softmax and that softmax's gradient are `autodiff.softmax_of` and
-`autodiff.softmax_vjp`.  The batch kernel of the audit and the derivation
-(`kernels.egs_hard_batch`) and Gumbel-Max (the M=1 case) build on the same
-two.  The exact oracles for the inclusion marginals and the reachable code
-set live next to the sampler they audit.
+`autodiff.softmax_vjp`.  Gumbel-Max (the M=1 case) builds on the same
+two.  The batch kernel of the audit and the derivation
+(`kernels.egs_hard_batch`) reaches their bits category-major, and a
+property test holds it to them byte for byte.  The exact oracles for the
+inclusion marginals and the reachable code set live next to the sampler
+they audit.
 
 All randomness flows through RngState, a (seed, position) counter over the
 PCG64 stream, so any draw can be replayed exactly from its coordinates.
-Gumbel noise is `gumbel_transform` of its uniforms; nothing else spells it.
-Temperature scheduling is the caller's business; everything here takes tau
-as an argument.
+Gumbel noise is `gumbel_transform` of its uniforms; only the batch kernel
+repeats its operations, in place and in the same order.  Temperature
+scheduling is the caller's business; everything here takes tau as an
+argument.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ class ArchitectureCode:
         expected = (num_edges(self.n), self.K)
         if self.bits.shape != expected:
             raise ValueError(f"bits shape {self.bits.shape} != {expected}")
-        if not np.all((self.bits == 0) | (self.bits == 1)):
+        if self.bits.max(initial=0) > 1:
             raise ValueError("bits must be 0/1")
 
     def __eq__(self, other):
@@ -116,29 +116,35 @@ class NetworkPlan:
 
 
 def encode(plan: NetworkPlan) -> ArchitectureCode:
-    """Set bit (i, j, k) for every op k the plan assigns to edge (i, j).
-    An edge outside the cell or an op index outside 0..K-1 raises
-    ValueError."""
+    """Set bit (i, j, k) for every op k the plan assigns to edge (i, j);
+    an edge listed twice keeps its last entry.  An edge outside the cell or
+    an op index outside 0..K-1 raises ValueError."""
     bits = np.zeros((num_edges(plan.n), plan.K), dtype=np.uint8)
     row = {e: r for r, e in enumerate(edge_list(plan.n))}
+    rows, ops = [], []
     for (i, j), ks in dict(plan.edge_ops).items():
         if (i, j) not in row:
             raise ValueError(f"edge ({i}, {j}) out of range for n={plan.n}")
+        r = row[(i, j)]
         for k in ks:
-            if not 0 <= int(k) < plan.K:
+            k = int(k)
+            if not 0 <= k < plan.K:
                 raise ValueError(f"op index out of range on edge ({i}, {j}): {ks}")
-            bits[row[(i, j)], int(k)] = 1
+            rows.append(r)
+            ops.append(k)
+    bits[rows, ops] = 1
     return ArchitectureCode(n=plan.n, K=plan.K, bits=bits)
 
 
 def decode(code: ArchitectureCode) -> NetworkPlan:
     """Invert encode: list the op indices set on each edge, for any K."""
-    edge_ops = []
-    for row, e in enumerate(edge_list(code.n)):
-        ks = tuple(int(k) for k in np.flatnonzero(code.bits[row]))
-        if ks:
-            edge_ops.append((e, ks))
-    return NetworkPlan(n=code.n, K=code.K, edge_ops=tuple(edge_ops))
+    rows, ks = np.nonzero(code.bits)  # row-major, so each row's ops ascend
+    edge_ops = {}
+    for r, k in zip(rows.tolist(), ks.tolist()):
+        edge_ops.setdefault(r, []).append(k)
+    edges = edge_list(code.n)
+    return NetworkPlan(n=code.n, K=code.K,
+                       edge_ops=tuple((edges[r], tuple(ops)) for r, ops in edge_ops.items()))
 
 
 # ---------------------------------------------------------------------------

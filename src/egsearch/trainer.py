@@ -353,16 +353,17 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
     keep = min(m, k)
     bits = np.zeros((num_edges(state.cell.n), k), dtype=np.uint8)
     rng = state.rng.clone()  # derivation must not disturb the search stream
+    shift = np.arange(k - 1, -1, -1)
+    place = 1 << shift
     for row, p in enumerate(state.cell.probabilities().data):
         if mode == "mode-sample":
             codes = kernels.egs_hard_batch(p, rng.uniform(draws * m * k), m)
-            counts = {}
-            for code in map(tuple, codes.tolist()):
-                counts[code] = counts.get(code, 0) + 1
-            # ties break toward the lexicographically larger tuple, which
-            # prefers lower op indices
-            best = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
-            bits[row] = best
+            # each code as the integer its bits spell, op 0 the top bit, so
+            # integers order as codes do lexicographically; ties break
+            # toward the larger code, which prefers lower op indices
+            counts = np.bincount(codes @ place, minlength=1 << k)
+            best = np.flatnonzero(counts == counts.max())[-1]
+            bits[row] = (best >> shift) & 1
         else:
             chosen = marginal_inclusion_oracle(p, m) >= 0.5
             if not np.any(chosen):

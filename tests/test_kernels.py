@@ -3,9 +3,39 @@ sampler that trains, draw for draw."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egsearch import kernels
-from egsearch.gumbel import RngState, egs_sample
+from egsearch.gumbel import RngState, egs_sample, hard_code, noisy_scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 16), m=st.integers(1, 8), draws=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.7),
+       edges=st.floats(0.0, 0.05), ties=st.integers(0, 4))
+def test_kernel_equals_the_reference_draw_bit_for_bit(k, m, draws, seed, zeros, edges, ties):
+    # the category-major kernel against hard_code(noisy_scores(...)), with
+    # zero-probability ops, uniforms at exactly 0.0 and next to 1.0, and
+    # exact ties: equal p and equal uniforms across a group of categories
+    rng = np.random.default_rng(seed)
+    p = rng.random(k)
+    tied = rng.choice(k, size=min(k, ties + 1), replace=False)  # one: no tie
+    p[tied] = p[tied[0]]
+    p[rng.random(k) < zeros] = 0.0
+    if not p.any():
+        p[rng.integers(k)] = 1.0
+    p /= p.sum()
+    u = rng.random((draws, m, k))
+    u[..., tied] = u[..., tied[:1]]
+    u[rng.random(u.shape) < edges] = 0.0
+    u[rng.random(u.shape) < edges] = np.nextafter(1.0, 0.0)
+    u = u.ravel()
+    want = hard_code(noisy_scores(p, u.reshape(-1, m, k)))
+    got = kernels.egs_hard_batch(p, u, m)
+    assert got.dtype == np.uint8
+    assert got.shape == (draws, k)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_per_backend_bitwise_determinism():

@@ -1,19 +1,24 @@
 """Exports of short searches, pinned byte for byte.
 
 The fixture holds, for each named 5-epoch search below: the metrics rows
-without the wall-clock column, the per-edge code histogram, and both
-architecture exports.  Cases "0" and "1" run every other default at seeds 0
-and 1.  The third runs a 6-node `concat` cell with M 3, lam 0.3 and the
-max-marginal derivation, so a change in how lam, l, a 15-row logits array
-or the marginal rule is read shows too.  The wide case runs a 2-epoch
-search at the `search-wide` benchmark's shape (two_moons, 4000 points, dim
-128, batch 256), where the edges' large matmuls and activations run.  Any change to the sampler, the
-forward pass or the update rule that moves a sampled code or a loss digit
-shows here.  Regenerate only for an intended change of behaviour:
+without the wall-clock column, the per-edge code histogram, both
+architecture exports, and the sha256 of the final logits' float64 bytes.
+Cases "0" and "1" run every other default at seeds 0 and 1.  The third runs
+a 6-node `concat` cell with M 3, lam 0.3 and the max-marginal derivation, so
+a change in how lam, l, a 15-row logits array or the marginal rule is read
+shows too.  The wide case runs a 2-epoch search at the `search-wide`
+benchmark's shape (two_moons, 4000 points, dim 128, batch 256), where the
+edges' large matmuls and activations run.  Any change to the sampler, the
+forward pass or the update rule that moves a sampled code, a loss digit or
+the last bit of a learned logit shows here; the codes and the losses read
+the logits only through argmax flips that a last-bit change rarely causes,
+so the digest pins them itself.  Regenerate only for an intended change of
+behaviour:
 
     PYTHONPATH=src python tests/test_regression.py > tests/fixtures/pinned_search.json
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -39,7 +44,7 @@ CASES = {
 
 
 def pinned_outputs(cfg: RunConfig) -> dict:
-    _, report = run_search(cfg)
+    state, report = run_search(cfg)
     histogram = sorted(
         f"{i}-{j} {''.join(map(str, code))} {count}"
         for (i, j), codes in report.histogram.items()
@@ -50,6 +55,7 @@ def pinned_outputs(cfg: RunConfig) -> dict:
         "histogram": histogram,
         "architecture_json": export_architecture(report.derived),
         "architecture_dot": export_dot(report.derived),
+        "logits_sha256": hashlib.sha256(state.cell.logits.data.tobytes()).hexdigest(),
     }
 
 

@@ -159,6 +159,68 @@ def test_encode_inverts_decode_for_any_n_and_k(n, k, seed):
     assert encode(decode(code)) == code
 
 
+def decode_row_by_row(code):
+    """The per-row formula `decode` must equal: each edge's set op indices,
+    edges with none left out."""
+    edge_ops = []
+    for row, e in enumerate(edge_list(code.n)):
+        ks = tuple(int(k) for k in np.flatnonzero(code.bits[row]))
+        if ks:
+            edge_ops.append((e, ks))
+    return NetworkPlan(n=code.n, K=code.K, edge_ops=tuple(edge_ops))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 9), k=st.integers(1, 16), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_decode_equals_the_per_row_formula(n, k, density, seed):
+    rng = np.random.default_rng(seed)
+    bits = (rng.random((num_edges(n), k)) < density).astype(np.uint8)
+    bits[rng.random(num_edges(n)) < 0.2] = 0  # empty rows
+    bits[rng.random(num_edges(n)) < 0.2] = 1  # all-ones rows
+    code = ArchitectureCode(n=n, K=k, bits=bits)
+    plan = decode(code)
+    assert plan == decode_row_by_row(code)
+    assert all(type(k) is int for _, ks in plan.edge_ops for k in ks)
+    assert encode(plan) == code
+
+
+@pytest.mark.parametrize("fill", [0, 1])
+def test_decode_of_a_constant_code(fill):
+    code = ArchitectureCode(n=5, K=16, bits=np.full((num_edges(5), 16), fill))
+    assert decode(code) == decode_row_by_row(code)
+    assert len(decode(code).edge_ops) == (num_edges(5) if fill else 0)
+
+
+@pytest.mark.parametrize("edge_ops,message", [
+    ((((2, 1), (0,)),), r"^edge \(2, 1\) out of range for n=3$"),
+    ((((0, 3), (0,)),), r"^edge \(0, 3\) out of range for n=3$"),
+    ((((0, 1), (5,)),), r"^op index out of range on edge \(0, 1\): \(5,\)$"),
+    ((((0, 1), (1, -1)),), r"^op index out of range on edge \(0, 1\): \(1, -1\)$"),
+    # edges are checked in plan order, each edge before its op indices
+    ((((0, 1), (0, 7)), ((5, 6), (0,))), r"^op index out of range on edge \(0, 1\)"),
+    ((((5, 6), (0,)), ((0, 1), (0, 7))), r"^edge \(5, 6\) out of range for n=3$"),
+])
+def test_encode_names_what_is_out_of_range(edge_ops, message):
+    with pytest.raises(ValueError, match=message):
+        encode(NetworkPlan(n=3, K=2, edge_ops=edge_ops))
+
+
+def test_encode_keeps_a_repeated_edges_last_entry():
+    plan = NetworkPlan(n=3, K=2, edge_ops=(((0, 1), (0,)), ((1, 2), (0, 1)), ((0, 1), (1,))))
+    assert encode(plan).bits.tolist() == [[0, 1], [0, 0], [1, 1]]
+    # an earlier entry is dropped before it is checked
+    plan = NetworkPlan(n=3, K=2, edge_ops=(((0, 1), (9,)), ((0, 1), (0,))))
+    assert encode(plan).bits.tolist() == [[1, 0], [0, 0], [0, 0]]
+
+
+def test_code_bits_must_be_zero_or_one():
+    with pytest.raises(ValueError, match="bits must be 0/1"):
+        ArchitectureCode(n=3, K=2, bits=np.array([[0, 1], [2, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="bits shape"):
+        ArchitectureCode(n=3, K=2, bits=np.zeros((2, 2)))
+
+
 # --- edge_forward ---------------------------------------------------------------
 
 

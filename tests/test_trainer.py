@@ -375,6 +375,50 @@ def test_mode_sample_recovers_the_exact_mode():
     assert tuple(code.bits[0]) == want
 
 
+def mode_by_tuple_counts(codes):
+    """The most frequent row, counted per draw as a tuple; a tie goes to the
+    lexicographically larger tuple."""
+    counts = {}
+    for code in map(tuple, codes.tolist()):
+        counts[code] = counts.get(code, 0) + 1
+    return max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
+
+
+def test_mode_sample_equals_the_tuple_count_rule(monkeypatch):
+    cfg = small_cfg(nodes=4, M=2)
+    state = tr.build_state(cfg, tr.build_dataset(cfg))
+    rng = np.random.default_rng(5)
+    drawn = []
+    real = tr.kernels.egs_hard_batch
+
+    def recording(p, u, m):
+        codes = real(p, u, m)
+        drawn.append(codes)
+        return codes
+
+    monkeypatch.setattr(tr.kernels, "egs_hard_batch", recording)
+    for _ in range(10):
+        state.cell.logits.data[:] = rng.normal(0, 1.5, state.cell.logits.data.shape)
+        drawn.clear()
+        code = tr.derive_architecture(state, "mode-sample", draws=200)
+        assert [mode_by_tuple_counts(c) for c in drawn] == list(map(tuple, code.bits.tolist()))
+
+
+@pytest.mark.parametrize("rows,want", [
+    ([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0]], [1, 0, 0, 0, 0]),
+    ([[0, 0, 0, 1, 1], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0]] * 2 + [[0, 0, 0, 0, 1]],
+     [0, 1, 1, 0, 0]),
+    ([[0, 0, 0, 0, 1]] * 3 + [[1, 1, 0, 0, 0]] * 2, [0, 0, 0, 0, 1]),
+])
+def test_mode_sample_breaks_ties_toward_the_larger_code(monkeypatch, rows, want):
+    cfg = small_cfg(nodes=2, M=2)
+    state = tr.build_state(cfg, tr.build_dataset(cfg))
+    codes = np.array(rows, dtype=np.uint8)
+    assert mode_by_tuple_counts(codes) == tuple(want)
+    monkeypatch.setattr(tr.kernels, "egs_hard_batch", lambda p, u, m: codes)
+    assert tr.derive_architecture(state, "mode-sample").bits[0].tolist() == want
+
+
 def test_max_marginal_falls_back_to_argmax():
     # uniform p with M=1 leaves every marginal at 1/K < 0.5
     cfg = small_cfg(nodes=2, lam=1.0, M=1)
