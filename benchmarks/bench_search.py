@@ -1,7 +1,8 @@
-"""Wall time, page faults, peak memory and tape nodes per substep of two
-searches, the wall time of each leg of the property audit, the throughput
-of the batch draw of hard EGS codes that the audit and the derivation use,
-and the forward time of the edges' activations; writes BENCH_search.json.
+"""Wall time, page faults, peak memory, the time split and tape nodes per
+substep of two searches, the time of a fixed code's retrain step, the wall
+time of each leg of the property audit, the throughput of the batch draw of
+hard EGS codes that the audit and the derivation use, and the forward time
+of the edges' activations; writes BENCH_search.json.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_search.py [--repeats R]
           [--draws N] [--out BENCH_search.json]
@@ -10,9 +11,17 @@ Run:  PYTHONPATH=src python3 benchmarks/bench_search.py [--repeats R]
 Each search runs R times at seed SEED, each time in a fresh interpreter with
 the BLAS pools pinned to one thread, so its minor faults (a getrusage delta
 around `run_search`) and peak RSS are its own.  After the search, the same
-process counts the tape nodes that one weight substep and one logit substep
-record on a fresh state (the search's first draw).  The cases are the README's
-default search and a search at the benchmark's search-wide shape.  The
+process runs the search again with timers wrapped around the module
+attributes a step looks up at call time (`trainer.search_step`,
+`trainer.sample_edges`, `trainer.network_forward`, `autodiff.backward`), so
+that the timed search's wall time carries none of their cost, and splits a
+substep's milliseconds into sample, forward, backward and update (the rest
+of the step: the loss, the checks and the parameter updates).  It then
+counts the tape nodes that one weight substep and one logit substep record
+on a fresh state (the search's first draw), and times `retrain` of a fixed
+code (RETRAIN: the named ops on every edge, as perfbench trains) in ms per
+step.  The cases are the README's default search and a search at the
+benchmark's search-wide shape.  The
 audit's legs (`count_audit`, `bijection_audit`, `marginal_audit`) and
 `run_audit` as a whole are timed at `run_audit`'s defaults, which are
 `verify-propositions`' defaults.  The batch draw is timed at each (K, M) of
@@ -51,6 +60,9 @@ CASES = {
              "batch_size": 256, "epochs": 10},
 }
 BLAS_THREADS = 1
+# each case's fixed-code retrain: the ops set on every edge, and epochs
+RETRAIN = {"default": (("linear_relu", "linear_tanh"), 20),
+           "wide": (("identity", "linear_relu"), 5)}
 # (batch, dim) of the default search and of search-wide
 ACTIVATION_SHAPES = ((64, 8), (256, 128))
 # (K, M) of the batch draw on the marginal leg's blocks (its K is 2..8, its
@@ -76,8 +88,63 @@ def run_case(name):
         "ms_per_step": 1e3 * wall / state.step,
         "minor_faults": after.ru_minflt - before.ru_minflt,
         "peak_rss_mb": after.ru_maxrss / 1024,
+        **substep_split(cfg, dataset),
         **substep_nodes(cfg, dataset),
+        "retrain_step_ms": retrain_step_ms(name, cfg, dataset),
     }
+
+
+def substep_split(cfg, dataset):
+    """ms per substep of a second search, split by timers wrapped around the
+    module attributes a search step looks up at call time."""
+    from egsearch import autodiff, trainer
+
+    seconds = dict.fromkeys(("step", "sample", "forward", "backward"), 0.0)
+    saved = []
+
+    def wrap(owner, attr, key):
+        fn = getattr(owner, attr)
+        saved.append((owner, attr, fn))
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[key] += time.perf_counter() - t0
+
+        setattr(owner, attr, timed)
+
+    wrap(trainer, "search_step", "step")
+    wrap(trainer, "sample_edges", "sample")
+    wrap(trainer, "network_forward", "forward")
+    wrap(autodiff, "backward", "backward")
+    try:
+        state, _ = trainer.run_search(cfg, dataset)
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
+    sub = 2 * state.step
+    rest = seconds["step"] - seconds["sample"] - seconds["forward"] - seconds["backward"]
+    return {"substep_ms": 1e3 * seconds["step"] / sub,
+            **{f"{key}_ms": 1e3 * seconds[key] / sub for key in ("sample", "forward", "backward")},
+            "update_ms": 1e3 * rest / sub}
+
+
+def retrain_step_ms(name, cfg, dataset):
+    """ms per training step of `retrain` of the case's RETRAIN code, its
+    accuracy passes included."""
+    from egsearch.space import OP_SET, ArchitectureCode, num_edges
+    from egsearch.trainer import retrain
+
+    ops, epochs = RETRAIN[name]
+    row = [1 if op.name in ops else 0 for op in OP_SET]
+    code = ArchitectureCode(n=cfg.nodes, K=len(OP_SET),
+                            bits=np.array([row] * num_edges(cfg.nodes), dtype=np.uint8))
+    per_epoch = -(-len(dataset.splits["train"]) // cfg.batch_size)
+    t0 = time.perf_counter()
+    retrain(code, dataset, cfg, epochs=epochs)
+    return 1e3 * (time.perf_counter() - t0) / (epochs * per_epoch)
 
 
 def substep_nodes(cfg, dataset):
@@ -261,6 +328,9 @@ def main():
             print(f"{name:<8} {m['wall_s']:8.3f} s {m['ms_per_step']:8.3f} ms/step "
                   f"{m['minor_faults']:>9.0f} faults {m['peak_rss_mb']:8.1f} MB "
                   f"{m['weight_substep_nodes']:>4} / {m['logit_substep_nodes']:>4} nodes")
+            print(f"{'':<8} substep {m['substep_ms']:.4f} ms: sample {m['sample_ms']:.4f} "
+                  f"forward {m['forward_ms']:.4f} backward {m['backward_ms']:.4f} "
+                  f"update {m['update_ms']:.4f}; retrain step {m['retrain_step_ms']:.4f} ms")
         for name, k in kernels["kernels"].items():
             print(f"{name:<16} {k['draws_per_s']:12.4g} draws/s")
         for name, sec in kernels["audit_s"].items():

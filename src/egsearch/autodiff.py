@@ -254,12 +254,13 @@ def stable_sigmoid(d):
     With e = exp(-|d|), it is 1 / (1 + e) where d >= 0 and e / (1 + e)
     elsewhere: the same two roundings on the same values as the masked
     forms 1 / (1 + exp(-d)) and exp(d) / (1 + exp(d)), computed in place
-    with no boolean indexing.
+    with no boolean indexing.  The numerator is max(e, d >= 0), which is
+    1.0 or e since e <= 1, and e itself wherever e or d is NaN.
     """
     e = np.abs(d, out=np.empty_like(d))  # out= keeps a 0-d input an array
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(d >= 0, 1.0, e)
+    out = np.maximum(e, d >= 0, out=np.empty_like(e))
     np.add(e, 1.0, out=e)
     return np.divide(out, e, out=out)
 

@@ -5,16 +5,18 @@ An EGS code over K categories is the element-wise max of M independent
 Gumbel-Softmax one-hots, and its relaxation, the max of the M soft
 vectors, carries the gradient.  A draw is defined once here: the noisy
 scores log p + G, shaped (..., M, K) and read from the uniforms in (row,
-component, category) order (`noisy_scores`), and the binary code, the OR
+component, category) order (`noisy_scores`; `draw_scores` checks p and
+takes the uniforms from one rng.uniform call), and the binary code, the OR
 over M of the argmax over K (`hard_code`).  `egs_sample` is the one call
-that draws a code with its relaxation, for one edge or a stack of them; its
-softmax and that softmax's gradient are `autodiff.softmax_of` and
-`autodiff.softmax_vjp`.  Gumbel-Max (the M=1 case) builds on the same
-two.  The batch kernel of the audit and the derivation
-(`kernels.egs_hard_batch`) reaches their bits category-major, and a
-property test holds it to them byte for byte.  The exact oracles for the
-inclusion marginals and the reachable code set live next to the sampler
-they audit.
+that draws a code with its relaxation, for one edge or a stack of them;
+`egs_sample_of` is the same draw recorded as one op on the tensor p is
+computed from.  Their softmax and that softmax's gradient are
+`autodiff.softmax_of` and `autodiff.softmax_vjp`.  Gumbel-Max (the M=1
+case) builds on the same two.  The batch kernel of the audit and the
+derivation (`kernels.egs_hard_batch`) reaches their bits category-major,
+and a property test holds it to them byte for byte.  The exact oracles for
+the inclusion marginals and the reachable code set live next to the
+sampler they audit.
 
 All randomness flows through RngState, a (seed, position) counter over the
 PCG64 stream, so any draw can be replayed exactly from its coordinates.
@@ -26,7 +28,8 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -39,8 +42,10 @@ __all__ = [
     "BinaryCodeSample",
     "gumbel_transform",
     "noisy_scores",
+    "draw_scores",
     "hard_code",
     "egs_sample",
+    "egs_sample_of",
     "check_simplex",
     "marginal_inclusion_oracle",
     "reachable_codes",
@@ -63,19 +68,33 @@ class RngState:
     `position` counts consumed float64 draws; PCG64 emits one 64-bit word
     per double, so advance(position) lands exactly where the stream left
     off.  Copying the state replays the sequence.
+
+    The generator stays live between draws.  It is rebuilt, from the seed
+    and advanced to `position`, only when seed or position no longer say
+    where it stands: they were set by hand, or the state was copied.
     """
 
     seed: int
     position: int = 0
+    # (generator, owner id, seed, position) as the last draw left them
+    _live: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def uniform(self, count: int) -> np.ndarray:
-        bitgen = np.random.PCG64(self.seed)
-        bitgen.advance(self.position)
-        out = np.random.Generator(bitgen).random(int(count))
-        self.position += int(count)
+        count = int(count)
+        where = (id(self), self.seed, self.position)
+        if self._live is not None and self._live[1:] == where:
+            gen = self._live[0]
+        else:
+            bitgen = np.random.PCG64(self.seed)
+            bitgen.advance(self.position)
+            gen = np.random.Generator(bitgen)
+        out = gen.random(count)
+        self.position += count
+        self._live = (gen, id(self), self.seed, self.position)
         return out
 
     def clone(self) -> "RngState":
+        """A snapshot: an independent stream at this seed and position."""
         return RngState(self.seed, self.position)
 
 
@@ -85,15 +104,17 @@ def check_simplex(p: np.ndarray, what: str = "p") -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 0 or p.size == 0:
         raise ValueError(f"{what} must be a nonempty vector, got shape {p.shape}")
+    sums = p.sum(axis=-1)
+    # a valid p passes these two tests, and any NaN or infinity fails one,
+    # so the tests below only name what is wrong
+    if p.min() >= -SIMPLEX_TOL and np.abs(sums - 1.0).max() <= SIMPLEX_TOL:
+        return p
     if not np.all(np.isfinite(p)):
         raise ValueError(f"{what} has non-finite entries")
     if np.any(p < -SIMPLEX_TOL):
         raise ValueError(f"{what} has negative entries: min {p.min():.3e}")
-    sums = p.sum(axis=-1)
     off = np.abs(sums - 1.0) > SIMPLEX_TOL
-    if np.any(off):
-        raise ValueError(f"{what} does not sum to 1: sum {sums[off].flat[0]!r}")
-    return p
+    raise ValueError(f"{what} does not sum to 1: sum {sums[off].flat[0]!r}")
 
 
 def gumbel_transform(u: np.ndarray) -> np.ndarray:
@@ -115,12 +136,19 @@ def noisy_scores(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return log_p[..., None, :] + gumbel_transform(u)
 
 
+def draw_scores(p, M: int, rng: RngState) -> np.ndarray:
+    """Check p (..., K) and draw its noisy scores (..., M, K), the uniforms
+    taken from one rng.uniform call."""
+    p = check_simplex(p)
+    shape = p.shape[:-1] + (M, p.shape[-1])
+    return noisy_scores(p, rng.uniform(math.prod(shape)).reshape(shape))
+
+
 def hard_code(scores: np.ndarray) -> np.ndarray:
     """Binary codes (..., K) from scores (..., M, K): each component's
     argmax over K, OR-ed over M, as uint8.  No softmax is formed."""
-    code = np.zeros(scores.shape[:-2] + scores.shape[-1:], dtype=np.uint8)
-    np.put_along_axis(code, scores.argmax(axis=-1), 1, axis=-1)
-    return code
+    picked = scores.argmax(axis=-1)[..., None] == np.arange(scores.shape[-1])
+    return np.logical_or.reduce(picked, axis=-2).view(np.uint8)
 
 
 @dataclass
@@ -142,31 +170,39 @@ def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
 
     p is one probability vector (K,), or a stack (E, K) drawn row by row,
     on the tape or constant.  One rng.uniform call draws the noisy scores
-    (`noisy_scores`, (..., M, K)).  soft = max_m softmax(scores_m / tau),
+    (`draw_scores`, (..., M, K)).  soft = max_m softmax(scores_m / tau),
     its gradient reaching p through the component attaining each max, the
     lowest one on ties.  hard = `hard_code(scores)`, which the softmax
     never reorders, passes soft's gradient straight through.  On the tape
     this records two ops whatever the shape.  M=1 is a Gumbel-Softmax
     sample with its one-hot.
     """
+    p = ad.as_tensor(p)
+    return egs_sample_of(p, p.data, lambda g: g, M, tau, rng)
+
+
+def egs_sample_of(source: ad.Tensor, p, vjp, M: int, tau: float,
+                  rng: RngState) -> BinaryCodeSample:
+    """`egs_sample` of p, an array computed from `source`, with the
+    relaxation recorded as one op on `source`.  Its backward maps the
+    gradient that `egs_sample` gives p through `vjp` to source's, so p's
+    own op and the relaxation are one node, with their arithmetic
+    unchanged."""
     M = int(M)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     tau = float(tau)
     if not tau > 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    p = ad.as_tensor(p)
-    p_data = check_simplex(p.data)
-    shape = p_data.shape[:-1] + (M, p_data.shape[-1])
-    scores = noisy_scores(p_data, rng.uniform(int(np.prod(shape))).reshape(shape))
+    p_data = np.asarray(p, dtype=np.float64)
+    scores = draw_scores(p_data, M, rng)  # checks p_data, the one check
     factor = 1.0 / tau
     y = ad.softmax_of(scores * factor)
-    winner = y.argmax(axis=-2)[..., None, :]
-    soft = np.take_along_axis(y, winner, axis=-2)[..., 0, :]
 
     def back(g):
         # the arithmetic and the order of the sum over components follow the
         # per-component chain log -> add -> scale -> softmax -> max exactly
+        winner = y.argmax(axis=-2)[..., None, :]
         routed = np.where(winner == np.arange(M)[:, None], g[..., None, :], 0.0)
         gz = ad.softmax_vjp(y, routed) * factor
         res = np.zeros_like(gz)
@@ -174,9 +210,9 @@ def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
         total = res[..., M - 1, :]
         for i in range(M - 2, -1, -1):
             total = total + res[..., i, :]
-        return (total,)
+        return (vjp(total),)
 
-    soft = ad.record(soft, (p,), back)
+    soft = ad.record(y.max(axis=-2), (source,), back)
     return BinaryCodeSample(hard=ad.straight_through(soft, hard_code(scores)), soft=soft)
 
 

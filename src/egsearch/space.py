@@ -16,6 +16,7 @@ the static prior l every cell shares, computed and checked once at import.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +83,19 @@ class ArchitectureCode:
     bits: np.ndarray
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
+        bits = np.asarray(self.bits)
         expected = (num_edges(self.n), self.K)
-        if self.bits.shape != expected:
-            raise ValueError(f"bits shape {self.bits.shape} != {expected}")
-        if self.bits.max(initial=0) > 1:
-            raise ValueError("bits must be 0/1")
+        if bits.shape != expected:
+            raise ValueError(f"bits shape {bits.shape} != {expected}")
+        # uint8 and bool bits pass on their dtype; any other dtype is tested
+        # by value, since the cast would wrap an integer and truncate a float
+        if bits.dtype == np.uint8:
+            bad = bits.max(initial=0) > 1
+        else:
+            bad = bits.dtype != bool and not np.all((bits == 0) | (bits == 1))
+        if bad:
+            raise ValueError(f"bits must be 0/1, got {bits.dtype} bits")
+        self.bits = bits.astype(np.uint8, copy=False)
 
     def __eq__(self, other):
         return (
@@ -117,8 +125,9 @@ class NetworkPlan:
 
 def encode(plan: NetworkPlan) -> ArchitectureCode:
     """Set bit (i, j, k) for every op k the plan assigns to edge (i, j);
-    an edge listed twice keeps its last entry.  An edge outside the cell or
-    an op index outside 0..K-1 raises ValueError."""
+    an edge listed twice keeps its last entry.  An edge outside the cell, or
+    an op index that is not an integer or is outside 0..K-1, raises
+    ValueError naming the edge."""
     bits = np.zeros((num_edges(plan.n), plan.K), dtype=np.uint8)
     row = {e: r for r, e in enumerate(edge_list(plan.n))}
     rows, ops = [], []
@@ -127,7 +136,10 @@ def encode(plan: NetworkPlan) -> ArchitectureCode:
             raise ValueError(f"edge ({i}, {j}) out of range for n={plan.n}")
         r = row[(i, j)]
         for k in ks:
-            k = int(k)
+            try:
+                k = operator.index(k)  # an int or a numpy integer, not a float
+            except TypeError:
+                raise ValueError(f"op index is not an integer on edge ({i}, {j}): {ks}") from None
             if not 0 <= k < plan.K:
                 raise ValueError(f"op index out of range on edge ({i}, {j}): {ks}")
             rows.append(r)
@@ -254,14 +266,21 @@ class Cell:
     params: dict  # (i, j) -> list of per-op parameter dicts
     output_rule: str = "sum"
 
-    def probabilities(self) -> ad.Tensor:
+    def mix(self) -> tuple:
         """Every edge's sampling vector lam * softmax(logits) + (1 - lam) * l
-        as one (E, K) op, rows in edge_list order; h must be on the simplex.
-        """
-        h = check_simplex(ad.softmax_of(self.logits.data), "h")
+        as an (E, K) array, rows in edge_list order, with the map from its
+        gradient to the logits'.  Nothing is checked or recorded: a draw
+        checks p (`gumbel.draw_scores`)."""
+        return self._mix(ad.softmax_of(self.logits.data))
+
+    def probabilities(self) -> ad.Tensor:
+        """`mix` as one (E, K) op; h must be on the simplex."""
+        p, vjp = self._mix(check_simplex(ad.softmax_of(self.logits.data), "h"))
+        return ad.record(p, (self.logits,), lambda g: (vjp(g),))
+
+    def _mix(self, h):
         lam = self.lam
-        p = h * lam + self.l * (1.0 - lam)
-        return ad.record(p, (self.logits,), lambda g: (ad.softmax_vjp(h, g * lam),))
+        return h * lam + self.l * (1.0 - lam), lambda g: ad.softmax_vjp(h, g * lam)
 
     def weight_tensors(self) -> list:
         out = []

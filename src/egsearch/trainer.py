@@ -8,7 +8,13 @@ constants record nothing.  In the logit substep the binary codes enter the
 forward pass through their straight-through tensors, so one ordinary
 backward pass carries the loss's gradient to the logits, and nothing that
 only the weights feed is recorded.  In the weight substep the logits are a
-constant, so the codes are too and only the sampled ops run.
+constant, so only the hard codes are drawn, they are constants too, and
+only the sampled ops run.
+
+The views are built once per search.  The weights are views of one flat
+array that `MomentumSGD` updates in place, and the logits are updated in
+place too, so every view, and any code holding a parameter's `.data`, sees
+each update.
 
 The temperature anneals linearly from tau_start to tau_end over the run.
 After the search, the learned edge distributions are collapsed into one
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +33,13 @@ from . import autodiff as ad
 from . import kernels
 from .config import RunConfig
 from .data import Dataset, make_parity, make_spirals, make_two_moons
-from .gumbel import RngState, egs_sample, marginal_inclusion_oracle
+from .gumbel import (
+    RngState,
+    draw_scores,
+    egs_sample_of,
+    hard_code,
+    marginal_inclusion_oracle,
+)
 from .space import (
     OP_SET,
     ArchitectureCode,
@@ -40,6 +52,7 @@ from .space import (
 
 __all__ = [
     "Network",
+    "MomentumSGD",
     "SearchState",
     "SearchReport",
     "RetrainResult",
@@ -108,6 +121,77 @@ def make_network(in_dim, n_classes, cfg: RunConfig, init_rng) -> Network:
     )
 
 
+# resampling the architecture every step occasionally produces huge weight
+# gradients; without this bound plain momentum at the default rates diverges
+GRAD_CLIP_NORM = 5.0
+
+
+class MomentumSGD:
+    """SGD with momentum, the step clipped to a global gradient norm, over
+    tensors whose data it holds as views of one flat array.
+
+    Building it copies each tensor's data into its slice of the flat array
+    and rebinds `.data` to that view.  A step updates the velocities and
+    the weights in place with whole-array ops, and each velocity is what
+    the per-tensor rule gives bit for bit: v = g on a tensor's first
+    gradient, v = momentum * v + g after it, v = momentum * v on a step
+    without one, each g scaled by GRAD_CLIP_NORM / |g| when the norm over
+    the step's gradients exceeds it.  The squared norm is the sum, in
+    tensor order, of each gradient's own (g * g).sum().  A tensor with
+    neither a gradient nor a velocity is not written.
+    """
+
+    def __init__(self, tensors):
+        self.tensors = list(tensors)
+        sizes = [t.data.size for t in self.tensors]
+        self.flat = np.empty(sum(sizes))
+        self.parts, self.views = [], []
+        start = 0
+        for t, size in zip(self.tensors, sizes):
+            part = slice(start, start + size)
+            view = self.flat[part].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            self.parts.append(part)
+            self.views.append(view)
+            start += size
+        # allocated at the first step: a state that is built and never
+        # stepped holds no velocities
+        self.velocity = self.moving = self.slots = None
+        self.has_velocity = [False] * len(self.tensors)
+        self.idle = len(self.tensors)  # tensors without a velocity
+
+    def step(self, grads: dict, lr: float, momentum: float):
+        for i, (t, view) in enumerate(zip(self.tensors, self.views)):
+            if t.data is not view:
+                raise ValueError(f"weight {i} {t!r}: its .data was rebound away from the "
+                                 "optimizer's flat array, so no step would reach it")
+        if self.velocity is None:
+            self.velocity = np.zeros_like(self.flat)
+            self.moving = np.zeros(self.flat.shape, dtype=bool)  # entries with a velocity
+            self.slots = [(self.velocity[part].reshape(view.shape), self.moving[part])
+                          for part, view in zip(self.parts, self.views)]
+        fed = [(i, g) for i, t in enumerate(self.tensors) if (g := grads.get(t)) is not None]
+        total = 0.0
+        for _, g in fed:
+            total += float((g * g).sum())
+        clip = GRAD_CLIP_NORM / np.sqrt(total) if total > GRAD_CLIP_NORM**2 else None
+        self.velocity *= momentum
+        for i, g in fed:
+            if clip is not None:
+                g = g * clip
+            v, moving = self.slots[i]
+            if self.has_velocity[i]:
+                v += g
+            else:
+                v[...] = g
+                moving[...] = True
+                self.has_velocity[i] = True
+                self.idle -= 1
+        np.subtract(self.flat, lr * self.velocity, out=self.flat,
+                    where=self.moving if self.idle else True)
+
+
 @dataclass
 class SearchState:
     cfg: RunConfig
@@ -116,8 +200,9 @@ class SearchState:
     tau: float
     step: int
     rng: RngState
-    velocities: dict = field(default_factory=dict)  # momentum buffers by tensor id
-    histogram: dict = field(default_factory=dict)  # edge -> {code tuple: count}
+    optimizer: MomentumSGD  # holds every weight of the network
+    views: dict  # reach -> the network view compute_loss runs, built once
+    code_counts: np.ndarray  # (E, 2**K) draws of each code per edge
 
     @property
     def cell(self) -> Cell:
@@ -125,6 +210,20 @@ class SearchState:
 
     def weights(self) -> list:
         return self.network.weights()
+
+    @property
+    def histogram(self) -> dict:
+        """edge -> {code tuple: count} over every edge drawn so far, from
+        code_counts (a code's column is the integer its bits spell, op 0
+        the top bit)."""
+        shift = np.arange(len(OP_SET) - 1, -1, -1)
+        out = {}
+        for e, counts in zip(edge_list(self.cell.n), self.code_counts):
+            drawn = np.flatnonzero(counts)
+            if drawn.size:
+                out[e] = {tuple(((c >> shift) & 1).tolist()): int(counts[c])
+                          for c in drawn}
+        return out
 
 
 @dataclass
@@ -152,8 +251,13 @@ def build_state(cfg: RunConfig, dataset: Dataset) -> SearchState:
     init_rng = np.random.default_rng(cfg.seed)
     network = make_network(dataset.features.shape[1], dataset.n_classes, cfg, init_rng)
     total = cfg.epochs * _steps_per_epoch(len(dataset.splits["train"]), cfg.batch_size)
-    return SearchState(cfg=cfg, total_steps=total, network=network,
-                       tau=cfg.tau_start, step=0, rng=RngState(cfg.seed))
+    optimizer = MomentumSGD(network.weights())  # before the views share the data
+    return SearchState(
+        cfg=cfg, total_steps=total, network=network, tau=cfg.tau_start, step=0,
+        rng=RngState(cfg.seed), optimizer=optimizer,
+        views={reach: view(network) for reach, view in VIEWS.items()},
+        code_counts=np.zeros((num_edges(cfg.nodes), 1 << len(OP_SET)), dtype=np.int64),
+    )
 
 
 def _tau_at(cfg: RunConfig, total_steps: int, step: int) -> float:
@@ -169,21 +273,32 @@ def network_forward(network: Network, x: np.ndarray, samples: dict) -> ad.Tensor
     return ad.add(ad.matmul(out, network.w_out), network.b_out)
 
 
+# a code's column in SearchState.code_counts: the integer its bits spell
+_CODE_PLACE = np.ldexp(1.0, np.arange(len(OP_SET) - 1, -1, -1))
+
+
 def sample_edges(state: SearchState, cell: Cell) -> dict:
     """One EGS draw for all edges of `cell` at the current temperature.
 
-    Returns each edge's hard code.  When the cell's logits are on the tape
-    the sampler records E + 3 nodes, through which the loss reaches them;
-    when they are a constant the codes are constants and it records nothing.
+    Returns each edge's hard code, and counts it in `state.code_counts`.
+    When the cell's logits are on the tape the sampler records E + 2
+    nodes, the relaxation from the logits (`egs_sample_of`), its
+    straight-through codes and a row pick per edge, through which the loss
+    reaches the logits.  When they are a constant only the hard codes are
+    drawn (`hard_code(draw_scores(...))`, the same uniforms and the same
+    bits), as constants, and nothing is recorded.
     """
-    s = egs_sample(cell.probabilities(), state.cfg.M, state.tau, state.rng)
-    samples = {}
-    codes = s.hard.data.astype(np.int64).tolist()
-    for r, e in enumerate(edge_list(cell.n)):
-        per_edge = state.histogram.setdefault(e, {})
-        code = tuple(codes[r])
-        per_edge[code] = per_edge.get(code, 0) + 1
-        samples[e] = ad.pick(s.hard, r)
+    p, vjp = cell.mix()
+    edges = edge_list(cell.n)
+    if cell.logits.requires_grad:
+        hard = egs_sample_of(cell.logits, p, vjp, state.cfg.M, state.tau, state.rng).hard
+        samples = {e: ad.pick(hard, r) for r, e in enumerate(edges)}
+        rows = hard.data
+    else:
+        rows = hard_code(draw_scores(p, state.cfg.M, state.rng)).astype(np.float64)
+        samples = {e: ad.Tensor(rows[r]) for r, e in enumerate(edges)}
+    codes = (rows @ _CODE_PLACE).astype(np.intp)
+    state.code_counts[np.arange(len(edges)), codes] += 1
     return samples
 
 
@@ -201,15 +316,16 @@ def compute_loss(state: SearchState, batch, reach: str = "all"):
     """Sample codes, run the network, return the batch cross-entropy.
 
     `reach` names the parameters the loss's gradient must reach, and picks
-    the view of the network the substep runs: "weights" enters the logits
-    as a constant (so the codes are constants and only the sampled ops
-    run), "logits" enters the weights as constants, and "all" is the
-    network itself.  Ops on constants record nothing.
+    the view of the network the substep runs (`state.views`, built once
+    from VIEWS): "weights" enters the logits as a constant (so only the
+    hard codes are drawn and only the sampled ops run), "logits" enters
+    the weights as constants, and "all" is the network itself.  Ops on
+    constants record nothing.
     """
-    if reach not in VIEWS:
+    network = state.views.get(reach)
+    if network is None:
         raise ValueError(f"reach must be one of {tuple(VIEWS)}, got {reach!r}")
     x, y = batch
-    network = VIEWS[reach](state.network)
     samples = sample_edges(state, network.cell)
     logits = network_forward(network, x, samples)
     loss = ad.cross_entropy_with_logits(logits, y)
@@ -226,35 +342,6 @@ def _check_finite(loss, samples, which, state=None):
     raise SearchDiverged(f"non-finite {which} loss{at} codes {codes}")
 
 
-# resampling the architecture every step occasionally produces huge weight
-# gradients; without this bound plain momentum at the default rates diverges
-GRAD_CLIP_NORM = 5.0
-
-
-def _sgd_momentum(tensors, grads, velocities, lr, momentum):
-    # ops absent from the sampled graph get no gradient: their velocity only
-    # decays, and a tensor with neither is left alone
-    total = 0.0
-    for t in tensors:
-        g = grads.get(t)
-        if g is not None:
-            total += float((g * g).sum())
-    clip = GRAD_CLIP_NORM / np.sqrt(total) if total > GRAD_CLIP_NORM**2 else None
-    for t in tensors:
-        g = grads.get(t)
-        v = velocities.get(id(t))
-        if g is None:
-            if v is None:
-                continue
-            v = momentum * v
-        else:
-            if clip is not None:
-                g = g * clip
-            v = g if v is None else momentum * v + g
-        velocities[id(t)] = v
-        t.data = t.data - lr * v
-
-
 def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
     """One alternating update: w on the train batch, logits on validation.
     Returns the two substeps' losses."""
@@ -265,7 +352,7 @@ def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
         train_loss, samples = compute_loss(state, train_batch, reach="weights")
         _check_finite(train_loss, samples, "training", state)
         grads = ad.backward(train_loss)
-    _sgd_momentum(state.weights(), grads, state.velocities, cfg.lr_w, cfg.momentum)
+    state.optimizer.step(grads, cfg.lr_w, cfg.momentum)
 
     with ad.Tape():
         valid_loss, samples = compute_loss(state, valid_batch, reach="logits")
@@ -274,7 +361,10 @@ def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
     logits = state.cell.logits
     g = grads.get(logits)
     if g is not None:
-        logits.data = logits.data - cfg.lr_alpha * g
+        if logits.data is not state.views["weights"].cell.logits.data:
+            raise ValueError("the logits' .data was rebound during the search, "
+                             "away from the array the substeps' views share")
+        logits.data -= cfg.lr_alpha * g
 
     state.step += 1
     return float(train_loss.data), float(valid_loss.data)
@@ -329,10 +419,9 @@ def run_search(cfg: RunConfig, dataset: Dataset = None):
             )
         )
     derived = derive_architecture(state, cfg.derive_mode, draws=cfg.derive_draws)
-    events = sum(sum(c.values()) for c in state.histogram.values())
     report = SearchReport(
         rows=rows, histogram=state.histogram, derived=derived,
-        sampling_events=events,
+        sampling_events=int(state.code_counts.sum()),
     )
     return state, report
 
@@ -411,24 +500,7 @@ def retrain(code: ArchitectureCode, dataset: Dataset, cfg: RunConfig,
     init_rng = np.random.default_rng(cfg.seed + seed_offset)
     network = make_network(dataset.features.shape[1], dataset.n_classes, cfg, init_rng)
     samples = _constant_samples(code)
-    train_idx = dataset.splits["train"]
-    X, y = dataset.features, dataset.labels
-    stream = _batch_stream(
-        train_idx, cfg.batch_size,
-        np.random.default_rng(np.random.PCG64(cfg.seed + seed_offset).jumped(3)),
-    )
-    spe = _steps_per_epoch(len(train_idx), cfg.batch_size)
-    velocities = {}
-    loss_value = np.nan
-    for _ in range(epochs * spe):
-        bi = next(stream)
-        with ad.Tape():
-            logits = network_forward(network, X[bi], samples)
-            loss = ad.cross_entropy_with_logits(logits, y[bi])
-            _check_finite(loss, samples, "retrain")
-            grads = ad.backward(loss)
-        _sgd_momentum(network.weights(), grads, velocities, cfg.lr_w, cfg.momentum)
-        loss_value = float(loss.data)
+    loss_value = _fit(network, code, samples, dataset, cfg, epochs, seed_offset)
     accs = {}
     constant = network.constant()
     for name in ("train", "valid", "test"):
@@ -438,6 +510,36 @@ def retrain(code: ArchitectureCode, dataset: Dataset, cfg: RunConfig,
         code=code, train_acc=accs["train"], valid_acc=accs["valid"],
         test_acc=accs["test"], final_loss=loss_value,
     )
+
+
+def _fit(network, code, samples, dataset, cfg, epochs, seed_offset) -> float:
+    """`retrain`'s training steps; returns the last loss.  The last step's
+    graph and gradients and the optimizer's buffers are freed on return,
+    before the accuracy passes allocate a retrain's largest arrays."""
+    train_idx = dataset.splits["train"]
+    X, y = dataset.features, dataset.labels
+    stream = _batch_stream(
+        train_idx, cfg.batch_size,
+        np.random.default_rng(np.random.PCG64(cfg.seed + seed_offset).jumped(3)),
+    )
+    spe = _steps_per_epoch(len(train_idx), cfg.batch_size)
+    # only the weights of the ops the code sets: the others never run
+    cell = network.cell
+    used = [t for r, e in enumerate(edge_list(code.n))
+            for k in np.flatnonzero(code.bits[r]) for t in cell.params[e][k].values()]
+    optimizer = MomentumSGD([network.w_in, network.b_in, *used,
+                             network.w_out, network.b_out])
+    loss_value = np.nan
+    for _ in range(epochs * spe):
+        bi = next(stream)
+        with ad.Tape():
+            logits = network_forward(network, X[bi], samples)
+            loss = ad.cross_entropy_with_logits(logits, y[bi])
+            _check_finite(loss, samples, "retrain")
+            grads = ad.backward(loss)
+        optimizer.step(grads, cfg.lr_w, cfg.momentum)
+        loss_value = float(loss.data)
+    return loss_value
 
 
 @dataclass

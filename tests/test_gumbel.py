@@ -5,10 +5,13 @@ rng), and Gumbel-Max is its hard code; Gumbel-Max in bulk is the batch
 kernel at M=1.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import kernels
@@ -41,6 +44,42 @@ def test_rng_clone_is_independent():
     a = r.uniform(4)
     assert c.position == 0
     assert np.array_equal(c.uniform(4), a)
+
+
+def fresh(seed, position, count):
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(position)
+    return np.random.Generator(bitgen).random(count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63), ops=st.lists(st.one_of(
+    st.tuples(st.just("uniform"), st.integers(0, 3), st.integers(0, 70)),
+    st.tuples(st.just("clone"), st.integers(0, 3)),
+    st.tuples(st.just("set"), st.integers(0, 3), st.integers(0, 500)),
+), max_size=30))
+def test_live_stream_equals_a_fresh_advance(seed, ops):
+    # interleaved draws, clones and hand-set positions over a few states:
+    # every draw is the fresh PCG64(seed).advance(position) stream
+    states = [RngState(seed)]
+    for op, i, *arg in ops:
+        r = states[i % len(states)]
+        if op == "uniform":
+            at = r.position
+            assert r.uniform(arg[0]).tobytes() == fresh(seed, at, arg[0]).tobytes()
+            assert r.position == at + arg[0]
+        elif op == "clone":
+            states.append(r.clone())
+        else:
+            r.position = arg[0]
+
+
+def test_a_copied_state_does_not_share_the_live_stream():
+    r = RngState(9)
+    r.uniform(5)
+    twin = copy.copy(r)
+    assert np.array_equal(twin.uniform(3), fresh(9, 5, 3))
+    assert np.array_equal(r.uniform(3), fresh(9, 5, 3))
 
 
 # --- Gumbel noise ------------------------------------------------------------

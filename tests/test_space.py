@@ -200,6 +200,9 @@ def test_decode_of_a_constant_code(fill):
     # edges are checked in plan order, each edge before its op indices
     ((((0, 1), (0, 7)), ((5, 6), (0,))), r"^op index out of range on edge \(0, 1\)"),
     ((((5, 6), (0,)), ((0, 1), (0, 7))), r"^edge \(5, 6\) out of range for n=3$"),
+    # an op index must be an integer: 1.9 is not op 1
+    ((((0, 1), (1.9,)),), r"^op index is not an integer on edge \(0, 1\): \(1.9,\)$"),
+    ((((1, 2), (0, np.float64(1.0))),), r"^op index is not an integer on edge \(1, 2\)"),
 ])
 def test_encode_names_what_is_out_of_range(edge_ops, message):
     with pytest.raises(ValueError, match=message):
@@ -217,6 +220,14 @@ def test_encode_keeps_a_repeated_edges_last_entry():
 def test_code_bits_must_be_zero_or_one():
     with pytest.raises(ValueError, match="bits must be 0/1"):
         ArchitectureCode(n=3, K=2, bits=np.array([[0, 1], [2, 0], [0, 0]]))
+    # neither truncated nor wrapped by the cast to uint8
+    for bad in ([[0.5, 1.7]], [[0, 256]], [[-1, 0]], [[np.nan, 1.0]], [[1.0, 1e-300]]):
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            ArchitectureCode(n=2, K=2, bits=np.array(bad))
+    for good in ([[True, False]], [[1.0, 0.0]], [[1, 0]], np.array([[0, 1]], dtype=np.int8)):
+        assert ArchitectureCode(n=2, K=2, bits=np.array(good)).bits.tolist() == [
+            [int(b) for b in np.array(good)[0]]]
+        assert ArchitectureCode(n=2, K=2, bits=np.array(good)).bits.dtype == np.uint8
     with pytest.raises(ValueError, match="bits shape"):
         ArchitectureCode(n=3, K=2, bits=np.zeros((2, 2)))
 

@@ -15,12 +15,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import trainer as tr
 from egsearch.config import RunConfig
 from egsearch.data import Dataset
-from egsearch.gumbel import marginal_inclusion_oracle
+from egsearch.gumbel import egs_sample, marginal_inclusion_oracle
 from egsearch.space import OP_SET, ArchitectureCode, edge_list, num_edges
 
 K = len(OP_SET)
@@ -97,9 +99,10 @@ def test_sample_edges_shape_histogram_and_constant_mode():
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     with ad.Tape() as tape:
         samples = tr.sample_edges(state, state.cell)
-    # one draw of E*M*K uniforms; probabilities, relaxation, code, E row picks
+    # one draw of E*M*K uniforms; the relaxation from the logits, the
+    # straight-through codes, E row picks
     assert state.rng.position == num_edges(4) * 2 * K
-    assert len(tape.nodes) == num_edges(4) + 3
+    assert len(tape.nodes) == num_edges(4) + 2
     assert set(samples) == set(edge_list(4))
     for s in samples.values():
         assert set(np.unique(s.data)) <= {0.0, 1.0}
@@ -108,7 +111,7 @@ def test_sample_edges_shape_histogram_and_constant_mode():
     # from a cell whose logits are a constant: the same draw as constants,
     # nothing recorded
     twin = tr.build_state(cfg, tr.build_dataset(cfg))
-    twin.rng, twin.histogram = state.rng.clone(), {}
+    twin.rng = state.rng.clone()
     fixed = dataclasses.replace(twin.cell, logits=ad.Tensor(twin.cell.logits.data))
     with ad.Tape():
         on_tape = tr.sample_edges(state, state.cell)
@@ -118,6 +121,56 @@ def test_sample_edges_shape_histogram_and_constant_mode():
     for e in edge_list(4):
         assert constant[e].node is None and not constant[e].requires_grad
         assert np.array_equal(constant[e].data, on_tape[e].data)
+    assert twin.rng.position == state.rng.position
+    assert state.histogram[(0, 1)] != {} and twin.code_counts.sum() == num_edges(4)
+
+
+@pytest.mark.parametrize("cell", [dict(nodes=4, M=2), dict(nodes=6, M=3, lam=0.3)])
+def test_weight_substep_draws_the_hard_codes_of_egs_sample(cell):
+    # the weight substep draws only hard_code(draw_scores(...)): the codes
+    # and the stream position of the full draw, step after step
+    cfg = small_cfg(**cell)
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    x, y = ds.split("train")
+    xv, yv = ds.split("valid")
+    for _ in range(5):
+        ref_rng = state.rng.clone()
+        with ad.Tape() as tape:
+            _, samples = tr.compute_loss(state, (x[:32], y[:32]), reach="weights")
+        want = egs_sample(state.cell.probabilities(), cfg.M, state.tau, ref_rng).hard.data
+        assert ref_rng.position == state.rng.position
+        for r, e in enumerate(edge_list(cfg.nodes)):
+            assert samples[e].data.tobytes() == want[r].tobytes()
+            assert samples[e].node is None
+        assert not any(t is state.cell.logits for n in tape.nodes for t in n.inputs)
+        tr.search_step(state, (x[:32], y[:32]), (xv[:32], yv[:32]))
+
+
+def test_histogram_counts_every_drawn_code(monkeypatch):
+    # code_counts is the per-draw tuple count of the old dict histogram
+    cfg = small_cfg(nodes=4, M=2, epochs=2)
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    want = {}
+    real = tr.sample_edges
+
+    def counting(state, cell):
+        samples = real(state, cell)
+        for e, s in samples.items():
+            code = tuple(int(b) for b in s.data)
+            want.setdefault(e, {})
+            want[e][code] = want[e].get(code, 0) + 1
+        return samples
+
+    x, y = ds.split("train")
+    assert state.histogram == {}
+    monkeypatch.setattr(tr, "sample_edges", counting)
+    for _ in range(20):
+        tr.search_step(state, (x[:32], y[:32]), (x[32:64], y[32:64]))
+    got = state.histogram
+    assert got == want
+    assert all(type(b) is int for counts in got.values() for code in counts for b in code)
 
 
 # --- the search step ---------------------------------------------------------
@@ -176,14 +229,14 @@ def test_logit_substep_gradients_equal_the_full_sweep(cell):
 
 @pytest.mark.parametrize("cell", PRUNE_CELLS)
 def test_logit_substep_records_no_weight_only_node(cell):
-    # sampler: E row picks + 3; cell: one node per edge, (n-1)(n-2)/2 node
+    # sampler: E row picks + 2; cell: one node per edge, (n-1)(n-2)/2 node
     # sums and the output sum (n-2 adds) or concat (1); head: matmul, add,
     # cross-entropy.  Only the input projection (matmul, add) is pruned.
     cfg, _, full, pruned = logit_substeps(**cell)
     n, edges = cfg.nodes, num_edges(cfg.nodes)
     outputs = 1 if cfg.output_rule == "concat" else n - 2
-    assert pruned[0] == 2 * edges + 3 + (n - 1) * (n - 2) // 2 + outputs + 3
-    assert (full[0], pruned[0]) == {4: (25, 23), 7: (66, 64)}[n]
+    assert pruned[0] == 2 * edges + 2 + (n - 1) * (n - 2) // 2 + outputs + 3
+    assert (full[0], pruned[0]) == {4: (24, 22), 7: (65, 63)}[n]
 
 
 def test_compute_loss_rejects_unknown_reach():
@@ -215,16 +268,99 @@ def test_weight_substep_keeps_the_logits_off_the_tape():
 def test_sgd_momentum_decays_or_skips_absent_gradients():
     fed, decaying, idle = (ad.Tensor(np.ones(2), requires_grad=True)
                            for _ in range(3))
+    opt = tr.MomentumSGD([fed, decaying, idle])
     idle_data = idle.data
-    velocities = {id(decaying): np.array([1.0, -2.0])}
-    tr._sgd_momentum([fed, decaying, idle], {fed: np.array([3.0, 4.0])},
-                     velocities, lr=0.5, momentum=0.5)
+    assert all(t.data.base is opt.flat for t in (fed, decaying, idle))
+    opt.step({decaying: np.array([1.0, -2.0])}, lr=0.5, momentum=0.5)
+    opt.step({fed: np.array([3.0, 4.0])}, lr=0.5, momentum=0.5)
     # |g| = 5 is at the clip norm, so the gradient goes in unscaled
-    assert np.array_equal(velocities[id(fed)], [3.0, 4.0])
     assert np.array_equal(fed.data, [-0.5, -1.0])
-    assert np.array_equal(velocities[id(decaying)], [0.5, -1.0])
-    assert np.array_equal(decaying.data, [0.75, 1.5])
-    assert id(idle) not in velocities and idle.data is idle_data
+    assert np.array_equal(opt.velocity[:4], [3.0, 4.0, 0.5, -1.0])
+    assert np.array_equal(decaying.data, [0.25, 2.5])
+    assert idle.data is idle_data and np.array_equal(idle.data, [1.0, 1.0])
+    assert opt.idle == 1 and not opt.moving[4:].any()
+
+
+def reference_sgd_momentum(tensors, grads, velocities, lr, momentum):
+    """The per-tensor update MomentumSGD replaced, kept as its reference."""
+    total = 0.0
+    for t in tensors:
+        g = grads.get(t)
+        if g is not None:
+            total += float((g * g).sum())
+    clip = tr.GRAD_CLIP_NORM / np.sqrt(total) if total > tr.GRAD_CLIP_NORM**2 else None
+    for t in tensors:
+        g = grads.get(t)
+        v = velocities.get(id(t))
+        if g is None:
+            if v is None:
+                continue
+            v = momentum * v
+        else:
+            if clip is not None:
+                g = g * clip
+            v = g if v is None else momentum * v + g
+        velocities[id(t)] = v
+        t.data = t.data - lr * v
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
+def test_momentum_sgd_equals_the_per_tensor_update_bit_for_bit(seed, steps):
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 3)))
+              for _ in range(int(rng.integers(1, 7)))]
+    init = [rng.normal(size=s) * rng.choice([1e-3, 1.0]) for s in shapes]
+    for a in init:  # signed zeros among the weights
+        a[rng.random(a.shape) < 0.2] = rng.choice([0.0, -0.0])
+    ref = [ad.Tensor(a.copy(), requires_grad=True) for a in init]
+    new = [ad.Tensor(a.copy(), requires_grad=True) for a in init]
+    opt = tr.MomentumSGD(new)
+    never = int(rng.integers(len(shapes)))  # one tensor may stay idle throughout
+    velocities = {}
+    lr, momentum = float(rng.choice([0.05, 0.5])), float(rng.choice([0.0, 0.9]))
+    for _ in range(steps):
+        scale = rng.choice([1e-2, 1.0, 30.0])  # the clip fires at the largest
+        grads_ref, grads_new = {}, {}
+        for i, (a, b) in enumerate(zip(ref, new)):
+            if i == never and seed % 2 or rng.random() < 0.4:
+                continue
+            g = rng.normal(size=a.shape) * scale
+            g[rng.random(a.shape) < 0.3] = -0.0
+            grads_ref[a], grads_new[b] = g, g.copy()
+        idle = [bits(b.data).tobytes() for i, b in enumerate(new) if id(ref[i]) not in velocities
+                and ref[i] not in grads_ref]
+        reference_sgd_momentum(ref, grads_ref, velocities, lr, momentum)
+        opt.step(grads_new, lr, momentum)
+        for a, b in zip(ref, new):
+            assert bits(a.data).tobytes() == bits(b.data).tobytes()
+        assert idle == [bits(b.data).tobytes() for i, b in enumerate(new)
+                        if id(ref[i]) not in velocities]
+        for a, (v, _) in zip(ref, opt.slots):
+            want = velocities.get(id(a))
+            assert bits(v).tobytes() == bits(np.zeros_like(v) if want is None else want).tobytes()
+
+
+def test_momentum_sgd_refuses_a_rebound_weight():
+    w, b = ad.Tensor(np.ones((2, 2)), requires_grad=True), ad.Tensor(np.zeros(2))
+    opt = tr.MomentumSGD([w, b])
+    w.data = w.data.copy()
+    with pytest.raises(ValueError, match=r"weight 0 .*rebound"):
+        opt.step({b: np.ones(2)}, 0.1, 0.9)
+
+
+def test_search_refuses_rebound_logits():
+    cfg = small_cfg()
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    x, y = ds.split("train")
+    state.cell.logits.data = state.cell.logits.data.copy()
+    with pytest.raises(ValueError, match="logits' .data was rebound"):
+        tr.search_step(state, (x[:32], y[:32]), (x[32:64], y[32:64]))
 
 
 def live_tape_nodes():
@@ -562,6 +698,38 @@ def test_retrain_matches_handwritten_numpy_twin():
     assert got.train_acc == want_accs["train"]
     assert got.valid_acc == want_accs["valid"]
     assert got.test_acc == want_accs["test"]
+
+
+@pytest.mark.parametrize("rows,input_read", [
+    ([[0, 1, 1, 0, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]], True),
+    ([[1, 0, 0, 0, 0]] * 3, False),  # no op reads the input projection
+])
+def test_retrain_leaves_the_weights_of_unset_ops_untouched(monkeypatch, rows, input_read):
+    cfg = small_cfg(nodes=3, retrain_epochs=2)
+    ds = tr.build_dataset(cfg)
+    code = ArchitectureCode(n=3, K=K, bits=np.array(rows, dtype=np.uint8))
+    built = []
+    make = tr.make_network
+
+    def recording(*args):
+        net = make(*args)
+        built.append((net, [t.data.copy() for t in net.weights()]))
+        return net
+
+    monkeypatch.setattr(tr, "make_network", recording)
+    tr.retrain(code, ds, cfg)
+    (net, initial), = built
+    untouched = {id(t) for r, e in enumerate(edge_list(3)) for k in range(K)
+                 if not code.bits[r, k] for t in net.cell.params[e][k].values()}
+    if not input_read:
+        untouched |= {id(net.w_in), id(net.b_in)}
+    moved = 0
+    for t, before in zip(net.weights(), initial):
+        if id(t) in untouched:
+            assert t.data.tobytes() == before.tobytes()
+        else:
+            moved += t.data.tobytes() != before.tobytes()
+    assert moved > 0
 
 
 def test_retrain_accuracy_passes_record_nothing():
