@@ -33,12 +33,14 @@ default `derive_draws` draws at the default (K, M).  Each rate is N draws
 `sigmoid` are timed on constant (64, 8) and (256, 128) inputs, the shapes
 of the default search and of search-wide, in us per call.  The audit and
 kernel figures are the best over R fresh pinned processes of the best of R
-calls (or loops of calls) in each.
+calls (or loops of calls) in each.  "src_lines" is the line count of
+`src/egsearch/*.py` (as `wc -l` counts them) of this checkout.
 
 With --baseline-src, every search, audit and kernel figure is measured a
 second time with the `egsearch` package under DIR (another checkout's
-`src`), the two interleaved, and recorded under "baseline" with LABEL, so
-one file holds before and after figures from the same session.
+`src`), the two interleaved, and recorded under "baseline" with LABEL and
+the line count of DIR's `egsearch/*.py`, so one file holds before and after
+figures from the same session.
 """
 
 import argparse
@@ -50,9 +52,11 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SEED = 1
 CASES = {
     "default": {},
@@ -176,6 +180,12 @@ def spawn(src, *args):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def src_lines(src):
+    """Lines of the `egsearch` package's modules under `src`."""
+    return sum(path.read_text().count("\n")
+               for path in sorted(Path(src, "egsearch").glob("*.py")))
+
+
 def best_of(fn, repeats):
     times = []
     for _ in range(repeats):
@@ -291,8 +301,10 @@ def main():
         return
 
     sources = {"this": None}
+    lines = {"this": src_lines(SRC)}
     if args.baseline_src:
         sources["baseline"] = os.path.abspath(args.baseline_src)
+        lines["baseline"] = src_lines(sources["baseline"])
     # the trees take turns within each repeat, so a drift of the host's
     # speed falls on both
     runs = {label: {name: [] for name in CASES} for label in sources}
@@ -312,17 +324,18 @@ def main():
             "libc": list(platform.libc_ver()), "cpu_count": os.cpu_count(),
             "blas_threads": BLAS_THREADS,
         },
+        "src_lines": lines["this"],
         "searches": searches,
         "kernels": kernels,
     }
     if args.baseline_src:
         base_searches, base_kernels = measured["baseline"]
-        record["baseline"] = {"label": args.baseline_label,
+        record["baseline"] = {"label": args.baseline_label, "src_lines": lines["baseline"],
                               "searches": base_searches, "kernels": base_kernels}
     with open(args.out, "w") as fh:
         fh.write(json.dumps(record, indent=1) + "\n")
     for label, (searches, kernels) in measured.items():
-        print(f"[{label}]")
+        print(f"[{label}] src/egsearch: {lines[label]} lines")
         for name, s in searches.items():
             m = s["median"]
             print(f"{name:<8} {m['wall_s']:8.3f} s {m['ms_per_step']:8.3f} ms/step "

@@ -114,7 +114,10 @@ def cmd_search(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
     out = _out_dir(cfg.output_dir)
-    code = parse_architecture(Path(args.code_file).read_text())
+    try:
+        code = parse_architecture(Path(args.code_file).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # decode, JSON (too deep) or content
+        raise ValueError(f"{args.code_file}: {exc}") from None
     result = retrain(code, build_dataset(cfg), cfg)
     text = "\n".join(
         [

@@ -108,18 +108,21 @@ def parse_value(name: str, raw: str):
 def parse_config_file(path) -> dict:
     """Read a flat key=value file into a {field: value} dict."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            try:
-                out[key.strip()] = parse_value(key.strip(), value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, _, value = line.partition("=")
+                try:
+                    out[key.strip()] = parse_value(key.strip(), value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:  # raised by the read, not by a line's check
+        raise ValueError(f"{path}: {exc}") from None
     return out
 
 

@@ -28,6 +28,8 @@ __all__ = [
     "OpKind",
     "OP_SET",
     "ArchitectureCode",
+    "CODE_PLACE",
+    "code_bits",
     "NetworkPlan",
     "Cell",
     "edge_list",
@@ -107,6 +109,17 @@ class ArchitectureCode:
 
     def bit_count(self) -> int:
         return int(self.bits.sum())
+
+
+# an OP_SET code's integer is bits @ CODE_PLACE, the number its bits spell
+# with op 0 the top bit, so integers order as codes do lexicographically
+_CODE_SHIFT = np.arange(len(OP_SET) - 1, -1, -1)
+CODE_PLACE = 1 << _CODE_SHIFT
+
+
+def code_bits(integers) -> np.ndarray:
+    """The bits (..., K) of each OP_SET code integer, op 0 first."""
+    return (np.asarray(integers)[..., None] >> _CODE_SHIFT) & 1
 
 
 @dataclass(frozen=True)

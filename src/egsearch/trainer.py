@@ -2,19 +2,18 @@
 
 Each search step alternates two substeps: sample per-edge binary codes and
 update the op weights on a training batch, then resample and update the
-per-edge logits on a validation batch.  Each substep runs a view of the
-network in which the parameters it does not update are constants, and ops on
-constants record nothing.  In the logit substep the binary codes enter the
-forward pass through their straight-through tensors, so one ordinary
-backward pass carries the loss's gradient to the logits, and nothing that
-only the weights feed is recorded.  In the weight substep the logits are a
-constant, so only the hard codes are drawn, they are constants too, and
-only the sampled ops run.
+per-edge logits on a validation batch.  The weight substep runs the network
+itself and tells the sampler to draw only the hard codes: they are
+constants, the logits are not read on the tape, and only the sampled ops
+run.  The logit substep runs `SearchState.frozen`, a view built once per
+search in which the weights are constants and the cell holds the network's
+own logits tensor; the codes enter the forward pass through their
+straight-through tensors, so one ordinary backward pass carries the loss's
+gradient to the logits, and ops on the constant weights record nothing.
 
-The views are built once per search.  The weights are views of one flat
-array that `MomentumSGD` updates in place, and the logits are updated in
-place too, so every view, and any code holding a parameter's `.data`, sees
-each update.
+The weights are views of one flat array that `MomentumSGD` updates in place,
+and the logits are updated in place too, so the frozen view, and any code
+holding a parameter's `.data`, sees each update.
 
 The temperature anneals linearly from tau_start to tau_end over the run.
 After the search, the learned edge distributions are collapsed into one
@@ -41,9 +40,11 @@ from .gumbel import (
     marginal_inclusion_oracle,
 )
 from .space import (
+    CODE_PLACE,
     OP_SET,
     ArchitectureCode,
     Cell,
+    code_bits,
     cell_forward,
     edge_list,
     make_cell,
@@ -138,7 +139,8 @@ class MomentumSGD:
     without one, each g scaled by GRAD_CLIP_NORM / |g| when the norm over
     the step's gradients exceeds it.  The squared norm is the sum, in
     tensor order, of each gradient's own (g * g).sum().  A tensor with
-    neither a gradient nor a velocity is not written.
+    neither a gradient nor a velocity has a velocity of +0.0 (lr and
+    momentum are never negative), and subtracting +0.0 leaves its bits.
     """
 
     def __init__(self, tensors):
@@ -157,9 +159,8 @@ class MomentumSGD:
             start += size
         # allocated at the first step: a state that is built and never
         # stepped holds no velocities
-        self.velocity = self.moving = self.slots = None
+        self.velocity = self.slots = None
         self.has_velocity = [False] * len(self.tensors)
-        self.idle = len(self.tensors)  # tensors without a velocity
 
     def step(self, grads: dict, lr: float, momentum: float):
         for i, (t, view) in enumerate(zip(self.tensors, self.views)):
@@ -168,8 +169,7 @@ class MomentumSGD:
                                  "optimizer's flat array, so no step would reach it")
         if self.velocity is None:
             self.velocity = np.zeros_like(self.flat)
-            self.moving = np.zeros(self.flat.shape, dtype=bool)  # entries with a velocity
-            self.slots = [(self.velocity[part].reshape(view.shape), self.moving[part])
+            self.slots = [self.velocity[part].reshape(view.shape)
                           for part, view in zip(self.parts, self.views)]
         fed = [(i, g) for i, t in enumerate(self.tensors) if (g := grads.get(t)) is not None]
         total = 0.0
@@ -180,16 +180,13 @@ class MomentumSGD:
         for i, g in fed:
             if clip is not None:
                 g = g * clip
-            v, moving = self.slots[i]
+            v = self.slots[i]
             if self.has_velocity[i]:
                 v += g
-            else:
+            else:  # a copy keeps the sign of a -0.0 gradient
                 v[...] = g
-                moving[...] = True
                 self.has_velocity[i] = True
-                self.idle -= 1
-        np.subtract(self.flat, lr * self.velocity, out=self.flat,
-                    where=self.moving if self.idle else True)
+        self.flat -= lr * self.velocity
 
 
 @dataclass
@@ -201,7 +198,7 @@ class SearchState:
     step: int
     rng: RngState
     optimizer: MomentumSGD  # holds every weight of the network
-    views: dict  # reach -> the network view compute_loss runs, built once
+    frozen: Network  # the logit substep's view: weights constant, same logits
     code_counts: np.ndarray  # (E, 2**K) draws of each code per edge
 
     @property
@@ -214,15 +211,12 @@ class SearchState:
     @property
     def histogram(self) -> dict:
         """edge -> {code tuple: count} over every edge drawn so far, from
-        code_counts (a code's column is the integer its bits spell, op 0
-        the top bit)."""
-        shift = np.arange(len(OP_SET) - 1, -1, -1)
+        code_counts (a code's column is its integer, `space.CODE_PLACE`)."""
         out = {}
         for e, counts in zip(edge_list(self.cell.n), self.code_counts):
             drawn = np.flatnonzero(counts)
             if drawn.size:
-                out[e] = {tuple(((c >> shift) & 1).tolist()): int(counts[c])
-                          for c in drawn}
+                out[e] = {tuple(code_bits(c).tolist()): int(counts[c]) for c in drawn}
         return out
 
 
@@ -251,11 +245,10 @@ def build_state(cfg: RunConfig, dataset: Dataset) -> SearchState:
     init_rng = np.random.default_rng(cfg.seed)
     network = make_network(dataset.features.shape[1], dataset.n_classes, cfg, init_rng)
     total = cfg.epochs * _steps_per_epoch(len(dataset.splits["train"]), cfg.batch_size)
-    optimizer = MomentumSGD(network.weights())  # before the views share the data
+    optimizer = MomentumSGD(network.weights())  # before the view shares the data
     return SearchState(
         cfg=cfg, total_steps=total, network=network, tau=cfg.tau_start, step=0,
-        rng=RngState(cfg.seed), optimizer=optimizer,
-        views={reach: view(network) for reach, view in VIEWS.items()},
+        rng=RngState(cfg.seed), optimizer=optimizer, frozen=network.constant(),
         code_counts=np.zeros((num_edges(cfg.nodes), 1 << len(OP_SET)), dtype=np.int64),
     )
 
@@ -273,60 +266,46 @@ def network_forward(network: Network, x: np.ndarray, samples: dict) -> ad.Tensor
     return ad.add(ad.matmul(out, network.w_out), network.b_out)
 
 
-# a code's column in SearchState.code_counts: the integer its bits spell
-_CODE_PLACE = np.ldexp(1.0, np.arange(len(OP_SET) - 1, -1, -1))
-
-
-def sample_edges(state: SearchState, cell: Cell) -> dict:
-    """One EGS draw for all edges of `cell` at the current temperature.
+def sample_edges(state: SearchState, relax: bool) -> dict:
+    """One EGS draw for all edges of `state.cell` at the current temperature.
 
     Returns each edge's hard code, and counts it in `state.code_counts`.
-    When the cell's logits are on the tape the sampler records E + 2
-    nodes, the relaxation from the logits (`egs_sample_of`), its
-    straight-through codes and a row pick per edge, through which the loss
-    reaches the logits.  When they are a constant only the hard codes are
-    drawn (`hard_code(draw_scores(...))`, the same uniforms and the same
-    bits), as constants, and nothing is recorded.
+    With `relax` the sampler records E + 2 nodes, the relaxation from the
+    logits (`egs_sample_of`), its straight-through codes and a row pick per
+    edge, through which the loss reaches the logits.  Without it only the
+    hard codes are drawn (`hard_code(draw_scores(...))`, the same uniforms
+    and the same bits), as constants, and nothing is recorded.
     """
+    cell = state.cell
     p, vjp = cell.mix()
     edges = edge_list(cell.n)
-    if cell.logits.requires_grad:
+    if relax:
         hard = egs_sample_of(cell.logits, p, vjp, state.cfg.M, state.tau, state.rng).hard
         samples = {e: ad.pick(hard, r) for r, e in enumerate(edges)}
         rows = hard.data
     else:
         rows = hard_code(draw_scores(p, state.cfg.M, state.rng)).astype(np.float64)
         samples = {e: ad.Tensor(rows[r]) for r, e in enumerate(edges)}
-    codes = (rows @ _CODE_PLACE).astype(np.intp)
+    codes = (rows @ CODE_PLACE).astype(np.intp)
     state.code_counts[np.arange(len(edges)), codes] += 1
     return samples
-
-
-def _fixed_logits(network: Network) -> Network:
-    cell = dataclasses.replace(network.cell, logits=ad.Tensor(network.cell.logits.data))
-    return dataclasses.replace(network, cell=cell)
-
-
-# the network each reach runs: what it does not name enters as a constant
-VIEWS = {"all": lambda network: network, "weights": _fixed_logits,
-         "logits": Network.constant}
 
 
 def compute_loss(state: SearchState, batch, reach: str = "all"):
     """Sample codes, run the network, return the batch cross-entropy.
 
-    `reach` names the parameters the loss's gradient must reach, and picks
-    the view of the network the substep runs (`state.views`, built once
-    from VIEWS): "weights" enters the logits as a constant (so only the
-    hard codes are drawn and only the sampled ops run), "logits" enters
-    the weights as constants, and "all" is the network itself.  Ops on
-    constants record nothing.
+    `reach` names the parameters the loss's gradient must reach: "weights"
+    runs the network with hard codes only (the logits are not read on the
+    tape, and only the sampled ops run), "logits" runs `state.frozen`,
+    whose weights are constants, and "all" runs the network with the
+    relaxed codes.  Ops on constants record nothing.
     """
-    network = state.views.get(reach)
-    if network is None:
-        raise ValueError(f"reach must be one of {tuple(VIEWS)}, got {reach!r}")
+    reaches = ("all", "weights", "logits")
+    if reach not in reaches:
+        raise ValueError(f"reach must be one of {reaches}, got {reach!r}")
+    network = state.frozen if reach == "logits" else state.network
     x, y = batch
-    samples = sample_edges(state, network.cell)
+    samples = sample_edges(state, relax=reach != "weights")
     logits = network_forward(network, x, samples)
     loss = ad.cross_entropy_with_logits(logits, y)
     return loss, samples
@@ -361,9 +340,6 @@ def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
     logits = state.cell.logits
     g = grads.get(logits)
     if g is not None:
-        if logits.data is not state.views["weights"].cell.logits.data:
-            raise ValueError("the logits' .data was rebound during the search, "
-                             "away from the array the substeps' views share")
         logits.data -= cfg.lr_alpha * g
 
     state.step += 1
@@ -442,17 +418,14 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
     keep = min(m, k)
     bits = np.zeros((num_edges(state.cell.n), k), dtype=np.uint8)
     rng = state.rng.clone()  # derivation must not disturb the search stream
-    shift = np.arange(k - 1, -1, -1)
-    place = 1 << shift
     for row, p in enumerate(state.cell.probabilities().data):
         if mode == "mode-sample":
             codes = kernels.egs_hard_batch(p, rng.uniform(draws * m * k), m)
-            # each code as the integer its bits spell, op 0 the top bit, so
-            # integers order as codes do lexicographically; ties break
-            # toward the larger code, which prefers lower op indices
-            counts = np.bincount(codes @ place, minlength=1 << k)
+            # counted by their integers; ties break toward the larger
+            # integer, which prefers lower op indices
+            counts = np.bincount(codes @ CODE_PLACE, minlength=1 << k)
             best = np.flatnonzero(counts == counts.max())[-1]
-            bits[row] = (best >> shift) & 1
+            bits[row] = code_bits(best)
         else:
             chosen = marginal_inclusion_oracle(p, m) >= 0.5
             if not np.any(chosen):

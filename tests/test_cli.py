@@ -155,6 +155,27 @@ def test_a_bad_config_file_value_exits_2_and_names_its_line(tmp_path, capsys):
     assert f"{cfg_file}:2: config key epochs: expected int" in capsys.readouterr().err
 
 
+def test_a_non_utf8_config_file_exits_2_and_names_itself(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed=1\nepochs=\x9a\n")
+    assert run("search", "--config", cfg_file) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg_file}: 'utf-8' codec can't decode byte 0x9a" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"n": 4, "K": 5, "edges": \x9a}', "'utf-8' codec can't decode byte 0x9a"),
+    (b'{"n": 4, "K": 5, "edges": ', "Expecting value: line 1 column 27 (char 26)"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["non-utf8", "truncated-json", "too-deep-json"])
+def test_an_unreadable_code_file_exits_2_and_names_itself(tmp_path, capsys, content,
+                                                           message):
+    code_file = tmp_path / "architecture.json"
+    code_file.write_bytes(content)
+    assert run("evaluate", code_file, *FAST, "--retrain-epochs", 1) == 2
+    assert f"error: {code_file}: {message}" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_mismatched_dimensions(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("search", *FAST, "--output-dir", out) == 0
