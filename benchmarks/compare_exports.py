@@ -8,9 +8,10 @@ in a fresh process with the BLAS pools pinned to one thread, and prints
 `same` or `DIFF` for every file either side writes.  The set: the default
 search at seeds 0 and 3, a 20-epoch 6-node concat search (M 3, lam 0.3,
 max-marginal derivation) at seed 1, a 10-epoch search at the search-wide
-benchmark's shape at seed 1, a 20-epoch parity search at seed 2, and
-`evaluate` (of the seed-0 export), `baseline`, `verify-propositions` and
-`dump-dataset` at their defaults.  Left out of the comparison: the
+benchmark's shape at seed 1, a 20-epoch parity search at seed 2,
+`evaluate` of the seed-0 export at the defaults and of the search-wide
+export at that shape with 20 retrain epochs, and `baseline`,
+`verify-propositions` and `dump-dataset` at their defaults.  Left out of the comparison: the
 wall-clock column of metrics.csv, and the `output_dir=` and `code_file=`
 lines, which name a run's own paths.  Exits 1 on any DIFF.
 """
@@ -24,16 +25,19 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BLAS_THREADS = 1
+WIDE = ["--seed", "1", "--dataset", "two_moons", "--dataset-n", "4000", "--dim", "128",
+        "--batch-size", "256"]
 RUNS = {
     "search-seed0": ["search", "--seed", "0"],
     "search-seed3": ["search", "--seed", "3"],
     "search-n6-m3-concat": ["search", "--seed", "1", "--epochs", "20", "--nodes", "6",
                             "--m", "3", "--lam", "0.3", "--output-rule", "concat",
                             "--derive-mode", "max-marginal"],
-    "search-wide": ["search", "--seed", "1", "--dataset", "two_moons", "--dataset-n",
-                    "4000", "--dim", "128", "--batch-size", "256", "--epochs", "10"],
+    "search-wide": ["search", *WIDE, "--epochs", "10"],
     "search-parity": ["search", "--seed", "2", "--dataset", "parity", "--epochs", "20"],
     "evaluate": ["evaluate", "{search-seed0}/architecture.json"],
+    "evaluate-wide": ["evaluate", "{search-wide}/architecture.json", *WIDE,
+                      "--retrain-epochs", "20"],
     "baseline": ["baseline"],
     "verify-propositions": ["verify-propositions"],
     "dump-dataset": ["dump-dataset"],

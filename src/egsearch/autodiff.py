@@ -6,8 +6,11 @@ node holding its inputs and backward rule, and appends that node to the
 innermost open tape.  Outside every tape an op returns a constant: no node,
 and `requires_grad` False.  `backward` sweeps the innermost open tape in
 reverse from the loss's node; a tensor recorded anywhere else is a leaf of
-that sweep.  Nodes refer to their outputs weakly, so a graph is freed by
-reference counting as soon as its last tensor goes.  Everything is float64.
+that sweep.  The sweep frees the graph as it goes: each node it has swept
+drops its inputs and its backward rule, and its output's gradient is
+dropped, so only the leaves' gradients come back.  Nodes refer to their
+outputs weakly, so what is left of a graph is freed by reference counting
+as soon as its last tensor goes.  Everything is float64.
 
 Each activation's forward and its derivative from the output are written
 once, in `ACTIVATIONS`: the `relu`, `tanh` and `sigmoid` ops are built from
@@ -15,9 +18,9 @@ it, and `space.edge_forward` reads it for the linear ops.  The shifted
 softmax and its gradient are written once too (`softmax_of`,
 `softmax_vjp`), and every softmax in the package uses them.
 
-A step frees its whole graph at once, and the next step builds one of about
-the same size.  So at import, glibc's allocator is told to keep freed memory
-in the heap (`_keep_heap`) instead of returning it to the system and
+A step frees its graph during its sweep, and the next step builds one of
+about the same size.  So at import, glibc's allocator is told to keep freed
+memory in the heap (`_keep_heap`) instead of returning it to the system and
 faulting it back in on the next step.
 """
 
@@ -98,7 +101,9 @@ _TLS = threading.local()
 
 class TapeNode:
     """One recorded op.  `output` is held weakly: the output tensor owns its
-    node (`Tensor.node`), not the other way round, so no graph is a cycle."""
+    node (`Tensor.node`), not the other way round, so no graph is a cycle.
+    `backward` releases a node it has swept: `inputs` and `backward_fn`
+    become None."""
 
     __slots__ = ("inputs", "_output", "backward_fn")
 
@@ -469,9 +474,15 @@ def straight_through(soft, hard_values):
 def backward(loss):
     """Reverse sweep of the innermost open tape from a scalar `loss`.
 
-    Returns {tensor: gradient} for every requires_grad tensor that the loss
-    reaches through the nodes on that tape.  Raises ValueError when no tape
-    is open or the loss's node is not on the innermost one.
+    Returns {tensor: gradient} for the leaves of the sweep: every
+    requires_grad tensor that the loss reaches through the nodes on that
+    tape and that no node on it produced (parameters, inputs, and tensors
+    recorded on an outer tape).  The sweep frees the graph as it goes: once
+    a node's backward has run, the node drops its inputs and its backward
+    rule, with the activations that rule saved, and its output's gradient
+    is dropped too.  So a swept tape cannot be swept again: a sweep that
+    reaches a released node raises ValueError.  Raises ValueError as well
+    when no tape is open or the loss's node is not on the innermost one.
     """
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         got = loss.shape if isinstance(loss, Tensor) else type(loss)
@@ -483,9 +494,12 @@ def backward(loss):
     nodes = stack[-1].nodes
     grads = {loss: np.ones((), dtype=np.float64)}
     for node in reversed(nodes[:nodes.index(loss.node) + 1]):
-        g = grads.get(node.output)
+        g = grads.pop(node.output, None)
         if g is None:
             continue
+        if node.backward_fn is None:
+            raise ValueError("backward reached a node that an earlier sweep released; "
+                             "a tape can be swept once")
         for t, gin in zip(node.inputs, node.backward_fn(g)):
             if not t.requires_grad or gin is None:
                 continue
@@ -494,4 +508,5 @@ def backward(loss):
                 grads[t] = grads[t] + gin
             else:
                 grads[t] = gin
+        node.inputs = node.backward_fn = None
     return grads

@@ -121,7 +121,12 @@ def dump_dataset(ds: Dataset, path=None) -> str:
 
 
 def load_dataset(source) -> Dataset:
-    """Inverse of dump_dataset; accepts a path or the dumped text."""
+    """Inverse of dump_dataset; accepts a path or the dumped text.
+
+    Raises ValueError naming the line for a header without `dims=` or
+    `seed=`, and for a row that is not dims features, a label and one of
+    the split names.
+    """
     if "\n" in str(source):
         lines = str(source).splitlines()
     else:
@@ -130,14 +135,23 @@ def load_dataset(source) -> Dataset:
     header = lines[0]
     if not header.startswith("#"):
         raise ValueError("missing header line")
-    meta = dict(part.split("=") for part in header[1:].split())
+    meta = dict(part.partition("=")[::2] for part in header[1:].split())
+    for key in ("dims", "seed"):
+        if key not in meta:
+            raise ValueError(f"line 1: the header has no {key}=")
     seed = int(meta["seed"])
     dims = int(meta["dims"])
     features, labels, split_names = [], [], []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = line.split(",")
+        if len(cells) != dims + 2:
+            raise ValueError(f"line {number}: {len(cells)} fields, "
+                             f"not dims + 2 = {dims + 2}")
+        if cells[dims + 1] not in SPLIT_NAMES:
+            raise ValueError(f"line {number}: split {cells[dims + 1]!r} is not one of "
+                             f"{', '.join(SPLIT_NAMES)}")
         features.append([float(v) for v in cells[:dims]])
         labels.append(int(cells[dims]))
         split_names.append(cells[dims + 1])

@@ -332,6 +332,7 @@ def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
         _check_finite(train_loss, samples, "training", state)
         grads = ad.backward(train_loss)
     state.optimizer.step(grads, cfg.lr_w, cfg.momentum)
+    del grads  # before the logit substep's forward
 
     with ad.Tape():
         valid_loss, samples = compute_loss(state, valid_batch, reach="logits")
@@ -361,11 +362,7 @@ def run_search(cfg: RunConfig, dataset: Dataset = None):
     dataset = dataset if dataset is not None else build_dataset(cfg)
     state = build_state(cfg, dataset)
     # the derivation's block size is known now: refuse it before the search
-    uniforms = cfg.derive_draws * cfg.M * len(OP_SET)
-    if uniforms > DERIVE_UNIFORMS_BUDGET:
-        raise ValueError(
-            f"derive_draws={cfg.derive_draws} needs {uniforms} uniforms per edge "
-            f"(derive_draws*M*K), past the budget of {DERIVE_UNIFORMS_BUDGET}")
+    _check_derive_draws(cfg.derive_draws, cfg.M)
     train_idx = dataset.splits["train"]
     valid_idx = dataset.splits["valid"]
     spe = _steps_per_epoch(len(train_idx), cfg.batch_size)
@@ -410,8 +407,23 @@ def run_search(cfg: RunConfig, dataset: Dataset = None):
 DERIVE_UNIFORMS_BUDGET = 10_000_000
 
 
+def _check_derive_draws(draws, m):
+    """Refuse fewer than one draw, and a block past DERIVE_UNIFORMS_BUDGET."""
+    if draws < 1:
+        raise ValueError(f"derive_draws={draws}: at least one draw is needed")
+    uniforms = draws * m * len(OP_SET)
+    if uniforms > DERIVE_UNIFORMS_BUDGET:
+        raise ValueError(
+            f"derive_draws={draws} needs {uniforms} uniforms per edge "
+            f"(derive_draws*M*K), past the budget of {DERIVE_UNIFORMS_BUDGET}")
+
+
 def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> ArchitectureCode:
-    """Collapse the learned distributions into one binary code per edge."""
+    """Collapse the learned distributions into one binary code per edge.
+
+    Raises ValueError, in either mode, for `draws` below 1 or past the
+    uniforms budget."""
+    _check_derive_draws(draws, state.cfg.M)
     if mode not in ("mode-sample", "max-marginal"):
         raise ValueError(f"unknown derive mode {mode!r}")
     k, m = len(OP_SET), state.cfg.M
@@ -486,9 +498,11 @@ def retrain(code: ArchitectureCode, dataset: Dataset, cfg: RunConfig,
 
 
 def _fit(network, code, samples, dataset, cfg, epochs, seed_offset) -> float:
-    """`retrain`'s training steps; returns the last loss.  The last step's
-    graph and gradients and the optimizer's buffers are freed on return,
-    before the accuracy passes allocate a retrain's largest arrays."""
+    """`retrain`'s training steps; returns the last loss.  Each step's sweep
+    frees its graph as it goes, and its gradient map is dropped after its
+    update, before the next step's forward.  The last loss and the
+    optimizer's buffers are freed on return, before the accuracy passes
+    allocate a retrain's largest arrays."""
     train_idx = dataset.splits["train"]
     X, y = dataset.features, dataset.labels
     stream = _batch_stream(
@@ -511,6 +525,7 @@ def _fit(network, code, samples, dataset, cfg, epochs, seed_offset) -> float:
             _check_finite(loss, samples, "retrain")
             grads = ad.backward(loss)
         optimizer.step(grads, cfg.lr_w, cfg.momentum)
+        del grads  # before the next step's forward
         loss_value = float(loss.data)
     return loss_value
 

@@ -431,9 +431,12 @@ def test_a_tensor_from_an_outer_tape_is_a_leaf_of_the_inner_sweep():
         h = ad.tanh(x)
         with ad.Tape() as inner:
             grads = ad.backward(ad.mean(ad.multiply(h, h)))
-    assert len(outer.nodes) == 1 and len(inner.nodes) == 2
+        # the inner sweep left the outer tape's node whole
+        outer_grads = ad.backward(ad.mean(h))
+    assert len(outer.nodes) == 2 and len(inner.nodes) == 2
     assert np.array_equal(grads[h], 0.5 * h.data + 0.5 * h.data)
     assert x not in grads  # the sweep stops at h
+    assert np.array_equal(outer_grads[x], (1.0 - h.data * h.data) * 0.5)
 
 
 def test_graph_freed_by_reference_counting():
@@ -450,6 +453,43 @@ def test_graph_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_the_sweep_frees_each_activation_as_it_goes():
+    # the first op's backward runs last: by then the tanh's saved output is
+    # gone, though the loss is still held
+    x = ad.Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+    alive = []
+    gc.collect()
+    gc.disable()
+    try:
+        with ad.Tape():
+            h = ad.record(2.0 * x.data, (x,),
+                          lambda g: (alive.append(activation() is not None) or 2.0 * g,))
+            a = ad.tanh(h)
+            activation = weakref.ref(a.data)
+            loss = ad.mean(a)
+            del a, h
+            grads = ad.backward(loss)
+        assert alive == [False]
+        assert activation() is None and loss.data.shape == ()
+        assert list(grads) == [x]
+    finally:
+        gc.enable()
+
+
+def test_a_swept_tape_cannot_be_swept_again():
+    x = ad.Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    with ad.Tape():
+        h = ad.tanh(x)
+        loss = ad.mean(ad.multiply(h, h))
+        first = ad.backward(loss)
+        with pytest.raises(ValueError, match="swept once"):
+            ad.backward(loss)
+        # a new loss that reaches a released node is refused too
+        with pytest.raises(ValueError, match="swept once"):
+            ad.backward(ad.mean(h))
+    assert list(first) == [x]
 
 
 def test_tape_nodes_in_topological_order():
@@ -531,9 +571,14 @@ def reference_backward(loss):
     return nodes, {tensors[key]: g for key, g in grads.items()}
 
 
-def assert_same_gradients(grads, ref):
-    assert grads.keys() == ref.keys()
-    for t, g in ref.items():
+def assert_same_gradients(grads, ref, nodes):
+    """`grads` is the reference's map restricted to the leaves of the sweep,
+    bit for bit: no tensor that one of the swept `nodes` produced is in it."""
+    inner = [t for t in ref if any(t.node is node for node in nodes)]
+    assert inner and not any(t in grads for t in inner)
+    leaves = {t: g for t, g in ref.items() if not any(t is i for i in inner)}
+    assert grads.keys() == leaves.keys()
+    for t, g in leaves.items():
         assert np.array_equal(grads[t], g)
 
 
@@ -550,7 +595,12 @@ def test_tape_sweep_matches_the_reference_on_a_branching_graph(indexed_nodes):
         grads = ad.backward(loss)
     assert len(nodes) == len(tape.nodes) - 2
     assert side not in grads and x in grads and w in grads
-    assert_same_gradients(grads, ref)
+    assert_same_gradients(grads, ref, nodes)
+    # each swept node is released; the side branch and the node recorded
+    # after the loss are not swept
+    for node in tape.nodes:
+        swept = any(node is n for n in nodes)
+        assert (node.inputs is None and node.backward_fn is None) == swept
 
 
 @pytest.mark.parametrize("reach", ["weights", "logits", "all"])
@@ -568,7 +618,7 @@ def test_tape_sweep_matches_the_reference_on_a_substep(indexed_nodes, cfg, reach
     # every node a substep records reaches the loss, so the tape reversed
     # is exactly the reference's sweep
     assert tape.nodes == nodes[::-1]
-    assert_same_gradients(grads, ref)
+    assert_same_gradients(grads, ref, nodes)
 
 
 # --- pruning a constant input's gradient ----------------------------------

@@ -1,5 +1,7 @@
 """Dataset generators: determinism, balance, splits, dump/load."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,3 +148,13 @@ def test_load_dump_round_trips_every_generator(ds):
     assert back.seed == ds.seed
     for name in ("train", "valid", "test"):
         assert np.array_equal(back.splits[name], np.sort(ds.splits[name]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# dims=2 classes=2 seed=0\n0.1,0.2,1,training\n", "line 2: split 'training'"),
+    ("# dims=2 classes=2\n0.1,0.2,1,train\n", "line 1: the header has no seed="),
+    ("# dims=2 classes=2 seed=0\n0.1,0.2,1,train\n\n0.1,1,valid\n", "line 4: 3 fields"),
+])
+def test_load_refuses_a_line_it_cannot_place(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_dataset(text)

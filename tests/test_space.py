@@ -461,6 +461,22 @@ def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
     dataset = tr.build_dataset(cfg)
     x, y = dataset.split("valid")
     batch = (x[:cfg.batch_size], y[:cfg.batch_size])
+    edges = edge_list(cfg.nodes)
+    code_grads = {}
+    sample_edges = tr.sample_edges
+
+    def tapped_sample_edges(state, relax):
+        # the sweep returns leaf gradients only, and a relaxed code is not a
+        # leaf: each passes through an identity op whose backward keeps the
+        # gradient the code receives, and hands it on unchanged
+        samples = sample_edges(state, relax)
+        for e, s in samples.items():
+            if s.requires_grad:
+                samples[e] = ad.record(s.data, (s,),
+                                       lambda g, e=e: (code_grads.setdefault(e, g),))
+        return samples
+
+    monkeypatch.setattr(tr, "sample_edges", tapped_sample_edges)
     runs = []
     for forward in (edge_forward, chain_edge_forward):
         monkeypatch.setattr(space, "edge_forward", forward)
@@ -468,11 +484,15 @@ def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
         seen = []
         for _ in range(3):
             for reach in ("weights", "logits", "all"):
+                code_grads.clear()
                 with ad.Tape():
-                    loss, samples = tr.compute_loss(state, batch, reach=reach)
+                    loss, _ = tr.compute_loss(state, batch, reach=reach)
                     grads = ad.backward(loss)
-                tensors = [state.cell.logits, *state.weights(), *samples.values()]
-                seen.append((reach, loss.data, [grads.get(t) for t in tensors]))
+                # the weight substep's codes are constants
+                assert len(code_grads) == (0 if reach == "weights" else len(edges))
+                seen.append((reach, loss.data,
+                             [grads.get(t) for t in (state.cell.logits, *state.weights())]
+                             + [code_grads.get(e) for e in edges]))
             tr.search_step(state, batch, batch)
         seen.append(("end", state.cell.logits.data, [t.data for t in state.weights()]))
         runs.append(seen)

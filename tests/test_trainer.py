@@ -21,7 +21,7 @@ from egsearch import autodiff as ad
 from egsearch import trainer as tr
 from egsearch.config import RunConfig
 from egsearch.data import Dataset
-from egsearch.gumbel import egs_sample, marginal_inclusion_oracle
+from egsearch.gumbel import RngState, egs_sample, marginal_inclusion_oracle
 from egsearch.space import OP_SET, ArchitectureCode, edge_list, num_edges
 
 K = len(OP_SET)
@@ -254,8 +254,9 @@ def test_weight_substep_keeps_the_logits_off_the_tape():
     with ad.Tape() as tape:
         loss, samples = tr.compute_loss(state, (x[:cfg.batch_size], y[:cfg.batch_size]),
                                         reach="weights")
+        # read before the sweep, which releases each node's inputs
+        assert not any(t is logits for node in tape.nodes for t in node.inputs)
         grads = ad.backward(loss)
-    assert not any(t is logits for node in tape.nodes for t in node.inputs)
     assert logits not in grads
     assert all(s.node is None for s in samples.values())
     assert any(t in grads for t in state.weights())
@@ -613,6 +614,22 @@ def test_derive_rejects_unknown_mode():
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     with pytest.raises(ValueError, match="derive mode"):
         tr.derive_architecture(state, "viterbi")
+
+
+@pytest.mark.parametrize("draws, message", [
+    (0, "at least one draw"),  # every count 0: the tie-break would pick all ops
+    (10**8, "past the budget"),  # 10**9 uniforms in one block
+])
+def test_derive_refuses_draws_before_drawing(monkeypatch, draws, message):
+    cfg = small_cfg(nodes=2)
+    state = tr.build_state(cfg, tr.build_dataset(cfg))
+
+    def no_uniforms(rng, count):
+        raise AssertionError(f"{count} uniforms drawn")
+
+    monkeypatch.setattr(RngState, "uniform", no_uniforms)
+    with pytest.raises(ValueError, match=f"derive_draws={draws}.*{message}"):
+        tr.derive_architecture(state, "mode-sample", draws=draws)
 
 
 # --- retraining fixed codes --------------------------------------------------
