@@ -18,11 +18,11 @@ that the timed search's wall time carries none of their cost, and splits a
 substep's milliseconds into sample, forward, backward and update (the rest
 of the step: the loss, the checks and the parameter updates).  It then
 counts the tape nodes that one weight substep and one logit substep record
-on a fresh state (the search's first draw), and times `retrain` of a fixed
-code (RETRAIN: the named ops on every edge, as perfbench trains) in ms per
-step.  The cases are the README's default search and a search at the
-benchmark's search-wide shape.  The
-audit's legs (`count_audit`, `bijection_audit`, `marginal_audit`) and
+on a fresh state (the search's first draw), and one training step of
+`retrain` of a fixed code (RETRAIN: the named ops on every edge, as
+perfbench trains), and times that retrain in ms per step.  The cases are
+the README's default search and a search at the benchmark's search-wide
+shape.  The audit's legs (`count_audit`, `bijection_audit`, `marginal_audit`) and
 `run_audit` as a whole are timed at `run_audit`'s defaults, which are
 `verify-propositions`' defaults.  The batch draw is timed at each (K, M) of
 KERNEL_SHAPES on blocks of `audit.MARGINAL_CHUNK_UNIFORMS` pre-drawn
@@ -94,6 +94,7 @@ def run_case(name):
         "peak_rss_mb": after.ru_maxrss / 1024,
         **substep_split(cfg, dataset),
         **substep_nodes(cfg, dataset),
+        "retrain_step_nodes": retrain_step_nodes(name, cfg, dataset),
         "retrain_step_ms": retrain_step_ms(name, cfg, dataset),
     }
 
@@ -135,20 +136,44 @@ def substep_split(cfg, dataset):
             "update_ms": 1e3 * rest / sub}
 
 
+def retrain_code(name, cfg):
+    """The case's RETRAIN code: its ops set on every edge."""
+    from egsearch.space import OP_SET, ArchitectureCode, num_edges
+
+    row = [1 if op.name in RETRAIN[name][0] else 0 for op in OP_SET]
+    return ArchitectureCode(n=cfg.nodes, K=len(OP_SET),
+                            bits=np.array([row] * num_edges(cfg.nodes), dtype=np.uint8))
+
+
 def retrain_step_ms(name, cfg, dataset):
     """ms per training step of `retrain` of the case's RETRAIN code, its
     accuracy passes included."""
-    from egsearch.space import OP_SET, ArchitectureCode, num_edges
     from egsearch.trainer import retrain
 
-    ops, epochs = RETRAIN[name]
-    row = [1 if op.name in ops else 0 for op in OP_SET]
-    code = ArchitectureCode(n=cfg.nodes, K=len(OP_SET),
-                            bits=np.array([row] * num_edges(cfg.nodes), dtype=np.uint8))
+    epochs = RETRAIN[name][1]
     per_epoch = -(-len(dataset.splits["train"]) // cfg.batch_size)
     t0 = time.perf_counter()
-    retrain(code, dataset, cfg, epochs=epochs)
+    retrain(retrain_code(name, cfg), dataset, cfg, epochs=epochs)
     return 1e3 * (time.perf_counter() - t0) / (epochs * per_epoch)
+
+
+def retrain_step_nodes(name, cfg, dataset):
+    """Tape nodes of one `retrain` training step of the case's RETRAIN code
+    (its forward and loss, as `retrain` records them), on fresh weights."""
+    from egsearch import autodiff as ad
+    from egsearch.space import edge_list
+    from egsearch.trainer import make_network, network_forward
+
+    code = retrain_code(name, cfg)
+    network = make_network(dataset.features.shape[1], dataset.n_classes, cfg,
+                           np.random.default_rng(cfg.seed))
+    samples = {e: ad.Tensor(code.bits[r].astype(np.float64))
+               for r, e in enumerate(edge_list(code.n))}
+    x, y = dataset.split("train")
+    with ad.Tape() as tape:
+        logits = network_forward(network, x[:cfg.batch_size], samples)
+        ad.cross_entropy_with_logits(logits, y[:cfg.batch_size])
+    return len(tape.nodes)
 
 
 def substep_nodes(cfg, dataset):
@@ -340,7 +365,8 @@ def main():
             m = s["median"]
             print(f"{name:<8} {m['wall_s']:8.3f} s {m['ms_per_step']:8.3f} ms/step "
                   f"{m['minor_faults']:>9.0f} faults {m['peak_rss_mb']:8.1f} MB "
-                  f"{m['weight_substep_nodes']:>4} / {m['logit_substep_nodes']:>4} nodes")
+                  f"{m['weight_substep_nodes']:>4} / {m['logit_substep_nodes']:>4} / "
+                  f"{m['retrain_step_nodes']:>4} nodes")
             print(f"{'':<8} substep {m['substep_ms']:.4f} ms: sample {m['sample_ms']:.4f} "
                   f"forward {m['forward_ms']:.4f} backward {m['backward_ms']:.4f} "
                   f"update {m['update_ms']:.4f}; retrain step {m['retrain_step_ms']:.4f} ms")

@@ -14,7 +14,7 @@ as soon as its last tensor goes.  Everything is float64.
 
 Each activation's forward and its derivative from the output are written
 once, in `ACTIVATIONS`: the `relu`, `tanh` and `sigmoid` ops are built from
-it, and `space.edge_forward` reads it for the linear ops.  The shifted
+it, and the edge kernel in `space` reads it for the linear ops.  The shifted
 softmax and its gradient are written once too (`softmax_of`,
 `softmax_vjp`), and every softmax in the package uses them.
 
@@ -37,6 +37,7 @@ __all__ = [
     "Tape",
     "ShapeMismatchError",
     "record",
+    "taping",
     "backward",
     "add",
     "multiply",
@@ -176,6 +177,12 @@ class Tensor:
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def taping() -> bool:
+    """Whether a tape is open on this thread, so that `record` may record:
+    an op that saves arrays for its backward need not save them otherwise."""
+    return bool(_tape_stack())
 
 
 def record(out_data, inputs, backward_fn):
@@ -409,11 +416,12 @@ def cross_entropy_with_logits(logits, labels):
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)
-    lse = np.log(ez.sum(axis=1)) + zmax[:, 0]
+    total = ez.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0]) + zmax[:, 0]
     n = labels.shape[0]
     rows = np.arange(n)
     nll = (lse - z[rows, labels]).mean()
-    probs = ez / ez.sum(axis=1, keepdims=True)
+    probs = ez / total
 
     def back(g):
         gz = probs.copy()
@@ -503,7 +511,9 @@ def backward(loss):
         for t, gin in zip(node.inputs, node.backward_fn(g)):
             if not t.requires_grad or gin is None:
                 continue
-            gin = np.asarray(gin, dtype=np.float64).reshape(t.data.shape)
+            if (type(gin) is not np.ndarray or gin.dtype != np.float64
+                    or gin.shape != t.data.shape):
+                gin = np.asarray(gin, dtype=np.float64).reshape(t.data.shape)
             if t in grads:
                 grads[t] = grads[t] + gin
             else:

@@ -123,24 +123,25 @@ def dump_dataset(ds: Dataset, path=None) -> str:
 def load_dataset(source) -> Dataset:
     """Inverse of dump_dataset; accepts a path or the dumped text.
 
-    Raises ValueError naming the line for a header without `dims=` or
-    `seed=`, and for a row that is not dims features, a label and one of
-    the split names.
+    A source with a newline, one that starts with "#" (a header alone) and
+    an empty one are text; any other is a path.  Raises ValueError for a
+    source without a header line, and naming the line for a header whose
+    `dims=` or `seed=` is missing or not an integer, and for a row that is
+    not dims numbers, an integer label and one of the split names.
     """
-    if "\n" in str(source):
-        lines = str(source).splitlines()
+    text = str(source)
+    if "\n" in text or text.startswith("#") or not text:
+        lines = text.splitlines()
     else:
         with open(source) as fh:
             lines = fh.read().splitlines()
-    header = lines[0]
-    if not header.startswith("#"):
+    if not lines or not lines[0].startswith("#"):
         raise ValueError("missing header line")
-    meta = dict(part.partition("=")[::2] for part in header[1:].split())
+    meta = dict(part.partition("=")[::2] for part in lines[0][1:].split())
     for key in ("dims", "seed"):
         if key not in meta:
             raise ValueError(f"line 1: the header has no {key}=")
-    seed = int(meta["seed"])
-    dims = int(meta["dims"])
+    seed, dims = (_parsed(int, meta[key], f"line 1: {key}=") for key in ("seed", "dims"))
     features, labels, split_names = [], [], []
     for number, line in enumerate(lines[1:], start=2):
         if not line:
@@ -152,8 +153,8 @@ def load_dataset(source) -> Dataset:
         if cells[dims + 1] not in SPLIT_NAMES:
             raise ValueError(f"line {number}: split {cells[dims + 1]!r} is not one of "
                              f"{', '.join(SPLIT_NAMES)}")
-        features.append([float(v) for v in cells[:dims]])
-        labels.append(int(cells[dims]))
+        features.append([_parsed(float, v, f"line {number}: feature") for v in cells[:dims]])
+        labels.append(_parsed(int, cells[dims], f"line {number}: label"))
         split_names.append(cells[dims + 1])
     splits = {
         name: np.array(
@@ -167,3 +168,12 @@ def load_dataset(source) -> Dataset:
         splits,
         seed,
     )
+
+
+def _parsed(kind, value, what):
+    """kind(value), or a ValueError that says `what` could not be read."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} {value!r} is not {noun}") from None

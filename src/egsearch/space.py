@@ -11,6 +11,10 @@ transforms act(x @ W + b), each naming its activation in
 `autodiff.ACTIVATIONS`.  Their relative compute costs feed `EFFICIENCY`,
 the static prior l every cell shares, computed and checked once at import.
 `edge_op_names` names each edge's ops, for the dot export and the CLI.
+
+`cell_forward` evaluates a cell, with the network's input projection and
+head when given, as one tape op; each edge runs one kernel (`_edge_run`
+forward, `_edge_back` backward), which `edge_forward` also records alone.
 """
 
 from __future__ import annotations
@@ -176,76 +180,118 @@ def decode(code: ArchitectureCode) -> NetworkPlan:
 # forward evaluation
 
 
+# (k, activation name) of each op that reads x: every op but zero
+_READERS = tuple((k, kind.activation) for k, kind in enumerate(OP_SET) if kind.name != "zero")
+_CODE_SHAPE = (len(OP_SET),)
+
+
+def _edge_run(xd, x_grad, code, params, keep):
+    """One edge's forward: sum_k code[k] * op_k(xd), summed in op order,
+    each linear op computing act(xd @ W + b) from its `ad.ACTIVATIONS` entry.
+    `x_grad` says whether xd's tensor needs a gradient.
+
+    Returns the output, whether it needs a gradient, and, with `keep`, the
+    runs its backward needs, one (k, output, derivative, W, b, W's data)
+    per op that read xd, in op order (None without `keep`, so no activation
+    outlives the edge).  A zero entry's op is skipped, unless `keep` and the
+    code is on the tape, where the code's gradient needs its output; its
+    term 0 * op_k(xd) is never added.  A 1.0 entry's term is op_k(xd)
+    itself.
+    """
+    if code.data.shape != _CODE_SHAPE:
+        raise ad.ShapeMismatchError("edge-forward", (xd.shape, code.data.shape))
+    c = code.data.tolist()
+    wants = code.requires_grad
+    every = keep and wants
+    total = None
+    runs = [] if keep else None
+    for k, activation in _READERS:
+        ck = c[k]
+        if ck == 0.0 and not every:
+            continue
+        if activation is None:  # identity
+            a, deriv, W, b, wd = xd, None, None, None, None
+            wants = wants or x_grad
+        else:
+            act, deriv = ad.ACTIVATIONS[activation]
+            op = params[k]
+            W, b = op["W"], op["b"]
+            wd = W.data
+            a = act(xd @ wd + b.data)
+            wants = wants or x_grad or W.requires_grad or b.requires_grad
+        if ck != 0.0:
+            term = a if ck == 1.0 else ck * a
+            total = term if total is None else total + term
+        if keep:
+            runs.append((k, a, deriv, W, b, wd))
+    return (np.zeros_like(xd) if total is None else total), wants, runs
+
+
+def _edge_back(g, code, xd, x_grad, runs, grads):
+    """One edge's backward, for its output gradient g.  Appends to `grads`
+    the code's gradient (None unless the code needs one), then W's and b's
+    of each linear run in reverse op order, and returns x's contributions
+    in reverse op order (None where none is due).  Each is the arithmetic
+    of the same sum recorded op by op (pick, multiply, add, matmul,
+    activation).  Where code[k] is 1.0 no multiply runs; where it is 0.0
+    the identity op passes x nothing, and a linear op whose W and b need no
+    gradient computes neither its derivative nor its product for x."""
+    c = code.data.tolist()
+    gc = np.zeros(len(OP_SET)) if code.requires_grad else None
+    grads.append(gc)
+    to_x = []
+    for k, a, deriv, W, b, wd in reversed(runs):
+        ck = c[k]
+        if gc is not None:
+            gc[k] += _sum0(_sum0(g * a))
+        if deriv is None:
+            to_x.append((g if ck == 1.0 else g * ck) if x_grad and ck != 0.0 else None)
+            continue
+        w_grad, b_grad = W.requires_grad, b.requires_grad
+        if not ((x_grad and ck != 0.0) or w_grad or b_grad):
+            to_x.append(None)
+            grads += (None, None)
+            continue
+        gz = deriv(g if ck == 1.0 else g * ck, a)
+        to_x.append(gz @ wd.T if x_grad else None)
+        grads += (xd.T @ gz if w_grad else None, _sum0(gz) if b_grad else None)
+    return to_x
+
+
+def _sum0(a):
+    """a.sum(axis=0): the same reduction, without the method's wrapper."""
+    return np.add.reduce(a, 0)
+
+
 def edge_forward(x: ad.Tensor, code, params=None) -> ad.Tensor:
-    """Weighted sum of op outputs along one edge, recorded as one op.
+    """Weighted sum of op outputs along one edge, recorded as one op: the
+    edge kernel `cell_forward` runs for each edge, on its own.
 
-    `code` is a K-vector of op weights: an edge's row of the sampled
-    straight-through codes in the search's logit substep, or a constant
-    0/1 tensor in its weight substep and for a fixed network.  Constant
-    zero weights skip their op entirely.  x is a (batch, dim) tensor.
-
-    The output is sum_k code[k] * op_k(x), summed in op order, with each
-    linear op computing act(x @ W + b) by its `ad.ACTIVATIONS` entry.  The
-    backward repeats the arithmetic of the same sum recorded op by op (pick,
-    multiply, add, matmul, activation), and x is listed once per op that
-    reads it, in reverse op order, so its gradient accumulates in the same
-    order too.
-
-    Work whose result is known is skipped.  Where code[k] is exactly 1.0,
-    the forward term is op_k(x) itself and the backward uses g itself, with
-    no multiply.  Where code[k] is exactly 0.0, the identity op passes x no
-    gradient, and a linear op whose W and b need none (the logit substep's
-    constant view) computes neither its derivative nor its product for x.
-    Each skipped contribution was exactly +-0, so every gradient equals the
-    op chain's under ==; only the sign of an entry that is exactly zero may
-    differ.  The output may share x's array, and the gradient for x may be
-    g's; nothing here or downstream writes into either in place.
+    `code` is a K-vector of op weights; x is a (batch, dim) tensor.  The
+    node lists code, then x once per op that reads it, in reverse op order,
+    each linear op followed by its W and b, and its backward returns one
+    gradient for each, so x's gradient accumulates in the op chain's order.
+    Where code[k] is exactly 0.0 its term is skipped: each skipped forward
+    or backward contribution was exactly +-0, so every value equals the op
+    chain's under ==, and only the sign of an entry that is exactly zero
+    may differ.  The output may share x's array, and the gradient for x may
+    be g's; nothing writes into either in place.
     """
     code, x = ad.as_tensor(code), ad.as_tensor(x)
-    if code.data.shape != (len(OP_SET),) or x.data.ndim != 2:
+    if x.data.ndim != 2:
         raise ad.ShapeMismatchError("edge-forward", (x.data.shape, code.data.shape))
     params = params if params is not None else [{} for _ in OP_SET]
-    c, xd = code.data, x.data
-    on_tape = code.requires_grad
-    total = None
-    runs = []  # (k, output, derivative, W, b) of each op that reads x
-    for k, kind in enumerate(OP_SET):
-        if (not on_tape and c[k] == 0.0) or kind.name == "zero":
-            continue
-        if kind.activation is None:  # identity
-            a, deriv, W, b = xd, None, None, None
-        else:
-            act, deriv = ad.ACTIVATIONS[kind.activation]
-            W, b = params[k]["W"], params[k]["b"]
-            a = act(xd @ W.data + b.data)
-        term = a if c[k] == 1.0 else c[k] * a
-        total = term if total is None else total + term
-        runs.append((k, a, deriv, W, b))
-    if total is None:
-        total = np.zeros_like(xd)
-    runs.reverse()
+    total, _, runs = _edge_run(x.data, x.requires_grad, code, params, ad.taping())
     inputs = [code]
-    for _, _, deriv, W, b in runs:
+    for _, _, deriv, W, b, _ in reversed(runs or ()):
         inputs += [x] if deriv is None else [x, W, b]
 
     def back(g):
-        gc = np.zeros(len(OP_SET)) if code.requires_grad else None
-        out = [gc]
-        for k, a, deriv, W, b in runs:
-            ck = c[k]
-            if gc is not None:
-                gc[k] += (g * a).sum(axis=0).sum(axis=0)
-            to_x = x.requires_grad and ck != 0.0
-            if deriv is None:
-                out.append((g if ck == 1.0 else g * ck) if to_x else None)
-                continue
-            if not (to_x or W.requires_grad or b.requires_grad):
-                out += [None, None, None]
-                continue
-            gz = deriv(g if ck == 1.0 else g * ck, a)
-            out += [gz @ W.data.T if x.requires_grad else None,
-                    xd.T @ gz if W.requires_grad else None,
-                    gz.sum(axis=0) if b.requires_grad else None]
+        params_out = []
+        to_x = _edge_back(g, code, x.data, x.requires_grad, runs, params_out)
+        out, rest = params_out[:1], iter(params_out[1:])
+        for (_, _, deriv, *_), gx in zip(reversed(runs), to_x):
+            out += [gx] if deriv is None else [gx, next(rest), next(rest)]
         return out
 
     return ad.record(total, inputs, back)
@@ -334,31 +380,141 @@ def make_cell(n, dim=8, lam=0.5, init_rng=None, output_rule="sum") -> Cell:
     )
 
 
-def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict) -> ad.Tensor:
-    """Evaluate the cell: node j sums edge contributions from all i < j.
+def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict,
+                 project=None, head=None) -> ad.Tensor:
+    """Evaluate the cell, recorded as one op: node j sums the outputs of
+    the edges (i, j), i < j, in ascending i, and the output aggregates the
+    non-input nodes by the cell's output rule.
 
-    `samples` maps every edge to its code, a K-vector tensor.  The output
-    aggregates the non-input nodes by the cell's output rule.
+    `samples` maps every edge to its code, a K-vector tensor; each edge
+    runs `edge_forward`'s kernel.  With `project` = (W, b), node 0 is
+    x_in @ W + b rather than x_in, and with `head` = (W, b) the output is
+    the aggregate @ W + b.  Every weight's `.data` is read when the op runs.
+
+    The backward repeats the arithmetic of the same network recorded op by
+    op, in the order that sweep runs: the head (b's gradient g.sum(0), then
+    W's and the aggregate's), the output rule (each node gets g for sum,
+    its `np.split` piece for concat), then nodes j = n-1 .. 1, and for each
+    the edges (i, j) from i = j-1 down to 0, node i's gradient growing as
+    gn[i] + contribution in the edge's reverse op order; last the
+    projection (b's gradient gh.sum(0), x_in's, W's).  The node lists its
+    inputs in the same order.  Outside a tape no edge's activations outlive
+    the edge; in the backward each edge's activations are dropped as soon
+    as the edge is done, and each node's value and gradient once its edges
+    are.
     """
-    for e in edge_list(cell.n):
-        if e not in samples:
-            raise ValueError(f"missing sample for edge {e}")
-    nodes = [x_in]
-    for j in range(1, cell.n):
-        acc = None
+    n = cell.n
+    x_in = ad.as_tensor(x_in)
+    keep = ad.taping()
+    xd = x_in.data
+    if project is None:
+        node0, grad0 = xd, x_in.requires_grad
+    else:
+        w_in, b_in = project
+        win = w_in.data
+        if xd.ndim != 2 or win.ndim != 2 or xd.shape[1] != win.shape[0]:
+            raise ad.ShapeMismatchError("matmul", (xd.shape, win.shape))
+        node0 = xd @ win + b_in.data
+        grad0 = x_in.requires_grad or w_in.requires_grad or b_in.requires_grad
+    if node0.ndim != 2:
+        raise ad.ShapeMismatchError("edge-forward", (node0.shape,))
+    values, grad = [node0], [grad0]  # each node's array; whether it needs a gradient
+    # built in the reverse of the backward's order: the projection, then per
+    # edge b and W of each linear op in op order, then the code
+    reversed_inputs = [x_in] if project is None else [w_in, x_in, b_in]
+    edges = []  # (i, code, runs, whether the edge needs a gradient), forward order
+    for j in range(1, n):
+        acc, needs = None, False
         for i in range(j):
-            term = edge_forward(nodes[i], samples[(i, j)], cell.params[(i, j)])
-            acc = term if acc is None else ad.add(acc, term)
-        nodes.append(acc)
-    intermediates = nodes[1:]
-    if len(intermediates) == 1:
-        return intermediates[0]
-    if cell.output_rule == "concat":
-        return ad.concat(intermediates, axis=-1)
-    out = intermediates[0]
-    for t in intermediates[1:]:
-        out = ad.add(out, t)
-    return out
+            code = samples.get((i, j))
+            if code is None:
+                raise ValueError(f"missing sample for edge {(i, j)}")
+            code = ad.as_tensor(code)
+            total, wants, runs = _edge_run(values[i], grad[i], code, cell.params[(i, j)], keep)
+            acc = total if acc is None else acc + total
+            del total
+            if keep:
+                for _, _, deriv, W, b, _ in runs:
+                    if deriv is not None:
+                        reversed_inputs += (b, W)
+                reversed_inputs.append(code)
+                edges.append((i, code, runs, wants))
+                needs = needs or wants
+            del runs
+        values.append(acc)
+        grad.append(needs)
+        del acc
+    inner = values[1:]
+    if len(inner) == 1:
+        out = inner[0]
+    elif cell.output_rule == "concat":
+        out = np.concatenate(inner, axis=-1)
+    else:
+        out = inner[0]
+        for v in inner[1:]:
+            out = out + v
+    del inner
+    if head is None:
+        result = out
+    else:
+        w_out, b_out = head
+        wout = w_out.data
+        if wout.ndim != 2 or out.shape[1] != wout.shape[0]:
+            raise ad.ShapeMismatchError("matmul", (out.shape, wout.shape))
+        result = out @ wout + b_out.data
+        reversed_inputs += (w_out, b_out)
+    if not keep:
+        return ad.Tensor(result)
+
+    out_grad = any(grad[1:])
+    sizes = [v.shape[-1] for v in values[1:]]
+    held = [out] if head is not None else []  # the aggregate, for W's gradient
+    del out
+
+    def back(g):
+        grads = []
+        if head is not None:
+            aggregate = held.pop()
+            grads += (_sum0(g) if b_out.requires_grad else None,
+                      aggregate.T @ g if w_out.requires_grad else None)
+            del aggregate
+            g = g @ wout.T if out_grad else None
+        gn = [None] * n
+        if g is not None:
+            if n == 2:
+                gn[1] = g
+            elif cell.output_rule == "concat":
+                pieces = np.split(g, np.cumsum(sizes)[:-1], axis=-1)
+                gn[1:] = [p if needs else None for p, needs in zip(pieces, grad[1:])]
+            else:
+                gn[1:] = [g if needs else None for needs in grad[1:]]
+        del g
+        for j in range(n - 1, 0, -1):
+            gj, gn[j], values[j] = gn[j], None, None
+            for _ in range(j):
+                i, code, runs, wants = edges.pop()
+                if gj is None or not wants:
+                    grads.append(None)
+                    grads += [None, None] * sum(r[2] is not None for r in runs)
+                    continue
+                for gx in _edge_back(gj, code, values[i], grad[i], runs, grads):
+                    if gx is not None:
+                        gn[i] = gx if gn[i] is None else gn[i] + gx
+                del runs
+            del gj
+        values.clear()
+        gh = gn[0]
+        if project is None:
+            grads.append(gh)
+        elif gh is None:
+            grads += (None, None, None)
+        else:
+            grads += (_sum0(gh) if b_in.requires_grad else None,
+                      gh @ win.T if x_in.requires_grad else None,
+                      xd.T @ gh if w_in.requires_grad else None)
+        return grads
+
+    return ad.record(result, reversed_inputs[::-1], back)
 
 
 # ---------------------------------------------------------------------------

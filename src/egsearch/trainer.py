@@ -9,7 +9,8 @@ run.  The logit substep runs `SearchState.frozen`, a view built once per
 search in which the weights are constants and the cell holds the network's
 own logits tensor; the codes enter the forward pass through their
 straight-through tensors, so one ordinary backward pass carries the loss's
-gradient to the logits, and ops on the constant weights record nothing.
+gradient to the logits, and no gradient is computed for a constant weight.
+Either way the network is one tape node (`network_forward`).
 
 The weights are views of one flat array that `MomentumSGD` updates in place,
 and the logits are updated in place too, so the frozen view, and any code
@@ -91,7 +92,8 @@ class Network:
 
     def constant(self) -> "Network":
         """A view with every weight entered as a constant, sharing the data
-        and the cell's logits: ops on the weights alone record no node."""
+        and the cell's logits: the network op computes no gradient for
+        them."""
 
         def const(t):
             return ad.Tensor(t.data)
@@ -174,7 +176,7 @@ class MomentumSGD:
         fed = [(i, g) for i, t in enumerate(self.tensors) if (g := grads.get(t)) is not None]
         total = 0.0
         for _, g in fed:
-            total += float((g * g).sum())
+            total += float(np.add.reduce(g * g, None))  # (g * g).sum(), unwrapped
         clip = GRAD_CLIP_NORM / np.sqrt(total) if total > GRAD_CLIP_NORM**2 else None
         self.velocity *= momentum
         for i, g in fed:
@@ -261,9 +263,11 @@ def _tau_at(cfg: RunConfig, total_steps: int, step: int) -> float:
 
 
 def network_forward(network: Network, x: np.ndarray, samples: dict) -> ad.Tensor:
-    h = ad.add(ad.matmul(ad.Tensor(x), network.w_in), network.b_in)
-    out = cell_forward(network.cell, h, samples)
-    return ad.add(ad.matmul(out, network.w_out), network.b_out)
+    """The network's logits for the batch x, recorded as one op: the input
+    projection, the cell and the head (`space.cell_forward`)."""
+    return cell_forward(network.cell, ad.Tensor(x), samples,
+                        project=(network.w_in, network.b_in),
+                        head=(network.w_out, network.b_out))
 
 
 def sample_edges(state: SearchState, relax: bool) -> dict:
@@ -298,7 +302,7 @@ def compute_loss(state: SearchState, batch, reach: str = "all"):
     runs the network with hard codes only (the logits are not read on the
     tape, and only the sampled ops run), "logits" runs `state.frozen`,
     whose weights are constants, and "all" runs the network with the
-    relaxed codes.  Ops on constants record nothing.
+    relaxed codes.  No gradient is computed for a constant.
     """
     reaches = ("all", "weights", "logits")
     if reach not in reaches:
@@ -311,36 +315,41 @@ def compute_loss(state: SearchState, batch, reach: str = "all"):
     return loss, samples
 
 
-def _check_finite(loss, samples, which, state=None):
-    """Raise SearchDiverged if `loss` is not finite, naming each edge's code
-    and, in the search, the step and the temperature."""
-    if np.isfinite(loss.data):
+def _check_finite(value, samples, which, state=None):
+    """Raise SearchDiverged if the array `value` has an entry that is not
+    finite, naming each edge's code and, in the search, the step and the
+    temperature."""
+    if np.isfinite(value).all():
         return
     codes = {e: tuple(int(b) for b in s.data) for e, s in samples.items()}
     at = "," if state is None else f" at step {state.step}, tau={state.tau:.4f}, sampled"
-    raise SearchDiverged(f"non-finite {which} loss{at} codes {codes}")
+    raise SearchDiverged(f"non-finite {which}{at} codes {codes}")
 
 
 def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
     """One alternating update: w on the train batch, logits on validation.
-    Returns the two substeps' losses."""
+    Returns the two substeps' losses.  Raises SearchDiverged on a loss that
+    is not finite, and on a logit gradient that is not: the forward skips
+    a zero code entry's term, so an op's overflow there reaches only the
+    code's gradient."""
     cfg = state.cfg
     state.tau = _tau_at(cfg, state.total_steps, state.step)
 
     with ad.Tape():
         train_loss, samples = compute_loss(state, train_batch, reach="weights")
-        _check_finite(train_loss, samples, "training", state)
+        _check_finite(train_loss.data, samples, "training loss", state)
         grads = ad.backward(train_loss)
     state.optimizer.step(grads, cfg.lr_w, cfg.momentum)
     del grads  # before the logit substep's forward
 
     with ad.Tape():
         valid_loss, samples = compute_loss(state, valid_batch, reach="logits")
-        _check_finite(valid_loss, samples, "validation", state)
+        _check_finite(valid_loss.data, samples, "validation loss", state)
         grads = ad.backward(valid_loss)
     logits = state.cell.logits
     g = grads.get(logits)
     if g is not None:
+        _check_finite(g, samples, "logit gradient", state)
         logits.data -= cfg.lr_alpha * g
 
     state.step += 1
@@ -522,7 +531,7 @@ def _fit(network, code, samples, dataset, cfg, epochs, seed_offset) -> float:
         with ad.Tape():
             logits = network_forward(network, X[bi], samples)
             loss = ad.cross_entropy_with_logits(logits, y[bi])
-            _check_finite(loss, samples, "retrain")
+            _check_finite(loss.data, samples, "retrain loss")
             grads = ad.backward(loss)
         optimizer.step(grads, cfg.lr_w, cfg.momentum)
         del grads  # before the next step's forward

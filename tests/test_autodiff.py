@@ -607,17 +607,25 @@ def test_tape_sweep_matches_the_reference_on_a_branching_graph(indexed_nodes):
 @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(nodes=7, M=4, output_rule="concat")],
                          ids=["default", "n7-m4-concat"])
 def test_tape_sweep_matches_the_reference_on_a_substep(indexed_nodes, cfg, reach):
+    # the network op frees what it saved as its backward runs, so each
+    # sweep gets its own graph of the same substep, drawn from the same
+    # random state
     dataset = tr.build_dataset(cfg)
     state = tr.build_state(cfg, dataset)
     x, y = dataset.split("train")
-    with ad.Tape() as tape:
-        loss, _ = tr.compute_loss(state, (x[:cfg.batch_size], y[:cfg.batch_size]),
-                                  reach=reach)
+    batch = (x[:cfg.batch_size], y[:cfg.batch_size])
+    start = state.rng.clone()
+    with ad.Tape() as ref_tape:
+        loss, _ = tr.compute_loss(state, batch, reach=reach)
         nodes, ref = reference_backward(loss)
+    state.rng = start
+    with ad.Tape() as tape:
+        loss, _ = tr.compute_loss(state, batch, reach=reach)
         grads = ad.backward(loss)
     # every node a substep records reaches the loss, so the tape reversed
     # is exactly the reference's sweep
-    assert tape.nodes == nodes[::-1]
+    assert ref_tape.nodes == nodes[::-1]
+    assert len(tape.nodes) == len(nodes)
     assert_same_gradients(grads, ref, nodes)
 
 

@@ -154,6 +154,15 @@ def test_load_dump_round_trips_every_generator(ds):
     ("# dims=2 classes=2 seed=0\n0.1,0.2,1,training\n", "line 2: split 'training'"),
     ("# dims=2 classes=2\n0.1,0.2,1,train\n", "line 1: the header has no seed="),
     ("# dims=2 classes=2 seed=0\n0.1,0.2,1,train\n\n0.1,1,valid\n", "line 4: 3 fields"),
+    ("# dims=two classes=2 seed=0\n0.1,0.2,1,train\n", "line 1: dims= 'two' is not an integer"),
+    ("# dims=2 classes=2 seed=0.5\n0.1,0.2,1,train\n", "line 1: seed= '0.5' is not an integer"),
+    ("# dims=2 classes=2 seed=0\n0.1,0.2,1,train\n0.1,x,0,test\n",
+     "line 3: feature 'x' is not a number"),
+    ("# dims=2 classes=2 seed=0\n0.1,0.2,one,valid\n", "line 2: label 'one' is not an integer"),
+    ("# dims=2 classes=2", "line 1: the header has no seed="),
+    ("# dims=x seed=0", "line 1: dims= 'x' is not an integer"),
+    ("", "missing header line"),
+    ("0.1,0.2,1,train\n", "missing header line"),
 ])
 def test_load_refuses_a_line_it_cannot_place(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import weakref
 from itertools import product
 
 import numpy as np
@@ -448,15 +449,55 @@ def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
             assert sorted(calls) == sorted(derivatives)
 
 
-SUBSTEP_CELLS = [dict(nodes=4), dict(nodes=7, output_rule="concat")]
+def chain_network_forward(network, x, samples):
+    """The network recorded op by op: the projection's matmul and add,
+    `chain_edge_forward` per edge, node sums by add in ascending i, the
+    output rule (adds, a concat, or the one node) and the head's matmul and
+    add.  The reference for the one-node `trainer.network_forward`."""
+    cell = network.cell
+    nodes = [ad.add(ad.matmul(ad.Tensor(x), network.w_in), network.b_in)]
+    for j in range(1, cell.n):
+        acc = None
+        for i in range(j):
+            term = chain_edge_forward(nodes[i], samples[(i, j)], cell.params[(i, j)])
+            acc = term if acc is None else ad.add(acc, term)
+        nodes.append(acc)
+    inner = nodes[1:]
+    if len(inner) == 1:
+        out = inner[0]
+    elif cell.output_rule == "concat":
+        out = ad.concat(inner, axis=-1)
+    else:
+        out = inner[0]
+        for t in inner[1:]:
+            out = ad.add(out, t)
+    return ad.add(ad.matmul(out, network.w_out), network.b_out)
 
 
-@pytest.mark.parametrize("cell_cfg", SUBSTEP_CELLS, ids=["default", "n7-concat"])
+NETWORK_CELLS = [dict(nodes=4), dict(nodes=7, output_rule="concat"), dict(nodes=2)]
+NETWORK_IDS = ["default", "n7-concat", "n2"]
+FORWARDS = [tr.network_forward, chain_network_forward]
+
+
+def assert_runs_equal(runs):
+    """Two runs' (label, value, gradient list) records are equal under ==
+    (a skipped zero term may change only the sign of a zero), and each
+    gradient is present on both sides or neither."""
+    assert len(runs[0]) == len(runs[1])
+    for (label, value, fused), (_, chain_value, chain) in zip(*runs):
+        assert np.array_equal(value, chain_value), label
+        assert len(fused) == len(chain)
+        for f, c in zip(fused, chain):
+            assert (f is None) == (c is None), label
+            if c is not None:
+                assert np.array_equal(f, c), label
+
+
+@pytest.mark.parametrize("cell_cfg", NETWORK_CELLS, ids=NETWORK_IDS)
 def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
-    # every substep's loss and gradients with the fused edge equal those with
-    # the edge recorded op by op: for the logits, every weight and every
-    # edge's code.  A skipped zero-bit contribution may change only the sign
-    # of a zero, which == does not see.
+    # every substep's loss and gradients with the one-node network equal
+    # those of the network recorded op by op: for the logits, every weight
+    # and every edge's code, and the state after each search step
     cfg = RunConfig(seed=5, epochs=1, **cell_cfg)
     dataset = tr.build_dataset(cfg)
     x, y = dataset.split("valid")
@@ -478,8 +519,8 @@ def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
 
     monkeypatch.setattr(tr, "sample_edges", tapped_sample_edges)
     runs = []
-    for forward in (edge_forward, chain_edge_forward):
-        monkeypatch.setattr(space, "edge_forward", forward)
+    for forward in FORWARDS:
+        monkeypatch.setattr(tr, "network_forward", forward)
         state = tr.build_state(cfg, dataset)
         seen = []
         for _ in range(3):
@@ -496,12 +537,103 @@ def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
             tr.search_step(state, batch, batch)
         seen.append(("end", state.cell.logits.data, [t.data for t in state.weights()]))
         runs.append(seen)
-    for (reach, loss, fused), (_, chain_loss, chain) in zip(*runs):
-        assert loss.tobytes() == chain_loss.tobytes(), reach
-        for f, c in zip(fused, chain):
-            assert (f is None) == (c is None), reach
-            if c is not None:
-                assert np.array_equal(f, c), reach
+    assert_runs_equal(runs)
+
+
+@pytest.mark.parametrize("cell_cfg", NETWORK_CELLS, ids=NETWORK_IDS)
+def test_network_op_equals_the_op_chain_on_fixed_and_real_valued_codes(monkeypatch, cell_cfg):
+    # retrain's constant codes (every edge's bits random, so some edge has
+    # none), trained and then evaluated off the tape; and real-valued codes
+    # on the tape, the relaxation's rows as criterion 1 feeds them, for the
+    # logits and every weight
+    cfg = RunConfig(seed=6, epochs=1, retrain_epochs=2, **cell_cfg)
+    dataset = tr.build_dataset(cfg)
+    x, y = dataset.split("train")
+    batch = (x[:cfg.batch_size], y[:cfg.batch_size])
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2, size=(num_edges(cfg.nodes), len(OP_SET)), dtype=np.uint8)
+    bits[0] = 0
+    code = ArchitectureCode(n=cfg.nodes, K=len(OP_SET), bits=bits)
+    make_network = tr.make_network
+    runs = []
+    for forward in FORWARDS:
+        monkeypatch.setattr(tr, "network_forward", forward)
+        made = []
+        monkeypatch.setattr(tr, "make_network",
+                            lambda *args: made.append(make_network(*args)) or made[-1])
+        result = tr.retrain(code, dataset, cfg)
+        seen = [("retrain", np.array([result.final_loss, result.train_acc,
+                                      result.valid_acc, result.test_acc]),
+                 [t.data for t in made[0].weights()])]
+        state = tr.build_state(cfg, dataset)
+        for seed in range(3):
+            with ad.Tape():
+                soft = egs_sample(state.cell.probabilities(), cfg.M, 0.7, RngState(seed)).soft
+                samples = {e: ad.pick(soft, r) for r, e in enumerate(edge_list(cfg.nodes))}
+                assert not all(np.all((s.data == 0.0) | (s.data == 1.0))
+                               for s in samples.values())
+                logits = tr.network_forward(state.network, batch[0], samples)
+                loss = ad.cross_entropy_with_logits(logits, batch[1])
+                grads = ad.backward(loss)
+            seen.append(("soft", loss.data,
+                         [grads.get(t) for t in (state.cell.logits, *state.weights())]))
+        runs.append(seen)
+    assert_runs_equal(runs)
+
+
+def record_activations(monkeypatch, name):
+    """Make the activation `name` keep a weakref to each output it computes
+    and, at each of its calls and each derivative call, the number of those
+    outputs still alive."""
+    refs, alive = [], []
+    act, deriv = ad.ACTIVATIONS[name]
+
+    def forward(z):
+        alive.append(sum(r() is not None for r in refs))
+        out = act(z)
+        refs.append(weakref.ref(out))
+        return out
+
+    def derivative(g, a):
+        alive.append(sum(r() is not None for r in refs))
+        return deriv(g, a)
+
+    monkeypatch.setitem(ad.ACTIVATIONS, name, (forward, derivative))
+    return refs, alive
+
+
+@pytest.mark.parametrize("reach", ["weights", "logits"])
+def test_the_network_op_frees_each_edges_activations(monkeypatch, reach):
+    # tanh on every edge, beside the identity, so no edge's output is its
+    # activation.  Off the tape each activation dies with its edge.  The
+    # backward does the edges in the reverse of the forward's order
+    # (2,3 1,3 0,3 1,2 0,2 0,1), and each edge's activation dies once its
+    # edge is done, so at an edge's derivative only the activations of it
+    # and of the edges still to do are alive.
+    cfg = RunConfig(seed=3, nodes=4)
+    dataset = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, dataset)
+    x = dataset.split("train")[0][:16]
+    row = [1.0 if op.name in ("identity", "linear_tanh") else 0.0 for op in OP_SET]
+    edges = edge_list(cfg.nodes)
+    samples = {e: ad.Tensor(np.array(row)) for e in edges}
+    refs, alive = record_activations(monkeypatch, "tanh")
+    tr.network_forward(state.network, x, samples)
+    assert len(refs) == len(edges) and alive == [0] * len(edges)
+
+    refs.clear()
+    network = state.network if reach == "weights" else state.frozen
+    with ad.Tape():
+        if reach == "logits":
+            samples = {e: ad.Tensor(s.data, requires_grad=True) for e, s in samples.items()}
+        out = tr.network_forward(network, x, samples)
+        assert alive[len(edges):] == list(range(len(edges)))
+        del alive[:2 * len(edges)]
+        ad.backward(ad.mean(out))
+    # with constant weights and node 0 constant, an edge out of node 0
+    # computes no derivative: no gradient is due to x, W or b
+    assert alive == {"weights": [6, 5, 4, 3, 2, 1], "logits": [6, 5, 3]}[reach]
+    assert all(r() is None for r in refs)
 
 
 def test_edge_forward_rejects_bad_shapes():
