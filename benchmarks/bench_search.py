@@ -29,18 +29,21 @@ KERNEL_SHAPES on blocks of `audit.MARGINAL_CHUNK_UNIFORMS` pre-drawn
 uniforms, the blocks the marginal leg draws, so its timing is the kernel
 alone; "derive" is the mode-sample derivation's call, one block of the
 default `derive_draws` draws at the default (K, M).  Each rate is N draws
-(at least one block) over their time.  `autodiff.relu`, `tanh` and
-`sigmoid` are timed on constant (64, 8) and (256, 128) inputs, the shapes
-of the default search and of search-wide, in us per call.  The audit and
-kernel figures are the best over R fresh pinned processes of the best of R
-calls (or loops of calls) in each.  "src_lines" is the line count of
-`src/egsearch/*.py` (as `wc -l` counts them) of this checkout.
+(at least one block) over their time.  The forward of each activation in
+`autodiff.ACTIVATIONS` (relu, tanh and sigmoid, as the edge kernel runs
+them) is timed on (64, 8) and (256, 128) arrays, the shapes of the default
+search and of search-wide, in us per call.  The audit and kernel figures
+are the best over R fresh pinned processes of the best of R calls (or loops
+of calls) in each.  "src_lines" and "test_lines" are the line counts of
+`src/egsearch/*.py` and of `tests/*.py` (as `wc -l` counts them) of this
+checkout, so code that moves from the package into the tests shows in
+both.
 
 With --baseline-src, every search, audit and kernel figure is measured a
 second time with the `egsearch` package under DIR (another checkout's
 `src`), the two interleaved, and recorded under "baseline" with LABEL and
-the line count of DIR's `egsearch/*.py`, so one file holds before and after
-figures from the same session.
+the line counts of DIR's `egsearch/*.py` and of `DIR/../tests/*.py`, so
+one file holds before and after figures from the same session.
 """
 
 import argparse
@@ -205,10 +208,16 @@ def spawn(src, *args):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def src_lines(src):
-    """Lines of the `egsearch` package's modules under `src`."""
-    return sum(path.read_text().count("\n")
-               for path in sorted(Path(src, "egsearch").glob("*.py")))
+def py_lines(directory):
+    """Lines of the `*.py` files in `directory`, as `wc -l` counts them."""
+    return sum(path.read_text().count("\n") for path in sorted(Path(directory).glob("*.py")))
+
+
+def line_counts(src):
+    """{"src_lines", "test_lines"}: the lines of the `egsearch` package under
+    `src`, and of the tests beside it (`src/../tests`)."""
+    return {"src_lines": py_lines(Path(src, "egsearch")),
+            "test_lines": py_lines(Path(src).resolve().parent / "tests")}
 
 
 def best_of(fn, repeats):
@@ -268,21 +277,21 @@ def audit_times(repeats):
 
 
 def activation_times(repeats):
-    """Forward time of each activation op on a constant input, in us per
-    call, keyed "op batchxdim"."""
+    """Forward time of each activation, the `autodiff.ACTIVATIONS` forward
+    that the edge kernel runs, on an array, in us per call, keyed
+    "name batchxdim"."""
     from egsearch import autodiff as ad
 
     rng = np.random.default_rng(0)
     out = {}
     for shape in ACTIVATION_SHAPES:
-        x = ad.Tensor(rng.normal(size=shape))
-        loops = max(20, 400_000 // x.data.size)
-        for name in ("relu", "tanh", "sigmoid"):
-            op = getattr(ad, name)
+        x = rng.normal(size=shape)
+        loops = max(20, 400_000 // x.size)
+        for name, (forward, _) in ad.ACTIVATIONS.items():
 
             def run():
                 for _ in range(loops):
-                    op(x)
+                    forward(x)
 
             out[f"{name} {shape[0]}x{shape[1]}"] = 1e6 * best_of(run, repeats) / loops
     return out
@@ -326,10 +335,10 @@ def main():
         return
 
     sources = {"this": None}
-    lines = {"this": src_lines(SRC)}
+    lines = {"this": line_counts(SRC)}
     if args.baseline_src:
         sources["baseline"] = os.path.abspath(args.baseline_src)
-        lines["baseline"] = src_lines(sources["baseline"])
+        lines["baseline"] = line_counts(sources["baseline"])
     # the trees take turns within each repeat, so a drift of the host's
     # speed falls on both
     runs = {label: {name: [] for name in CASES} for label in sources}
@@ -349,18 +358,19 @@ def main():
             "libc": list(platform.libc_ver()), "cpu_count": os.cpu_count(),
             "blas_threads": BLAS_THREADS,
         },
-        "src_lines": lines["this"],
+        **lines["this"],
         "searches": searches,
         "kernels": kernels,
     }
     if args.baseline_src:
         base_searches, base_kernels = measured["baseline"]
-        record["baseline"] = {"label": args.baseline_label, "src_lines": lines["baseline"],
+        record["baseline"] = {"label": args.baseline_label, **lines["baseline"],
                               "searches": base_searches, "kernels": base_kernels}
     with open(args.out, "w") as fh:
         fh.write(json.dumps(record, indent=1) + "\n")
     for label, (searches, kernels) in measured.items():
-        print(f"[{label}] src/egsearch: {lines[label]} lines")
+        print(f"[{label}] src/egsearch: {lines[label]['src_lines']} lines, "
+              f"tests: {lines[label]['test_lines']} lines")
         for name, s in searches.items():
             m = s["median"]
             print(f"{name:<8} {m['wall_s']:8.3f} s {m['ms_per_step']:8.3f} ms/step "

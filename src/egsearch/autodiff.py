@@ -12,11 +12,13 @@ dropped, so only the leaves' gradients come back.  Nodes refer to their
 outputs weakly, so what is left of a graph is freed by reference counting
 as soon as its last tensor goes.  Everything is float64.
 
-Each activation's forward and its derivative from the output are written
-once, in `ACTIVATIONS`: the `relu`, `tanh` and `sigmoid` ops are built from
-it, and the edge kernel in `space` reads it for the linear ops.  The shifted
-softmax and its gradient are written once too (`softmax_of`,
-`softmax_vjp`), and every softmax in the package uses them.
+The package records few ops: the network is one op (`space.cell_forward`),
+and so is the sampler's relaxation (`gumbel.egs_sample_of`); the rest are
+the loss, `pick` and `straight_through`.  Each activation's forward and its
+derivative from the output are written once, in `ACTIVATIONS`, which the
+edge kernel in `space` reads for the linear ops.  The shifted softmax and
+its gradient are written once too (`softmax_of`, `softmax_vjp`), and every
+softmax in the package uses them.
 
 A step frees its graph during its sweep, and the next step builds one of
 about the same size.  So at import, glibc's allocator is told to keep freed
@@ -39,24 +41,11 @@ __all__ = [
     "record",
     "taping",
     "backward",
-    "add",
-    "multiply",
-    "matmul",
     "ACTIVATIONS",
-    "relu",
-    "tanh",
-    "sigmoid",
     "stable_sigmoid",
     "softmax_of",
     "softmax_vjp",
-    "softmax",
-    "log",
-    "exp",
-    "maximum",
-    "concat",
-    "mean",
     "cross_entropy_with_logits",
-    "scale",
     "pick",
     "straight_through",
     "as_tensor",
@@ -191,8 +180,8 @@ def record(out_data, inputs, backward_fn):
     When a tape is open and any input requires grad, the output gets a
     node, which the innermost open tape appends; otherwise the output is a
     constant.  `backward_fn(g)` maps the output's gradient to one gradient
-    per input, in order (None to skip); the binary ops return None for an
-    input that does not require grad.
+    per input, in order (None to skip, as for an input that does not
+    require grad).
     """
     out = Tensor(out_data)
     stack = _tape_stack()
@@ -202,62 +191,6 @@ def record(out_data, inputs, backward_fn):
         out.node = node
         stack[-1].nodes.append(node)
     return out
-
-
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-# ---------------------------------------------------------------------------
-# primitive ops
-
-
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise ShapeMismatchError("add", (a.shape, b.shape)) from None
-
-    def back(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return record(out, (a, b), back)
-
-
-def multiply(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeMismatchError("multiply", (a.shape, b.shape)) from None
-
-    def back(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return record(out, (a, b), back)
-
-
-def matmul(a, b):
-    """Matrix product of two 2-D tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeMismatchError("matmul", (a.shape, b.shape))
-
-    def back(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
-
-    return record(ad @ bd, (a, b), back)
 
 
 def stable_sigmoid(d):
@@ -293,20 +226,6 @@ ACTIVATIONS = {
 }
 
 
-def _activation(name):
-    forward, derivative = ACTIVATIONS[name]
-
-    def op(x):
-        x = as_tensor(x)
-        out = forward(x.data)
-        return record(out, (x,), lambda g: (derivative(g, out),))
-
-    return op
-
-
-relu, tanh, sigmoid = map(_activation, ("relu", "tanh", "sigmoid"))
-
-
 def softmax_of(z):
     """Shifted softmax of an array over its last axis; preserves the argmax
     exactly, and a -inf entry (a zero probability) maps to 0."""
@@ -317,88 +236,6 @@ def softmax_of(z):
 def softmax_vjp(y, g):
     """The gradient for z of g . y, where y = softmax_of(z)."""
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-
-def softmax(x):
-    """Shifted softmax over the last axis, as an op."""
-    x = as_tensor(x)
-    out = softmax_of(x.data)
-    return record(out, (x,), lambda g: (softmax_vjp(out, g),))
-
-
-def log(x):
-    x = as_tensor(x)
-    with np.errstate(divide="ignore"):
-        out = np.log(x.data)
-
-    def back(g):
-        # zero upstream grad stays zero even where x == 0 (log -> -inf)
-        res = np.zeros_like(x.data)
-        np.divide(g, x.data, out=res, where=g != 0.0)
-        return (res,)
-
-    return record(out, (x,), back)
-
-
-def exp(x):
-    x = as_tensor(x)
-    out = np.exp(x.data)
-
-    def back(g):
-        return (g * out,)
-
-    return record(out, (x,), back)
-
-
-def maximum(a, b):
-    """Elementwise max; ties route the gradient to the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = np.maximum(a.data, b.data)
-    except ValueError:
-        raise ShapeMismatchError("elementwise-max", (a.shape, b.shape)) from None
-    take_a = a.data >= b.data
-
-    def back(g):
-        return (
-            _unbroadcast(np.where(take_a, g, 0.0), a.shape) if a.requires_grad else None,
-            _unbroadcast(np.where(take_a, 0.0, g), b.shape) if b.requires_grad else None,
-        )
-
-    return record(out, (a, b), back)
-
-
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    shapes = [t.shape for t in tensors]
-    if not tensors:
-        raise ValueError("concat: empty input list")
-    base = list(shapes[0])
-    for s in shapes[1:]:
-        trimmed = list(s)
-        if len(trimmed) != len(base):
-            raise ShapeMismatchError("concat", shapes)
-        trimmed[axis] = base[axis]
-        if trimmed != base:
-            raise ShapeMismatchError("concat", shapes)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return record(out, tuple(tensors), back)
-
-
-def mean(x):
-    x = as_tensor(x)
-    n = x.data.size
-
-    def back(g):
-        return (np.full(x.shape, float(g) / n),)
-
-    return record(np.asarray(x.data.mean()), (x,), back)
 
 
 def cross_entropy_with_logits(logits, labels):
@@ -429,17 +266,6 @@ def cross_entropy_with_logits(logits, labels):
         return (gz * (float(g) / n),)
 
     return record(np.asarray(nll), (logits,), back)
-
-
-def scale(x, factor):
-    """Multiply by a plain (non-differentiable) scalar."""
-    x = as_tensor(x)
-    factor = float(factor)
-
-    def back(g):
-        return (g * factor,)
-
-    return record(x.data * factor, (x,), back)
 
 
 def pick(x, k):

@@ -126,8 +126,9 @@ def load_dataset(source) -> Dataset:
     A source with a newline, one that starts with "#" (a header alone) and
     an empty one are text; any other is a path.  Raises ValueError for a
     source without a header line, and naming the line for a header whose
-    `dims=` or `seed=` is missing or not an integer, and for a row that is
-    not dims numbers, an integer label and one of the split names.
+    `dims=`, `classes=` or `seed=` is missing or not an integer, and for a
+    row that is not dims numbers, an integer label in 0 .. classes - 1 and
+    one of the split names.
     """
     text = str(source)
     if "\n" in text or text.startswith("#") or not text:
@@ -138,10 +139,12 @@ def load_dataset(source) -> Dataset:
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing header line")
     meta = dict(part.partition("=")[::2] for part in lines[0][1:].split())
-    for key in ("dims", "seed"):
+    header = []
+    for key in ("dims", "classes", "seed"):
         if key not in meta:
             raise ValueError(f"line 1: the header has no {key}=")
-    seed, dims = (_parsed(int, meta[key], f"line 1: {key}=") for key in ("seed", "dims"))
+        header.append(_parsed(int, meta[key], f"line 1: {key}="))
+    dims, classes, seed = header
     features, labels, split_names = [], [], []
     for number, line in enumerate(lines[1:], start=2):
         if not line:
@@ -154,7 +157,11 @@ def load_dataset(source) -> Dataset:
             raise ValueError(f"line {number}: split {cells[dims + 1]!r} is not one of "
                              f"{', '.join(SPLIT_NAMES)}")
         features.append([_parsed(float, v, f"line {number}: feature") for v in cells[:dims]])
-        labels.append(_parsed(int, cells[dims], f"line {number}: label"))
+        label = _parsed(int, cells[dims], f"line {number}: label")
+        if not 0 <= label < classes:
+            raise ValueError(f"line {number}: label {label} is outside 0 .. {classes - 1}, "
+                             f"the header's classes={classes}")
+        labels.append(label)
         split_names.append(cells[dims + 1])
     splits = {
         name: np.array(

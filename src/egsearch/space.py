@@ -12,9 +12,9 @@ transforms act(x @ W + b), each naming its activation in
 the static prior l every cell shares, computed and checked once at import.
 `edge_op_names` names each edge's ops, for the dot export and the CLI.
 
-`cell_forward` evaluates a cell, with the network's input projection and
-head when given, as one tape op; each edge runs one kernel (`_edge_run`
-forward, `_edge_back` backward), which `edge_forward` also records alone.
+`cell_forward` evaluates the network, its input projection, the cell and
+its head, as one tape op; each edge runs one kernel (`_edge_run` forward,
+`_edge_back` backward).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "num_edges",
     "encode",
     "decode",
-    "edge_forward",
     "cell_forward",
     "efficiency_credits",
     "EFFICIENCY",
@@ -263,40 +262,6 @@ def _sum0(a):
     return np.add.reduce(a, 0)
 
 
-def edge_forward(x: ad.Tensor, code, params=None) -> ad.Tensor:
-    """Weighted sum of op outputs along one edge, recorded as one op: the
-    edge kernel `cell_forward` runs for each edge, on its own.
-
-    `code` is a K-vector of op weights; x is a (batch, dim) tensor.  The
-    node lists code, then x once per op that reads it, in reverse op order,
-    each linear op followed by its W and b, and its backward returns one
-    gradient for each, so x's gradient accumulates in the op chain's order.
-    Where code[k] is exactly 0.0 its term is skipped: each skipped forward
-    or backward contribution was exactly +-0, so every value equals the op
-    chain's under ==, and only the sign of an entry that is exactly zero
-    may differ.  The output may share x's array, and the gradient for x may
-    be g's; nothing writes into either in place.
-    """
-    code, x = ad.as_tensor(code), ad.as_tensor(x)
-    if x.data.ndim != 2:
-        raise ad.ShapeMismatchError("edge-forward", (x.data.shape, code.data.shape))
-    params = params if params is not None else [{} for _ in OP_SET]
-    total, _, runs = _edge_run(x.data, x.requires_grad, code, params, ad.taping())
-    inputs = [code]
-    for _, _, deriv, W, b, _ in reversed(runs or ()):
-        inputs += [x] if deriv is None else [x, W, b]
-
-    def back(g):
-        params_out = []
-        to_x = _edge_back(g, code, x.data, x.requires_grad, runs, params_out)
-        out, rest = params_out[:1], iter(params_out[1:])
-        for (_, _, deriv, *_), gx in zip(reversed(runs), to_x):
-            out += [gx] if deriv is None else [gx, next(rest), next(rest)]
-        return out
-
-    return ad.record(total, inputs, back)
-
-
 def efficiency_credits() -> np.ndarray:
     """Static efficiency prior: softmax of negated op costs."""
     return ad.softmax_of(-np.array([op.cost for op in OP_SET], dtype=np.float64))
@@ -331,11 +296,6 @@ class Cell:
         gradient to the logits'.  Nothing is checked or recorded: a draw
         checks p (`gumbel.draw_scores`)."""
         return self._mix(ad.softmax_of(self.logits.data))
-
-    def probabilities(self) -> ad.Tensor:
-        """`mix` as one (E, K) op; h must be on the simplex."""
-        p, vjp = self._mix(check_simplex(ad.softmax_of(self.logits.data), "h"))
-        return ad.record(p, (self.logits,), lambda g: (vjp(g),))
 
     def _mix(self, h):
         lam = self.lam
@@ -380,16 +340,17 @@ def make_cell(n, dim=8, lam=0.5, init_rng=None, output_rule="sum") -> Cell:
     )
 
 
-def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict,
-                 project=None, head=None) -> ad.Tensor:
-    """Evaluate the cell, recorded as one op: node j sums the outputs of
-    the edges (i, j), i < j, in ascending i, and the output aggregates the
-    non-input nodes by the cell's output rule.
+def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict, project, head) -> ad.Tensor:
+    """Evaluate the network, recorded as one op: node 0 is x_in @ W + b with
+    `project` = (W, b), node j sums the outputs of the edges (i, j), i < j,
+    in ascending i, the cell's output rule aggregates the non-input nodes,
+    and the output is the aggregate @ W + b with `head` = (W, b).
 
-    `samples` maps every edge to its code, a K-vector tensor; each edge
-    runs `edge_forward`'s kernel.  With `project` = (W, b), node 0 is
-    x_in @ W + b rather than x_in, and with `head` = (W, b) the output is
-    the aggregate @ W + b.  Every weight's `.data` is read when the op runs.
+    `samples` maps every edge to its code, a K-vector tensor; each edge runs
+    one kernel (`_edge_run` forward, `_edge_back` backward).  Every weight's
+    `.data` is read when the op runs.  A code entry of exactly 0.0 skips
+    its term; each skipped contribution was exactly +-0, so only the sign of
+    an entry that is exactly zero may differ from the op chain's.
 
     The backward repeats the arithmetic of the same network recorded op by
     op, in the order that sweep runs: the head (b's gradient g.sum(0), then
@@ -407,21 +368,16 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict,
     x_in = ad.as_tensor(x_in)
     keep = ad.taping()
     xd = x_in.data
-    if project is None:
-        node0, grad0 = xd, x_in.requires_grad
-    else:
-        w_in, b_in = project
-        win = w_in.data
-        if xd.ndim != 2 or win.ndim != 2 or xd.shape[1] != win.shape[0]:
-            raise ad.ShapeMismatchError("matmul", (xd.shape, win.shape))
-        node0 = xd @ win + b_in.data
-        grad0 = x_in.requires_grad or w_in.requires_grad or b_in.requires_grad
-    if node0.ndim != 2:
-        raise ad.ShapeMismatchError("edge-forward", (node0.shape,))
-    values, grad = [node0], [grad0]  # each node's array; whether it needs a gradient
+    w_in, b_in = project
+    win = w_in.data
+    if xd.ndim != 2 or win.ndim != 2 or xd.shape[1] != win.shape[0]:
+        raise ad.ShapeMismatchError("matmul", (xd.shape, win.shape))
+    # each node's array, and whether it needs a gradient
+    values = [xd @ win + b_in.data]
+    grad = [x_in.requires_grad or w_in.requires_grad or b_in.requires_grad]
     # built in the reverse of the backward's order: the projection, then per
     # edge b and W of each linear op in op order, then the code
-    reversed_inputs = [x_in] if project is None else [w_in, x_in, b_in]
+    reversed_inputs = [w_in, x_in, b_in]
     edges = []  # (i, code, runs, whether the edge needs a gradient), forward order
     for j in range(1, n):
         acc, needs = None, False
@@ -445,45 +401,36 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict,
         grad.append(needs)
         del acc
     inner = values[1:]
-    if len(inner) == 1:
-        out = inner[0]
-    elif cell.output_rule == "concat":
+    if cell.output_rule == "concat":
         out = np.concatenate(inner, axis=-1)
     else:
         out = inner[0]
         for v in inner[1:]:
             out = out + v
     del inner
-    if head is None:
-        result = out
-    else:
-        w_out, b_out = head
-        wout = w_out.data
-        if wout.ndim != 2 or out.shape[1] != wout.shape[0]:
-            raise ad.ShapeMismatchError("matmul", (out.shape, wout.shape))
-        result = out @ wout + b_out.data
-        reversed_inputs += (w_out, b_out)
+    w_out, b_out = head
+    wout = w_out.data
+    if wout.ndim != 2 or out.shape[1] != wout.shape[0]:
+        raise ad.ShapeMismatchError("matmul", (out.shape, wout.shape))
+    result = out @ wout + b_out.data
     if not keep:
         return ad.Tensor(result)
+    reversed_inputs += (w_out, b_out)
 
     out_grad = any(grad[1:])
     sizes = [v.shape[-1] for v in values[1:]]
-    held = [out] if head is not None else []  # the aggregate, for W's gradient
+    held = [out]  # the aggregate, for W's gradient
     del out
 
     def back(g):
-        grads = []
-        if head is not None:
-            aggregate = held.pop()
-            grads += (_sum0(g) if b_out.requires_grad else None,
-                      aggregate.T @ g if w_out.requires_grad else None)
-            del aggregate
-            g = g @ wout.T if out_grad else None
+        aggregate = held.pop()
+        grads = [_sum0(g) if b_out.requires_grad else None,
+                 aggregate.T @ g if w_out.requires_grad else None]
+        del aggregate
+        g = g @ wout.T if out_grad else None
         gn = [None] * n
         if g is not None:
-            if n == 2:
-                gn[1] = g
-            elif cell.output_rule == "concat":
+            if cell.output_rule == "concat":
                 pieces = np.split(g, np.cumsum(sizes)[:-1], axis=-1)
                 gn[1:] = [p if needs else None for p, needs in zip(pieces, grad[1:])]
             else:
@@ -504,9 +451,7 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict,
             del gj
         values.clear()
         gh = gn[0]
-        if project is None:
-            grads.append(gh)
-        elif gh is None:
+        if gh is None:
             grads += (None, None, None)
         else:
             grads += (_sum0(gh) if b_in.requires_grad else None,

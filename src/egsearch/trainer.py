@@ -35,6 +35,7 @@ from .config import RunConfig
 from .data import Dataset, make_parity, make_spirals, make_two_moons
 from .gumbel import (
     RngState,
+    check_simplex,
     draw_scores,
     egs_sample_of,
     hard_code,
@@ -431,7 +432,8 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
     """Collapse the learned distributions into one binary code per edge.
 
     Raises ValueError, in either mode, for `draws` below 1 or past the
-    uniforms budget."""
+    uniforms budget, and for sampling probabilities off the simplex, as a
+    non-finite logit makes them."""
     _check_derive_draws(draws, state.cfg.M)
     if mode not in ("mode-sample", "max-marginal"):
         raise ValueError(f"unknown derive mode {mode!r}")
@@ -439,7 +441,7 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
     keep = min(m, k)
     bits = np.zeros((num_edges(state.cell.n), k), dtype=np.uint8)
     rng = state.rng.clone()  # derivation must not disturb the search stream
-    for row, p in enumerate(state.cell.probabilities().data):
+    for row, p in enumerate(check_simplex(state.cell.mix()[0])):
         if mode == "mode-sample":
             codes = kernels.egs_hard_batch(p, rng.uniform(draws * m * k), m)
             # counted by their integers; ties break toward the larger

@@ -38,62 +38,10 @@ from egsearch.trainer import (
     retrain,
     run_search,
 )
+import opchain as oc
+from opchain import FD_STEP, assert_grads_close, check_op, mix_op, scalarize
 
-FD_STEP = 1e-5
 K = len(OP_SET)
-
-
-# --- finite-difference helpers ------------------------------------------------
-
-
-def fd_grad(fn, x, step=FD_STEP):
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = fn(x)
-        flat[i] = orig - step
-        lo = fn(x)
-        flat[i] = orig
-        gf[i] = (hi - lo) / (2.0 * step)
-    return g
-
-
-def assert_grads_close(analytic, numeric):
-    a = np.asarray(analytic).reshape(-1)
-    f = np.asarray(numeric).reshape(-1)
-    assert a.shape == f.shape
-    tol = np.maximum(1e-7, 1e-4 * np.maximum(np.abs(a), np.abs(f)))
-    err = np.abs(a - f)
-    assert np.all(err <= tol), f"max err {err.max():.3e}"
-
-
-def scalarize(t):
-    w = np.cos(np.arange(t.data.size, dtype=np.float64)).reshape(t.data.shape)
-    return ad.mean(ad.multiply(t, ad.Tensor(w * t.data.size)))
-
-
-def check_op(build, arrays, n_trials=100, seed=0):
-    rng = np.random.default_rng(seed)
-    for _ in range(n_trials):
-        xs = arrays(rng)
-        tensors = [ad.Tensor(x, requires_grad=True) for x in xs]
-        with ad.Tape():
-            loss = build(tensors)
-            grads = ad.backward(loss)
-        for k, t in enumerate(tensors):
-
-            def f(v, k=k):
-                vals = [np.array(x, dtype=np.float64) for x in xs]
-                vals[k] = v
-                ts = [ad.Tensor(val) for val in vals]
-                with ad.Tape():
-                    return float(build(ts).data)
-
-            assert_grads_close(grads[t], fd_grad(f, np.array(xs[k])))
 
 
 def separated(rng, shape):
@@ -104,36 +52,36 @@ def separated(rng, shape):
 
 
 OP_CASES = [
-    ("add", lambda ts: scalarize(ad.add(ts[0], ts[1])),
+    ("add", lambda ts: scalarize(oc.add(ts[0], ts[1])),
      lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(1, 4))]),
-    ("multiply", lambda ts: scalarize(ad.multiply(ts[0], ts[1])),
+    ("multiply", lambda ts: scalarize(oc.multiply(ts[0], ts[1])),
      lambda rng: [rng.normal(size=(2, 5)), rng.normal(size=(2, 5))]),
-    ("matmul", lambda ts: scalarize(ad.matmul(ts[0], ts[1])),
+    ("matmul", lambda ts: scalarize(oc.matmul(ts[0], ts[1])),
      lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
-    ("relu", lambda ts: scalarize(ad.relu(ts[0])),
+    ("relu", lambda ts: scalarize(oc.relu(ts[0])),
      lambda rng: [np.where(np.abs(x := rng.normal(size=(4, 3))) < 1e-3, 0.1, x)]),
-    ("tanh", lambda ts: scalarize(ad.tanh(ts[0])),
+    ("tanh", lambda ts: scalarize(oc.tanh(ts[0])),
      lambda rng: [rng.normal(size=(2, 6))]),
-    ("sigmoid", lambda ts: scalarize(ad.sigmoid(ts[0])),
+    ("sigmoid", lambda ts: scalarize(oc.sigmoid(ts[0])),
      lambda rng: [rng.normal(size=7) * 3.0]),
-    ("softmax", lambda ts: scalarize(ad.softmax(ts[0])),
+    ("softmax", lambda ts: scalarize(oc.softmax(ts[0])),
      lambda rng: [rng.normal(size=(3, 5))]),
-    ("log", lambda ts: scalarize(ad.log(ts[0])),
+    ("log", lambda ts: scalarize(oc.log(ts[0])),
      lambda rng: [rng.uniform(0.2, 3.0, size=6)]),
-    ("exp", lambda ts: scalarize(ad.exp(ts[0])),
+    ("exp", lambda ts: scalarize(oc.exp(ts[0])),
      lambda rng: [rng.normal(size=(2, 4))]),
-    ("elementwise-max", lambda ts: scalarize(ad.maximum(ts[0], ts[1])),
+    ("elementwise-max", lambda ts: scalarize(oc.maximum(ts[0], ts[1])),
      lambda rng: list(separated(rng, (3, 4)))),
-    ("concat", lambda ts: scalarize(ad.concat([ts[0], ts[1]], axis=-1)),
+    ("concat", lambda ts: scalarize(oc.concat([ts[0], ts[1]], axis=-1)),
      lambda rng: [rng.normal(size=(2, 3)), rng.normal(size=(2, 2))]),
-    ("mean", lambda ts: ad.mean(ts[0]),
+    ("mean", lambda ts: oc.mean(ts[0]),
      lambda rng: [rng.normal(size=(3, 3))]),
     ("cross-entropy-with-logits",
      lambda ts: ad.cross_entropy_with_logits(ts[0], np.array([0, 2, 1])),
      lambda rng: [rng.normal(size=(3, 3))]),
-    ("scalar-scale", lambda ts: scalarize(ad.scale(ts[0], 1.7)),
+    ("scalar-scale", lambda ts: scalarize(oc.scale(ts[0], 1.7)),
      lambda rng: [rng.normal(size=(2, 3))]),
-    ("pick", lambda ts: ad.multiply(ad.pick(ts[0], 2), ad.pick(ts[0], 2)),
+    ("pick", lambda ts: oc.multiply(ad.pick(ts[0], 2), ad.pick(ts[0], 2)),
      lambda rng: [rng.normal(size=5)]),
 ]
 
@@ -149,7 +97,7 @@ def test_criterion_1_gradient_correctness():
     with ad.Tape():
         soft = ad.Tensor(soft_vals, requires_grad=True)
         st = ad.straight_through(soft, hard_vals)
-        loss = ad.mean(ad.multiply(st, ad.Tensor(np.array([4.0, 8.0, 12.0, 16.0]))))
+        loss = oc.mean(oc.multiply(st, ad.Tensor(np.array([4.0, 8.0, 12.0, 16.0]))))
         grads = ad.backward(loss)
     assert np.array_equal(grads[soft], np.array([1.0, 2.0, 3.0, 4.0]))
 
@@ -163,7 +111,7 @@ def test_criterion_1_gradient_correctness():
     saved = state.rng.clone()
 
     def relaxed_loss():
-        soft = egs_sample(state.cell.probabilities(), cfg.M, state.tau, saved.clone()).soft
+        soft = egs_sample(mix_op(state.cell), cfg.M, state.tau, saved.clone()).soft
         samples = {e: ad.pick(soft, r) for r, e in enumerate(edge_list(cfg.nodes))}
         logits = network_forward(state.network, batch[0], samples)
         return ad.cross_entropy_with_logits(logits, batch[1])

@@ -161,6 +161,12 @@ def test_load_dump_round_trips_every_generator(ds):
     ("# dims=2 classes=2 seed=0\n0.1,0.2,one,valid\n", "line 2: label 'one' is not an integer"),
     ("# dims=2 classes=2", "line 1: the header has no seed="),
     ("# dims=x seed=0", "line 1: dims= 'x' is not an integer"),
+    ("# dims=1 seed=0\n0.1,1,train\n", "line 1: the header has no classes="),
+    ("# dims=1 classes=two seed=0\n0.1,1,train\n", "line 1: classes= 'two' is not an integer"),
+    ("# dims=1 classes=2 seed=0\n0.1,-1,train\n0.2,5,valid\n",
+     "line 2: label -1 is outside 0 .. 1, the header's classes=2"),
+    ("# dims=1 classes=2 seed=0\n0.1,1,train\n0.2,2,valid\n",
+     "line 3: label 2 is outside 0 .. 1"),
     ("", "missing header line"),
     ("0.1,0.2,1,train\n", "missing header line"),
 ])

@@ -21,6 +21,8 @@ from egsearch.gumbel import (
     reachable_codes,
 )
 from egsearch.space import make_cell
+import opchain as oc
+from opchain import chain_mix, mix_op, weighted
 
 
 def exact_code_distribution(p, m):
@@ -252,9 +254,9 @@ def test_gradient_flow_all_k_m():
         for m in range(1, 9):
             logits = ad.Tensor(np.linspace(-0.5, 0.5, k), requires_grad=True)
             with ad.Tape():
-                s = egs_sample(ad.softmax(logits), m, 0.5, RngState(7 * k + m))
+                s = egs_sample(oc.softmax(logits), m, 0.5, RngState(7 * k + m))
                 w = weights_cache.setdefault(k, np.cos(np.arange(k) + 0.3))
-                loss = ad.mean(ad.multiply(s.soft, ad.Tensor(w)))
+                loss = oc.mean(oc.multiply(s.soft, ad.Tensor(w)))
                 grads = ad.backward(loss)
             g = grads[logits]
             assert np.all(np.isfinite(g))
@@ -267,9 +269,9 @@ def test_hard_gradient_equals_soft_gradient():
         grad_pair = []
         for field in ("hard", "soft"):
             with ad.Tape():
-                s = egs_sample(ad.softmax(logits), 2, 0.3, RngState(seed))
+                s = egs_sample(oc.softmax(logits), 2, 0.3, RngState(seed))
                 out = getattr(s, field)
-                loss = ad.mean(ad.multiply(out, ad.Tensor([1.0, 2.0, 3.0])))
+                loss = oc.mean(oc.multiply(out, ad.Tensor([1.0, 2.0, 3.0])))
                 grad_pair.append(ad.backward(loss)[logits])
         assert np.array_equal(grad_pair[0], grad_pair[1])
 
@@ -282,19 +284,13 @@ def chain_egs(p, m, tau, rng):
     the reference the fused relaxation reproduces bit for bit."""
     soft = hard = None
     for _ in range(m):
-        scores = ad.add(ad.log(p), ad.Tensor(gumbel_transform(rng.uniform(p.data.size))))
-        comp = ad.softmax(ad.scale(scores, 1.0 / tau))
+        scores = oc.add(oc.log(p), ad.Tensor(gumbel_transform(rng.uniform(p.data.size))))
+        comp = oc.softmax(oc.scale(scores, 1.0 / tau))
         onehot = np.zeros(p.data.size)
         onehot[int(np.argmax(scores.data))] = 1.0
-        soft = comp if soft is None else ad.maximum(soft, comp)
+        soft = comp if soft is None else oc.maximum(soft, comp)
         hard = onehot if hard is None else np.maximum(hard, onehot)
     return ad.straight_through(soft, hard)
-
-
-def chain_mix(logits, cell):
-    """One edge's sampling vector as a chain of primitive ops."""
-    h = ad.softmax(logits)
-    return ad.add(ad.scale(h, cell.lam), ad.scale(ad.Tensor(cell.l), 1.0 - cell.lam))
 
 
 def random_cell(rng, k):
@@ -304,14 +300,6 @@ def random_cell(rng, k):
     return dataclasses.replace(
         make_cell(3), l=l,
         logits=ad.Tensor(rng.normal(0.0, 1.5, (3, k)), requires_grad=True))
-
-
-def weighted(rows, w):
-    total = None
-    for r, row in enumerate(rows):
-        term = ad.mean(ad.multiply(row, ad.Tensor(w[r])))
-        total = term if total is None else ad.add(total, term)
-    return total
 
 
 def test_batched_draw_equals_per_edge_draws_exactly():
@@ -326,16 +314,16 @@ def test_batched_draw_equals_per_edge_draws_exactly():
                 seed = int(rng.integers(2**31))
                 batch_rng = RngState(seed)
                 with ad.Tape() as tape:
-                    s = egs_sample(cell.probabilities(), m, tau, batch_rng)
+                    s = egs_sample(mix_op(cell), m, tau, batch_rng)
                     assert len(tape.nodes) == 3  # probabilities, relaxation, code
                     grads = ad.backward(weighted([ad.pick(s.hard, r) for r in range(3)], w))
                 one = RngState(seed)
-                singles = [egs_sample(ad.pick(cell.probabilities(), r), m, tau, one)
+                singles = [egs_sample(ad.pick(mix_op(cell), r), m, tau, one)
                            for r in range(3)]
                 ref_rng = RngState(seed)
                 rows = [ad.Tensor(z.copy(), requires_grad=True) for z in cell.logits.data]
                 with ad.Tape():
-                    ref = [chain_egs(chain_mix(z, cell), m, tau, ref_rng) for z in rows]
+                    ref = [chain_egs(chain_mix(z, cell.l, cell.lam), m, tau, ref_rng) for z in rows]
                     # the relaxation under each straight-through code, read
                     # before the sweep releases the codes' nodes
                     ref_soft = [t.node.inputs[0].data for t in ref]
@@ -360,12 +348,12 @@ def test_batched_relaxation_matches_finite_differences():
                 seed = int(rng.integers(2**31))
 
                 def loss_at():
-                    p = cell.probabilities()
+                    p = mix_op(cell)
                     s = egs_sample(p, m, tau, RngState(seed))
                     return float((s.soft.data * w).mean(axis=1).sum())
 
                 with ad.Tape():
-                    s = egs_sample(cell.probabilities(), m, tau, RngState(seed))
+                    s = egs_sample(mix_op(cell), m, tau, RngState(seed))
                     grads = ad.backward(weighted([ad.pick(s.soft, r) for r in range(3)], w))
                 base = cell.logits.data
                 for r in range(3):

@@ -21,7 +21,6 @@ from egsearch.space import (
     NetworkPlan,
     cell_forward,
     decode,
-    edge_forward,
     edge_list,
     encode,
     export_architecture,
@@ -30,6 +29,8 @@ from egsearch.space import (
     num_edges,
     parse_architecture,
 )
+import opchain as oc
+from opchain import chain_mix, mix_op, weighted
 
 
 def random_code(n, k, rng):
@@ -50,10 +51,11 @@ def test_op_set_names_and_costs():
 
 
 def test_zero_and_identity_semantics():
+    cell = make_cell(2, dim=3)
     x = ad.Tensor(np.arange(6.0).reshape(2, 3))
     zero, identity = np.eye(5)[:2]
-    assert np.array_equal(edge_forward(x, ad.Tensor(zero)).data, np.zeros((2, 3)))
-    assert np.array_equal(edge_forward(x, ad.Tensor(identity)).data, x.data)
+    assert np.array_equal(bare_forward(cell, x, {(0, 1): ad.Tensor(zero)}).data, np.zeros((2, 3)))
+    assert np.array_equal(bare_forward(cell, x, {(0, 1): ad.Tensor(identity)}).data, x.data)
 
 
 def test_efficiency_credits_prefer_cheap_ops():
@@ -233,35 +235,49 @@ def test_code_bits_must_be_zero_or_one():
         ArchitectureCode(n=3, K=2, bits=np.zeros((2, 2)))
 
 
-# --- edge_forward ---------------------------------------------------------------
+# --- one edge of the network op --------------------------------------------------
 
 
 def make_test_cell(n=3, dim=4, seed=0):
     return make_cell(n=n, dim=dim, init_rng=np.random.default_rng(seed))
 
 
+def identity_layers(cell, in_dim):
+    """A projection and a head that pass their input on as it is: identity
+    matrices and zero biases, constants.  x @ I + 0 is x itself for finite
+    x, so with them `cell_forward` returns the cell's own output."""
+    out_dim = cell.dim * (cell.n - 1 if cell.output_rule == "concat" else 1)
+    return tuple((ad.Tensor(np.eye(d)), ad.Tensor(np.zeros(d))) for d in (in_dim, out_dim))
+
+
+def bare_forward(cell, x, samples):
+    """The cell's output for x, through `cell_forward` with identity layers."""
+    x = ad.as_tensor(x)
+    return cell_forward(cell, x, samples, *identity_layers(cell, x.shape[1]))
+
+
 def test_edge_forward_zero_code_is_zero():
-    cell = make_test_cell()
+    cell = make_test_cell(n=2)
     x = ad.Tensor(np.random.default_rng(2).normal(size=(5, 4)))
-    out = edge_forward(x, ad.Tensor(np.zeros(5)), cell.params[(0, 1)])
+    out = bare_forward(cell, x, {(0, 1): ad.Tensor(np.zeros(5))})
     assert np.array_equal(out.data, np.zeros((5, 4)))
 
 
 def test_edge_forward_identity_only():
-    cell = make_test_cell()
+    cell = make_test_cell(n=2)
     x = ad.Tensor(np.random.default_rng(3).normal(size=(5, 4)))
     code = ad.Tensor(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    out = edge_forward(x, code, cell.params[(0, 1)])
+    out = bare_forward(cell, x, {(0, 1): code})
     assert np.array_equal(out.data, x.data)
 
 
 def test_edge_forward_residual_pair_matches_hand_build():
     # identity + linear_relu = x + relu(x W + b) with the same weights
-    cell = make_test_cell()
-    params = cell.params[(0, 2)]
+    cell = make_test_cell(n=2)
+    params = cell.params[(0, 1)]
     x = ad.Tensor(np.random.default_rng(4).normal(size=(6, 4)))
     code = ad.Tensor(np.array([0.0, 1.0, 1.0, 0.0, 0.0]))
-    out = edge_forward(x, code, params)
+    out = bare_forward(cell, x, {(0, 1): code})
     w, b = params[2]["W"].data, params[2]["b"].data
     hand = x.data + np.maximum(x.data @ w + b, 0.0)
     assert np.allclose(out.data, hand, atol=1e-12)
@@ -269,13 +285,13 @@ def test_edge_forward_residual_pair_matches_hand_build():
 
 def test_edge_forward_single_forced_bit_reduces_to_plain_op():
     # one bit per edge is the constrained special case: a single-op edge
-    cell = make_test_cell()
+    cell = make_test_cell(n=2)
     x = np.random.default_rng(5).normal(size=(3, 4))
     for k, op in enumerate(OP_SET):
         code = np.zeros(5)
         code[k] = 1.0
-        out = edge_forward(ad.Tensor(x), ad.Tensor(code), cell.params[(1, 2)])
-        p = cell.params[(1, 2)][k]
+        out = bare_forward(cell, x, {(0, 1): ad.Tensor(code)})
+        p = cell.params[(0, 1)][k]
         z = x @ p["W"].data + p["b"].data if "W" in p else None
         direct = {
             "zero": lambda: np.zeros_like(x),
@@ -288,15 +304,15 @@ def test_edge_forward_single_forced_bit_reduces_to_plain_op():
 
 
 def test_edge_forward_gradient_reaches_logits_and_weights():
-    cell = make_test_cell()
+    cell = make_test_cell(n=2)
     x = ad.Tensor(np.random.default_rng(6).normal(size=(4, 4)))
     logits = ad.Tensor(np.zeros(5), requires_grad=True)
     saw_linear = False
     for seed in range(10):
         with ad.Tape():
-            sample = egs_sample(ad.softmax(logits), 2, 0.5, RngState(seed))
-            out = edge_forward(x, sample.hard, cell.params[(0, 1)])
-            grads = ad.backward(ad.mean(out))
+            sample = egs_sample(oc.softmax(logits), 2, 0.5, RngState(seed))
+            out = bare_forward(cell, x, {(0, 1): sample.hard})
+            grads = ad.backward(oc.mean(out))
         # the straight-through path always carries gradient to the logits
         assert logits in grads
         assert np.all(np.isfinite(grads[logits]))
@@ -309,10 +325,11 @@ def test_edge_forward_gradient_reaches_logits_and_weights():
 
 def chain_edge_forward(x, code, params):
     """The edge recorded op by op (pick, multiply, add, and matmul, add and
-    activation for a linear op): the reference for the fused edge_forward."""
+    activation for a linear op): the reference for the network op's edge
+    kernel."""
     on_tape = code.node is not None or code.requires_grad
-    acts = {"linear_relu": ad.relu, "linear_tanh": ad.tanh,
-            "linear_sigmoid": ad.sigmoid}
+    acts = {"linear_relu": oc.relu, "linear_tanh": oc.tanh,
+            "linear_sigmoid": oc.sigmoid}
     total = None
     for k, kind in enumerate(OP_SET):
         if not on_tape and code.data[k] == 0.0:
@@ -322,10 +339,41 @@ def chain_edge_forward(x, code, params):
         elif kind.name == "identity":
             a = x
         else:
-            a = acts[kind.name](ad.add(ad.matmul(x, params[k]["W"]), params[k]["b"]))
-        term = ad.multiply(ad.pick(code, k), a)
-        total = term if total is None else ad.add(total, term)
+            a = acts[kind.name](oc.add(oc.matmul(x, params[k]["W"]), params[k]["b"]))
+        term = oc.multiply(ad.pick(code, k), a)
+        total = term if total is None else oc.add(total, term)
     return total if total is not None else ad.Tensor(np.zeros_like(x.data))
+
+
+def chain_cell_forward(cell, x, samples, project, head):
+    """The network recorded op by op: the projection's matmul and add,
+    `chain_edge_forward` per edge, node sums by add in ascending i, the
+    output rule (adds, a concat, or the one node) and the head's matmul and
+    add.  The reference for the one-node `cell_forward`."""
+    nodes = [oc.add(oc.matmul(x, project[0]), project[1])]
+    for j in range(1, cell.n):
+        acc = None
+        for i in range(j):
+            term = chain_edge_forward(nodes[i], samples[(i, j)], cell.params[(i, j)])
+            acc = term if acc is None else oc.add(acc, term)
+        nodes.append(acc)
+    inner = nodes[1:]
+    if len(inner) == 1:
+        out = inner[0]
+    elif cell.output_rule == "concat":
+        out = oc.concat(inner, axis=-1)
+    else:
+        out = inner[0]
+        for t in inner[1:]:
+            out = oc.add(out, t)
+    return oc.add(oc.matmul(out, head[0]), head[1])
+
+
+def chain_network_forward(network, x, samples):
+    """`chain_cell_forward` of the network: the reference for the one-node
+    `trainer.network_forward`."""
+    return chain_cell_forward(network.cell, ad.Tensor(x), samples,
+                              (network.w_in, network.b_in), (network.w_out, network.b_out))
 
 
 def edge_params(cell, edge, on_tape):
@@ -333,30 +381,36 @@ def edge_params(cell, edge, on_tape):
             for op in cell.params[edge]]
 
 
-def two_edge_loss(forward, x, codes, params, weights):
-    # x feeds both edges and the loss itself, so its gradient accumulates
-    # from three places
-    a = forward(x, codes[0], params[0])
-    b = forward(x, codes[1], params[1])
-    return ad.mean(ad.multiply(ad.add(ad.add(a, b), x), weights)), (a, b)
-
-
-def assert_fused_equals_chain(x, codes, params, weights, extra=()):
-    tensors = [x, *codes, *extra,
-               *(t for per_edge in params for op in per_edge for t in op.values())]
+def assert_fused_equals_chain(cell, x, samples, layers, weights, extra=()):
+    # x feeds the network and the loss itself, node 0 feeds two edges, and
+    # node 1 feeds an edge and the output, so each gradient accumulates from
+    # more than one place
+    tensors = [x, *samples.values(), *extra, *cell.weight_tensors(),
+               *(t for layer in layers for t in layer)]
     results = []
-    for forward in (edge_forward, chain_edge_forward):
+    for forward in (cell_forward, chain_cell_forward):
         with ad.Tape():
-            loss, outs = two_edge_loss(forward, x, codes, params, weights)
+            out = forward(cell, x, samples, *layers)
+            loss = oc.add(oc.mean(oc.multiply(out, weights)), oc.mean(x))
             grads = ad.backward(loss) if loss.requires_grad else {}
-        results.append(([o.data for o in outs], [grads.get(t) for t in tensors]))
+        results.append((out.data, [grads.get(t) for t in tensors]))
     (fused, fused_grads), (chain, chain_grads) = results
-    for f, c in zip(fused, chain):
-        assert np.array_equal(f, c)
+    assert np.array_equal(fused, chain)
     for t, f, c in zip(tensors, fused_grads, chain_grads):
         assert (f is None) == (c is None), t
         if c is not None:
             assert f.shape == c.shape and np.array_equal(f, c), t
+
+
+def chain_test_network(rng, seed, batch, w_grad):
+    """A 3-node cell whose op weights, and head, are on the tape or not, and
+    a constant projection, for the fused-against-chain tests."""
+    cell = make_test_cell(n=3, dim=6, seed=seed)
+    cell.params = {e: edge_params(cell, e, w_grad) for e in edge_list(3)}
+    project = (ad.Tensor(rng.normal(size=(6, 6))), ad.Tensor(rng.normal(size=6)))
+    head = (ad.Tensor(rng.normal(size=(6, 3)), requires_grad=w_grad),
+            ad.Tensor(rng.normal(size=3), requires_grad=w_grad))
+    return cell, (project, head), ad.Tensor(rng.normal(size=(batch, 3)))
 
 
 @pytest.mark.parametrize("x_grad,code_grad,w_grad", list(product((False, True), repeat=3)))
@@ -364,44 +418,26 @@ def test_fused_edge_equals_the_op_chain_bit_for_bit(x_grad, code_grad, w_grad):
     # outputs and every gradient equal to the op-by-op chain, for every hard
     # code, with each of x, the code and the weights constant or on the tape
     rng = np.random.default_rng(31)
-    cell = make_test_cell(n=3, dim=6, seed=3)
+    cell, layers, weights = chain_test_network(rng, 3, 7, w_grad)
     x = ad.Tensor(rng.normal(size=(7, 6)), requires_grad=x_grad)
-    params = [edge_params(cell, e, w_grad) for e in ((0, 1), (0, 2))]
-    weights = ad.Tensor(rng.normal(size=(7, 6)))
     for bits in product((0.0, 1.0), repeat=5):
-        codes = [ad.Tensor(np.array(bits), requires_grad=code_grad),
-                 ad.Tensor(np.array(bits[::-1]), requires_grad=code_grad)]
-        assert_fused_equals_chain(x, codes, params, weights)
+        rows = (bits, bits[::-1], bits[2:] + bits[:2])
+        samples = {e: ad.Tensor(np.array(row), requires_grad=code_grad)
+                   for e, row in zip(edge_list(3), rows)}
+        assert_fused_equals_chain(cell, x, samples, layers, weights)
 
 
 @pytest.mark.parametrize("x_grad,w_grad", list(product((False, True), repeat=2)))
 def test_fused_edge_equals_the_op_chain_on_straight_through_rows(x_grad, w_grad):
     rng = np.random.default_rng(32)
-    cell = make_test_cell(n=3, dim=6, seed=4)
+    cell, layers, weights = chain_test_network(rng, 4, 5, w_grad)
     x = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=x_grad)
-    params = [edge_params(cell, e, w_grad) for e in ((0, 1), (0, 2))]
-    weights = ad.Tensor(rng.normal(size=(5, 6)))
-    logits = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    logits = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     for seed in range(4):
         with ad.Tape():
-            sample = egs_sample(ad.softmax(logits), 2, 0.5, RngState(seed))
-            codes = [ad.pick(sample.hard, r) for r in range(2)]
-            assert_fused_equals_chain(x, codes, params, weights, extra=(logits,))
-
-
-def test_fused_edge_records_one_node():
-    cell = make_test_cell()
-    x = ad.Tensor(np.ones((2, 4)), requires_grad=True)
-    with ad.Tape() as tape:
-        edge_forward(x, ad.Tensor(np.ones(5), requires_grad=True), cell.params[(0, 1)])
-    assert len(tape.nodes) == 1
-    # a constant code runs only its set ops, and x is listed once per op
-    # that reads it, in reverse op order, each linear op followed by W and b
-    code = ad.Tensor(np.array([1.0, 1.0, 0.0, 1.0, 0.0]))
-    with ad.Tape():
-        out = edge_forward(x, code, cell.params[(0, 1)])
-    p = cell.params[(0, 1)][3]
-    assert out.node.inputs == (code, x, p["W"], p["b"], x)
+            sample = egs_sample(oc.softmax(logits), 2, 0.5, RngState(seed))
+            samples = {e: ad.pick(sample.hard, r) for r, e in enumerate(edge_list(3))}
+            assert_fused_equals_chain(cell, x, samples, layers, weights, extra=(logits,))
 
 
 def count_derivatives(monkeypatch):
@@ -415,6 +451,23 @@ def count_derivatives(monkeypatch):
     return calls
 
 
+def log_edge_backs(monkeypatch):
+    """Make the edge kernel's backward log, per call, the gradient g it was
+    given, the gradients it appended (the code's, then W's and b's of each
+    linear op in reverse op order) and x's contributions it returned."""
+    logged = []
+    edge_back = space._edge_back
+
+    def logging(g, code, xd, x_grad, runs, grads):
+        start = len(grads)
+        to_x = edge_back(g, code, xd, x_grad, runs, grads)
+        logged.append((g, grads[start:], to_x))
+        return to_x
+
+    monkeypatch.setattr(space, "_edge_back", logging)
+    return logged
+
+
 @pytest.mark.parametrize("w_grad", [False, True])
 def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
     # the code is on the tape, as in the logit substep.  Code entry 0.0: the
@@ -422,8 +475,9 @@ def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
     # compute no derivative; with W on the tape its derivative still runs.
     # Code entry 1.0: the identity op hands x the output gradient itself.
     calls = count_derivatives(monkeypatch)
-    cell = make_test_cell()
-    params = edge_params(cell, (0, 1), w_grad)
+    logged = log_edge_backs(monkeypatch)
+    cell = make_test_cell(n=2)
+    cell.params[(0, 1)] = edge_params(cell, (0, 1), w_grad)
     x = ad.Tensor(np.random.default_rng(12).normal(size=(3, 4)), requires_grad=True)
     g = np.random.default_rng(13).normal(size=(3, 4))
     for bits, x_grads, derivatives in (
@@ -432,46 +486,23 @@ def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
     ):
         code = ad.Tensor(np.array(bits, dtype=np.float64), requires_grad=True)
         with ad.Tape():
-            out = edge_forward(x, code, params)
+            out = bare_forward(cell, x, {(0, 1): code})
         calls.clear()
-        grads = out.node.backward_fn(g)
+        logged.clear()
+        out.node.backward_fn(g)
+        [(g_edge, grads, to_x)] = logged
         # after the code: sigmoid, tanh, relu (each x, W, b), then identity
         for r, on in enumerate(x_grads):
             if r == 3:
-                assert (grads[10] is g) if on else grads[10] is None
+                assert (to_x[3] is g_edge) if on else to_x[3] is None
                 continue
-            gx, gw, gb = grads[1 + 3 * r:4 + 3 * r]
+            gx, gw, gb = to_x[r], *grads[1 + 2 * r:3 + 2 * r]
             assert (gx is not None) == (on or w_grad)
             assert (gw is not None) == (gb is not None) == w_grad
         if w_grad:
             assert sorted(calls) == ["relu", "sigmoid", "tanh"]
         else:
             assert sorted(calls) == sorted(derivatives)
-
-
-def chain_network_forward(network, x, samples):
-    """The network recorded op by op: the projection's matmul and add,
-    `chain_edge_forward` per edge, node sums by add in ascending i, the
-    output rule (adds, a concat, or the one node) and the head's matmul and
-    add.  The reference for the one-node `trainer.network_forward`."""
-    cell = network.cell
-    nodes = [ad.add(ad.matmul(ad.Tensor(x), network.w_in), network.b_in)]
-    for j in range(1, cell.n):
-        acc = None
-        for i in range(j):
-            term = chain_edge_forward(nodes[i], samples[(i, j)], cell.params[(i, j)])
-            acc = term if acc is None else ad.add(acc, term)
-        nodes.append(acc)
-    inner = nodes[1:]
-    if len(inner) == 1:
-        out = inner[0]
-    elif cell.output_rule == "concat":
-        out = ad.concat(inner, axis=-1)
-    else:
-        out = inner[0]
-        for t in inner[1:]:
-            out = ad.add(out, t)
-    return ad.add(ad.matmul(out, network.w_out), network.b_out)
 
 
 NETWORK_CELLS = [dict(nodes=4), dict(nodes=7, output_rule="concat"), dict(nodes=2)]
@@ -568,7 +599,7 @@ def test_network_op_equals_the_op_chain_on_fixed_and_real_valued_codes(monkeypat
         state = tr.build_state(cfg, dataset)
         for seed in range(3):
             with ad.Tape():
-                soft = egs_sample(state.cell.probabilities(), cfg.M, 0.7, RngState(seed)).soft
+                soft = egs_sample(mix_op(state.cell), cfg.M, 0.7, RngState(seed)).soft
                 samples = {e: ad.pick(soft, r) for r, e in enumerate(edge_list(cfg.nodes))}
                 assert not all(np.all((s.data == 0.0) | (s.data == 1.0))
                                for s in samples.values())
@@ -629,7 +660,7 @@ def test_the_network_op_frees_each_edges_activations(monkeypatch, reach):
         out = tr.network_forward(network, x, samples)
         assert alive[len(edges):] == list(range(len(edges)))
         del alive[:2 * len(edges)]
-        ad.backward(ad.mean(out))
+        ad.backward(oc.mean(out))
     # with constant weights and node 0 constant, an edge out of node 0
     # computes no derivative: no gradient is due to x, W or b
     assert alive == {"weights": [6, 5, 4, 3, 2, 1], "logits": [6, 5, 3]}[reach]
@@ -637,10 +668,13 @@ def test_the_network_op_frees_each_edges_activations(monkeypatch, reach):
 
 
 def test_edge_forward_rejects_bad_shapes():
+    # a code that is not a K-vector, and an input that is not a matrix
+    cell = make_test_cell(n=2)
     with pytest.raises(ad.ShapeMismatchError, match="edge-forward"):
-        edge_forward(ad.Tensor(np.ones((2, 4))), ad.Tensor(np.ones(4)))
-    with pytest.raises(ad.ShapeMismatchError, match="edge-forward"):
-        edge_forward(ad.Tensor(np.ones(4)), ad.Tensor(np.ones(5)))
+        bare_forward(cell, ad.Tensor(np.ones((2, 4))), {(0, 1): ad.Tensor(np.ones(4))})
+    with pytest.raises(ad.ShapeMismatchError, match="matmul"):
+        cell_forward(cell, ad.Tensor(np.ones(4)), {(0, 1): ad.Tensor(np.ones(5))},
+                     *identity_layers(cell, 4))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -649,7 +683,7 @@ def test_fused_edge_gradients_match_finite_differences(k):
     # W and b of the linear op with activation k
     rng = np.random.default_rng(40 + k)
     cell = make_test_cell(n=2, dim=3, seed=k)
-    params = edge_params(cell, (0, 1), True)
+    params = cell.params[(0, 1)] = edge_params(cell, (0, 1), True)
     x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     code = ad.Tensor(rng.normal(size=5), requires_grad=True)
     weights = rng.normal(size=(4, 3))
@@ -657,12 +691,12 @@ def test_fused_edge_gradients_match_finite_differences(k):
     assert np.min(np.abs(z)) > 1e-3  # away from the relu kink
 
     def value():
-        return float((edge_forward(ad.Tensor(x.data), ad.Tensor(code.data),
-                                   params).data * weights).sum())
+        return float((bare_forward(cell, ad.Tensor(x.data), {(0, 1): ad.Tensor(code.data)})
+                      .data * weights).sum())
 
     with ad.Tape():
-        out = edge_forward(x, code, params)
-        grads = ad.backward(ad.mean(ad.multiply(out, ad.Tensor(weights * out.data.size))))
+        out = bare_forward(cell, x, {(0, 1): code})
+        grads = ad.backward(oc.mean(oc.multiply(out, ad.Tensor(weights * out.data.size))))
     step = 1e-6
     for t in (x, code, params[k]["W"], params[k]["b"]):
         base = t.data
@@ -688,20 +722,11 @@ def constant_samples(code: ArchitectureCode):
     }
 
 
-def test_cell_forward_two_nodes_is_edge_forward():
-    cell = make_test_cell(n=2)
-    x = ad.Tensor(np.random.default_rng(7).normal(size=(5, 4)))
-    code = ArchitectureCode(n=2, K=5, bits=np.array([[0, 1, 1, 0, 0]], dtype=np.uint8))
-    out = cell_forward(cell, x, constant_samples(code))
-    direct = edge_forward(x, ad.Tensor(code.bits[0].astype(float)), cell.params[(0, 1)])
-    assert np.array_equal(out.data, direct.data)
-
-
 def test_cell_forward_all_zero_code():
     cell = make_test_cell(n=4)
     x = ad.Tensor(np.random.default_rng(8).normal(size=(3, 4)))
     code = ArchitectureCode(n=4, K=5, bits=np.zeros((6, 5), dtype=np.uint8))
-    out = cell_forward(cell, x, constant_samples(code))
+    out = bare_forward(cell, x, constant_samples(code))
     assert np.array_equal(out.data, np.zeros((3, 4)))
 
 
@@ -712,7 +737,7 @@ def test_cell_forward_missing_edge_sample():
     )
     del samples[(1, 2)]
     with pytest.raises(ValueError, match="missing sample"):
-        cell_forward(cell, ad.Tensor(np.zeros((2, 4))), samples)
+        bare_forward(cell, ad.Tensor(np.zeros((2, 4))), samples)
 
 
 def unrolled_oracle(cell, x, code):
@@ -748,7 +773,7 @@ def test_cell_forward_matches_unrolled_oracle():
         cell = make_test_cell(n=4, seed=100 + trial)
         code = random_code(4, 5, rng)
         x = rng.normal(size=(5, 4))
-        out = cell_forward(cell, ad.Tensor(x), constant_samples(code))
+        out = bare_forward(cell, ad.Tensor(x), constant_samples(code))
         assert np.allclose(out.data, unrolled_oracle(cell, x, code), atol=1e-12)
 
 
@@ -759,7 +784,7 @@ def test_cell_forward_concat_rule():
     bits = np.zeros((6, 5), dtype=np.uint8)
     bits[:, 1] = 1  # identity everywhere
     code = ArchitectureCode(n=4, K=5, bits=bits)
-    out = cell_forward(cell, ad.Tensor(x), constant_samples(code))
+    out = bare_forward(cell, ad.Tensor(x), constant_samples(code))
     assert out.data.shape == (3, 12)
 
 
@@ -771,18 +796,12 @@ def test_cell_forward_acyclic_by_construction():
     bits = np.zeros((6, 5), dtype=np.uint8)
     bits[:, 1] = 1
     code = ArchitectureCode(n=4, K=5, bits=bits)
-    out = cell_forward(cell, ad.Tensor(x), constant_samples(code))
+    out = bare_forward(cell, ad.Tensor(x), constant_samples(code))
     # x1 = x, x2 = x + x1 = 2x, x3 = x + x1 + x2 = 4x, sum = 7x
     assert np.allclose(out.data, 7.0 * x, atol=1e-12)
 
 
 # --- sampling probabilities --------------------------------------------------------
-
-
-def chain_mix(logits, l, lam):
-    """One edge's sampling vector lam * softmax(logits) + (1 - lam) * l as a
-    chain of primitive ops: the reference the (E, K) op reproduces."""
-    return ad.add(ad.scale(ad.softmax(logits), lam), ad.scale(ad.Tensor(l), 1.0 - lam))
 
 
 def mix_cell(logits, l, lam):
@@ -796,18 +815,16 @@ def mix_cell(logits, l, lam):
 
 def test_mix_degenerate_lambda_one():
     h = np.array([0.8, 0.2])
-    out = mix_cell(np.log(h), [0.4, 0.6], 1.0).probabilities()
+    out = mix_op(mix_cell(np.log(h), [0.4, 0.6], 1.0))
     assert np.allclose(out.data[0], h, atol=1e-15)
 
 
 def test_mix_arithmetic():
-    out = mix_cell(np.log([0.8, 0.2]), [0.4, 0.6], 0.5).probabilities()
+    out = mix_op(mix_cell(np.log([0.8, 0.2]), [0.4, 0.6], 0.5))
     assert np.allclose(out.data[0], [0.6, 0.4], atol=1e-15)
 
 
 def test_mix_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="h has non-finite"):
-        mix_cell([np.nan, 0.5], [0.5, 0.5], 0.5).probabilities()
     with pytest.raises(ValueError, match="mixing weight"):
         make_cell(2, lam=1.5)
 
@@ -817,7 +834,7 @@ def test_mix_differentiable_wrt_h():
     for lam in (0.5, 0.25):
         cell = mix_cell([0.3, -0.1, 0.2], np.full(3, 1 / 3), lam)
         with ad.Tape():
-            p = cell.probabilities()
+            p = mix_op(cell)
             grads.append(ad.backward(ad.pick(ad.pick(p, 0), 0))[cell.logits])
     assert np.any(grads[0] != 0.0)
     # lambda scales the h pathway linearly
@@ -834,22 +851,15 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
             cell = mix_cell(rng.normal(0.0, 1.5, (3, k)), rng.dirichlet(np.ones(k)), lam)
             w = rng.normal(size=(3, k))
 
-            def weighted(rows):
-                total = None
-                for r, row in enumerate(rows):
-                    term = ad.mean(ad.multiply(row, ad.Tensor(w[r])))
-                    total = term if total is None else ad.add(total, term)
-                return total
-
             with ad.Tape() as tape:
-                p = cell.probabilities()
+                p = mix_op(cell)
                 assert len(tape.nodes) == 1
-                grads = ad.backward(weighted([ad.pick(p, r) for r in range(3)]))
+                grads = ad.backward(weighted([ad.pick(p, r) for r in range(3)], w))
             rows = [ad.Tensor(z.copy(), requires_grad=True) for z in cell.logits.data]
             with ad.Tape():
                 ref = [chain_mix(z, cell.l, lam) for z in rows]
-                ref_grads = ad.backward(weighted(ref))
-            const = cell.probabilities()
+                ref_grads = ad.backward(weighted(ref, w))
+            const = mix_op(cell)
             assert const.node is None and np.array_equal(const.data, p.data)
             assert grads[cell.logits].shape == (3, k)
             base = cell.logits.data
@@ -861,7 +871,7 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
                     for h in (step, -step):
                         cell.logits.data = base.copy()
                         cell.logits.data[r, j] += h
-                        out = cell.probabilities()
+                        out = mix_op(cell)
                         vals.append(float((out.data * w).mean(axis=1).sum()))
                     cell.logits.data = base
                     fd = (vals[0] - vals[1]) / (2 * step)
@@ -872,15 +882,11 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
 def test_sampling_probabilities_reject_bad_inputs():
     with pytest.raises(ValueError, match="mixing weight"):
         make_cell(3, lam=1.5)
-    cell = make_cell(3)
-    cell.logits.data[1, 2] = np.nan
-    with pytest.raises(ValueError, match="h has non-finite"):
-        cell.probabilities()
 
 
 def test_edge_probabilities_on_simplex():
     cell = make_test_cell()
-    p = cell.probabilities().data
+    p = cell.mix()[0]
     assert p.shape == (num_edges(cell.n), len(OP_SET))
     assert np.all(p >= 0)
     assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)

@@ -135,7 +135,7 @@ def test_weight_substep_draws_the_hard_codes_of_egs_sample(cell):
         ref_rng = state.rng.clone()
         with ad.Tape() as tape:
             _, samples = tr.compute_loss(state, (x[:32], y[:32]), reach="weights")
-        want = egs_sample(state.cell.probabilities(), cfg.M, state.tau, ref_rng).hard.data
+        want = egs_sample(state.cell.mix()[0], cfg.M, state.tau, ref_rng).hard.data
         assert ref_rng.position == state.rng.position
         for r, e in enumerate(edge_list(cfg.nodes)):
             assert samples[e].data.tobytes() == want[r].tobytes()
@@ -494,7 +494,7 @@ def test_sampling_matches_exact_law_when_frozen():
     )
     state, report = tr.run_search(cfg)
     # zero learning rates freeze the logits, so p keeps its initial mix
-    p = state.cell.probabilities().data[0]  # edge (0, 1)
+    p = state.cell.mix()[0][0]  # edge (0, 1)
     dist = exact_code_distribution(p, 2)
     per_edge = 2 * state.step
     for e, counts in report.histogram.items():
@@ -598,7 +598,7 @@ def test_max_marginal_clamps_to_reachable_codes():
     cfg = small_cfg(nodes=2, lam=1.0, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     state.cell.logits.data[0] = np.array([2.0, 2.0, 2.0, -5.0, -5.0])
-    p = state.cell.probabilities().data[0]  # edge (0, 1)
+    p = state.cell.mix()[0][0]  # edge (0, 1)
     over = marginal_inclusion_oracle(p, 2) >= 0.5
     assert sum(over) == 3  # the threshold alone would pick an unreachable code
     code = tr.derive_architecture(state, "max-marginal")
@@ -632,6 +632,19 @@ def test_derive_rejects_unknown_mode():
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     with pytest.raises(ValueError, match="derive mode"):
         tr.derive_architecture(state, "viterbi")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["mode-sample", "max-marginal"])
+def test_derive_refuses_non_finite_logits(mode, bad):
+    # a non-finite logit makes its edge's sampling probabilities NaN, which
+    # the derivation's one simplex check refuses in either mode
+    cfg = small_cfg(nodes=3)
+    state = tr.build_state(cfg, tr.build_dataset(cfg))
+    state.cell.logits.data[1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="p has non-finite entries"):
+        tr.derive_architecture(state, mode)
 
 
 @pytest.mark.parametrize("draws, message", [
