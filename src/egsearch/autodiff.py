@@ -12,7 +12,7 @@ dropped, so only the leaves' gradients come back.  Nodes refer to their
 outputs weakly, so what is left of a graph is freed by reference counting
 as soon as its last tensor goes.  Everything is float64.
 
-The package records few ops: the network is one op (`space.cell_forward`),
+The package records few ops: the network is one op (`space.network_forward`),
 and so is the sampler's relaxation (`gumbel.egs_sample_of`); the rest are
 the loss, `pick` and `straight_through`.  Each activation's forward and its
 derivative from the output are written once, in `ACTIVATIONS`, which the

@@ -7,12 +7,12 @@ vectors, carries the gradient.  A draw is defined once here: the noisy
 scores log p + G, shaped (..., M, K) and read from the uniforms in (row,
 component, category) order (`noisy_scores`; `draw_scores` checks p and
 takes the uniforms from one rng.uniform call), and the binary code, the OR
-over M of the argmax over K (`hard_code`).  `egs_sample` is the one call
-that draws a code with its relaxation, for one edge or a stack of them;
-`egs_sample_of` is the same draw recorded as one op on the tensor p is
-computed from.  Their softmax and that softmax's gradient are
-`autodiff.softmax_of` and `autodiff.softmax_vjp`.  Gumbel-Max (the M=1
-case) builds on the same two.  The batch kernel of the audit and the
+over M of the argmax over K (`hard_code`).  `egs_sample_of` draws a code
+with its relaxation, for one edge or a stack of them, recorded as one op
+on the tensor p is computed from: the search's logit substep draws through
+it.  Its softmax and that softmax's gradient are `autodiff.softmax_of` and
+`autodiff.softmax_vjp`.  Gumbel-Max (the M=1 case) builds on the same
+two.  The batch kernel of the audit and the
 derivation (`kernels.egs_hard_batch`) reaches their bits category-major,
 and a property test holds it to them byte for byte.  The exact oracles for
 the inclusion marginals and the reachable code set live next to the
@@ -44,7 +44,6 @@ __all__ = [
     "noisy_scores",
     "draw_scores",
     "hard_code",
-    "egs_sample",
     "egs_sample_of",
     "check_simplex",
     "marginal_inclusion_oracle",
@@ -165,29 +164,20 @@ class BinaryCodeSample:
     soft: ad.Tensor
 
 
-def egs_sample(p, M: int, tau: float, rng: RngState) -> BinaryCodeSample:
-    """Draw a binary code: the max of M independent Gumbel-Softmax samples.
-
-    p is one probability vector (K,), or a stack (E, K) drawn row by row,
-    on the tape or constant.  One rng.uniform call draws the noisy scores
-    (`draw_scores`, (..., M, K)).  soft = max_m softmax(scores_m / tau),
-    its gradient reaching p through the component attaining each max, the
-    lowest one on ties.  hard = `hard_code(scores)`, which the softmax
-    never reorders, passes soft's gradient straight through.  On the tape
-    this records two ops whatever the shape.  M=1 is a Gumbel-Softmax
-    sample with its one-hot.
-    """
-    p = ad.as_tensor(p)
-    return egs_sample_of(p, p.data, lambda g: g, M, tau, rng)
-
-
 def egs_sample_of(source: ad.Tensor, p, vjp, M: int, tau: float,
                   rng: RngState) -> BinaryCodeSample:
-    """`egs_sample` of p, an array computed from `source`, with the
-    relaxation recorded as one op on `source`.  Its backward maps the
-    gradient that `egs_sample` gives p through `vjp` to source's, so p's
-    own op and the relaxation are one node, with their arithmetic
-    unchanged."""
+    """Draw a binary code, the max of M independent Gumbel-Softmax samples,
+    from p, an array computed from the tensor `source`.
+
+    p is one probability vector (K,), or a stack (E, K) drawn row by row.
+    One rng.uniform call draws the noisy scores (`draw_scores`, (..., M,
+    K)).  soft = max_m softmax(scores_m / tau), recorded as one op on
+    `source` whatever the shape: its gradient reaches p through the
+    component attaining each max, the lowest one on ties, and `vjp` maps
+    p's gradient to source's, so p's own op and the relaxation are one
+    node.  hard = `hard_code(scores)`, which the softmax never reorders,
+    passes soft's gradient straight through.  M=1 is a Gumbel-Softmax
+    sample with its one-hot."""
     M = int(M)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")

@@ -1,19 +1,21 @@
-"""Binary-coded DAG cells over a fixed menu of candidate operations.
+"""The searched network: an input projection, a binary-coded DAG cell over
+a fixed menu of candidate operations, and a linear head.
 
-A cell is a DAG on nodes 0..n-1 (node 0 is the input); every ordered edge
-(i, j) with i < j carries a K-bit code saying which candidate ops act on
-that edge.  Codes and concrete networks are in bijection: bit (i, j, k) is
-set exactly when op k is used on edge (i, j).
+The cell is a DAG on nodes 0..n-1 (node 0 is the projected input); every
+ordered edge (i, j) with i < j carries a K-bit code saying which candidate
+ops act on that edge.  Codes and concrete networks are in bijection: bit
+(i, j, k) is set exactly when op k is used on edge (i, j).
 
 `OP_SET` is the one candidate set; no function takes another.  It is
 desk-scale: a hard zero, a skip connection, and three learnable linear
 transforms act(x @ W + b), each naming its activation in
 `autodiff.ACTIVATIONS`.  Their relative compute costs feed `EFFICIENCY`,
-the static prior l every cell shares, computed and checked once at import.
+the static prior l every edge shares, computed and checked once at import.
 `edge_op_names` names each edge's ops, for the dot export and the CLI.
 
-`cell_forward` evaluates the network, its input projection, the cell and
-its head, as one tape op; each edge runs one kernel (`_edge_run` forward,
+`Network` holds the edges' logits and every weight; `make_network` builds
+it, and `network_forward` evaluates it, the projection, the cell and the
+head, as one tape op; each edge runs one kernel (`_edge_run` forward,
 `_edge_back` backward).
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,15 +37,15 @@ __all__ = [
     "CODE_PLACE",
     "code_bits",
     "NetworkPlan",
-    "Cell",
+    "Network",
     "edge_list",
     "num_edges",
     "encode",
     "decode",
-    "cell_forward",
+    "network_forward",
     "efficiency_credits",
     "EFFICIENCY",
-    "make_cell",
+    "make_network",
     "export_architecture",
     "parse_architecture",
     "edge_op_names",
@@ -273,78 +275,89 @@ EFFICIENCY.setflags(write=False)
 
 
 @dataclass
-class Cell:
-    """An n-node DAG cell: the edges' sampling distribution and op weights.
+class Network:
+    """The searched network: an input projection (w_in, b_in), an n-node
+    DAG cell and a linear head (w_out, b_out).
 
     Row r of `logits` belongs to edge_list(n)[r].  Its softmax is the
     edge's effectiveness h; l (efficiency) is a static prior from op costs,
     shared by every edge; the edge's sampling vector is their lam-weighted
-    convex mix.
+    convex mix.  `params` maps each edge to one parameter dict per op of
+    `OP_SET` ({} for an op without weights).  The output rule sums or
+    concatenates the non-input nodes for the head.
     """
 
     n: int
-    dim: int
     logits: ad.Tensor  # (E, K), requires grad
     l: np.ndarray  # (K,), on the simplex
     lam: float  # in [0, 1]
     params: dict  # (i, j) -> list of per-op parameter dicts
-    output_rule: str = "sum"
+    w_in: ad.Tensor
+    b_in: ad.Tensor
+    w_out: ad.Tensor
+    b_out: ad.Tensor
+    output_rule: str  # "sum" or "concat"
 
     def mix(self) -> tuple:
         """Every edge's sampling vector lam * softmax(logits) + (1 - lam) * l
         as an (E, K) array, rows in edge_list order, with the map from its
         gradient to the logits'.  Nothing is checked or recorded: a draw
         checks p (`gumbel.draw_scores`)."""
-        return self._mix(ad.softmax_of(self.logits.data))
-
-    def _mix(self, h):
-        lam = self.lam
+        h, lam = ad.softmax_of(self.logits.data), self.lam
         return h * lam + self.l * (1.0 - lam), lambda g: ad.softmax_vjp(h, g * lam)
 
-    def weight_tensors(self) -> list:
-        out = []
-        for e in edge_list(self.n):
-            for p in self.params[e]:
-                out.extend(p.values())
-        return out
+    def weights(self) -> list:
+        """The projection's W and b, each edge's in edge_list and op order,
+        then the head's."""
+        cell = [t for e in edge_list(self.n) for op in self.params[e] for t in op.values()]
+        return [self.w_in, self.b_in, *cell, self.w_out, self.b_out]
+
+    def constant(self) -> "Network":
+        """A view with every weight entered as a constant, sharing the data
+        and the logits tensor: the network op computes no gradient for
+        them."""
+
+        def const(t):
+            return ad.Tensor(t.data)
+
+        params = {e: [{name: const(t) for name, t in op.items()} for op in ops]
+                  for e, ops in self.params.items()}
+        return replace(self, params=params, w_in=const(self.w_in), b_in=const(self.b_in),
+                       w_out=const(self.w_out), b_out=const(self.b_out))
 
 
-def make_cell(n, dim=8, lam=0.5, init_rng=None, output_rule="sum") -> Cell:
-    """Build a cell with uniform logits and small random linear weights."""
-    if output_rule not in ("sum", "concat"):
-        raise ValueError(f"output_rule must be sum or concat, got {output_rule!r}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must be in [0, 1], got {lam}")
-    init_rng = init_rng if init_rng is not None else np.random.default_rng(0)
-    params = {}
-    for e in edge_list(n):
-        per_op = []
-        for op in OP_SET:
-            if op.activation is not None:
-                per_op.append(
-                    {
-                        "W": ad.Tensor(
-                            init_rng.normal(0.0, 1.0, (dim, dim)) / np.sqrt(dim),
-                            requires_grad=True,
-                        ),
-                        "b": ad.Tensor(np.zeros(dim), requires_grad=True),
-                    }
-                )
-            else:
-                per_op.append({})
-        params[e] = per_op
-    return Cell(
-        n=n, dim=dim,
-        logits=ad.Tensor(np.zeros((num_edges(n), len(OP_SET))), requires_grad=True),
-        l=EFFICIENCY, lam=lam, params=params, output_rule=output_rule,
+def make_network(in_dim, n_classes, cfg, init_rng) -> Network:
+    """Build the network for `cfg`'s nodes, dim, lam and output rule, with
+    uniform logits.  Each W is drawn normal and scaled by 1/sqrt(its rows),
+    each b is zero; `init_rng` draws every edge's linear ops in edge_list
+    and op order, then the projection, then the head."""
+    if cfg.output_rule not in ("sum", "concat"):
+        raise ValueError(f"output_rule must be sum or concat, got {cfg.output_rule!r}")
+    if not 0.0 <= cfg.lam <= 1.0:
+        raise ValueError(f"mixing weight must be in [0, 1], got {cfg.lam}")
+    n, dim = cfg.nodes, cfg.dim
+
+    def linear(rows, cols):
+        return {"W": ad.Tensor(init_rng.normal(0.0, 1.0, (rows, cols)) / np.sqrt(rows),
+                               requires_grad=True),
+                "b": ad.Tensor(np.zeros(cols), requires_grad=True)}
+
+    params = {e: [{} if op.activation is None else linear(dim, dim) for op in OP_SET]
+              for e in edge_list(n)}
+    w_in, b_in = linear(in_dim, dim).values()
+    w_out, b_out = linear(dim if cfg.output_rule == "sum" else dim * (n - 1), n_classes).values()
+    return Network(
+        n=n, logits=ad.Tensor(np.zeros((num_edges(n), len(OP_SET))), requires_grad=True),
+        l=EFFICIENCY, lam=cfg.lam, params=params, w_in=w_in, b_in=b_in,
+        w_out=w_out, b_out=b_out, output_rule=cfg.output_rule,
     )
 
 
-def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict, project, head) -> ad.Tensor:
-    """Evaluate the network, recorded as one op: node 0 is x_in @ W + b with
-    `project` = (W, b), node j sums the outputs of the edges (i, j), i < j,
-    in ascending i, the cell's output rule aggregates the non-input nodes,
-    and the output is the aggregate @ W + b with `head` = (W, b).
+def network_forward(network: Network, x_in, samples: dict) -> ad.Tensor:
+    """The network's logits for the batch x_in, recorded as one op: node 0
+    is x_in @ w_in + b_in, node j sums the outputs of the edges (i, j),
+    i < j, in ascending i, the output rule aggregates the non-input nodes,
+    and the output is the aggregate @ w_out + b_out.
 
     `samples` maps every edge to its code, a K-vector tensor; each edge runs
     one kernel (`_edge_run` forward, `_edge_back` backward).  Every weight's
@@ -364,11 +377,11 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict, project, head) -> a
     as the edge is done, and each node's value and gradient once its edges
     are.
     """
-    n = cell.n
+    n = network.n
     x_in = ad.as_tensor(x_in)
     keep = ad.taping()
     xd = x_in.data
-    w_in, b_in = project
+    w_in, b_in = network.w_in, network.b_in
     win = w_in.data
     if xd.ndim != 2 or win.ndim != 2 or xd.shape[1] != win.shape[0]:
         raise ad.ShapeMismatchError("matmul", (xd.shape, win.shape))
@@ -386,7 +399,7 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict, project, head) -> a
             if code is None:
                 raise ValueError(f"missing sample for edge {(i, j)}")
             code = ad.as_tensor(code)
-            total, wants, runs = _edge_run(values[i], grad[i], code, cell.params[(i, j)], keep)
+            total, wants, runs = _edge_run(values[i], grad[i], code, network.params[(i, j)], keep)
             acc = total if acc is None else acc + total
             del total
             if keep:
@@ -401,14 +414,14 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict, project, head) -> a
         grad.append(needs)
         del acc
     inner = values[1:]
-    if cell.output_rule == "concat":
+    if network.output_rule == "concat":
         out = np.concatenate(inner, axis=-1)
     else:
         out = inner[0]
         for v in inner[1:]:
             out = out + v
     del inner
-    w_out, b_out = head
+    w_out, b_out = network.w_out, network.b_out
     wout = w_out.data
     if wout.ndim != 2 or out.shape[1] != wout.shape[0]:
         raise ad.ShapeMismatchError("matmul", (out.shape, wout.shape))
@@ -430,7 +443,7 @@ def cell_forward(cell: Cell, x_in: ad.Tensor, samples: dict, project, head) -> a
         g = g @ wout.T if out_grad else None
         gn = [None] * n
         if g is not None:
-            if cell.output_rule == "concat":
+            if network.output_rule == "concat":
                 pieces = np.split(g, np.cumsum(sizes)[:-1], axis=-1)
                 gn[1:] = [p if needs else None for p, needs in zip(pieces, grad[1:])]
             else:
@@ -489,14 +502,15 @@ def _integer(value, what):
 def parse_architecture(text: str) -> ArchitectureCode:
     """Read an `export_architecture` document.  A missing key, a value of
     the wrong type, a non-integer n, K or edge end, an n below 2, a K other
-    than the op set's size, a bit that is not 0 or 1, an edge outside the
-    cell or listed twice, a row of the wrong length, or an edge list that
-    is not each of the cell's edges once raises ValueError.  The edges are
-    checked before anything sized by n is built, so the file's own length
-    bounds n."""
+    than the op set's size, ops other than the op set's names in order, a
+    bit that is not 0 or 1, an edge outside the cell or listed twice, a row
+    of the wrong length, or an edge list that is not each of the cell's
+    edges once raises ValueError.  The edges are checked before anything
+    sized by n is built, so the file's own length bounds n."""
     doc = json.loads(text)
     try:
         n, k = _integer(doc["n"], "n"), _integer(doc["K"], "K")
+        ops = doc["ops"]
         rows = [((_integer(d["from"], "from"), _integer(d["to"], "to")), list(d["bits"]))
                 for d in doc["edges"]]
     except KeyError as exc:
@@ -507,6 +521,9 @@ def parse_architecture(text: str) -> ArchitectureCode:
         raise ValueError(f"architecture file: n is {n}, a cell has at least 2 nodes")
     if k != len(OP_SET):
         raise ValueError(f"architecture file: K is {k}, the op set has {len(OP_SET)} ops")
+    names = [op.name for op in OP_SET]
+    if ops != names:
+        raise ValueError(f"architecture file: ops are {ops!r}, the op set is {names}")
     given = {}
     for e, values in rows:
         if not 0 <= e[0] < e[1] < n:

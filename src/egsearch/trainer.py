@@ -6,11 +6,13 @@ per-edge logits on a validation batch.  The weight substep runs the network
 itself and tells the sampler to draw only the hard codes: they are
 constants, the logits are not read on the tape, and only the sampled ops
 run.  The logit substep runs `SearchState.frozen`, a view built once per
-search in which the weights are constants and the cell holds the network's
-own logits tensor; the codes enter the forward pass through their
-straight-through tensors, so one ordinary backward pass carries the loss's
-gradient to the logits, and no gradient is computed for a constant weight.
-Either way the network is one tape node (`network_forward`).
+search (`Network.constant()`) in which the weights are constants and the
+logits are the network's own tensor; the codes enter the forward pass
+through their straight-through tensors, so one ordinary backward pass
+carries the loss's gradient to the logits, and no gradient is computed for
+a constant weight.  Either way the network is one tape node
+(`network_forward`, which with `make_network` this module takes from
+`space`).
 
 The weights are views of one flat array that `MomentumSGD` updates in place,
 and the logits are updated in place too, so the frozen view, and any code
@@ -23,7 +25,6 @@ concrete architecture code, which is retrained from scratch.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -45,16 +46,15 @@ from .space import (
     CODE_PLACE,
     OP_SET,
     ArchitectureCode,
-    Cell,
+    Network,
     code_bits,
-    cell_forward,
     edge_list,
-    make_cell,
+    make_network,
+    network_forward,
     num_edges,
 )
 
 __all__ = [
-    "Network",
     "MomentumSGD",
     "SearchState",
     "SearchReport",
@@ -75,54 +75,6 @@ __all__ = [
 
 class SearchDiverged(RuntimeError):
     """Raised when a loss goes non-finite; carries the sampling context."""
-
-
-@dataclass
-class Network:
-    """Input projection + searched cell + linear classifier head."""
-
-    cell: Cell
-    w_in: ad.Tensor
-    b_in: ad.Tensor
-    w_out: ad.Tensor
-    b_out: ad.Tensor
-
-    def weights(self) -> list:
-        return [self.w_in, self.b_in, *self.cell.weight_tensors(),
-                self.w_out, self.b_out]
-
-    def constant(self) -> "Network":
-        """A view with every weight entered as a constant, sharing the data
-        and the cell's logits: the network op computes no gradient for
-        them."""
-
-        def const(t):
-            return ad.Tensor(t.data)
-
-        params = {e: [{name: const(t) for name, t in op.items()} for op in ops]
-                  for e, ops in self.cell.params.items()}
-        return Network(
-            cell=dataclasses.replace(self.cell, params=params),
-            w_in=const(self.w_in), b_in=const(self.b_in),
-            w_out=const(self.w_out), b_out=const(self.b_out),
-        )
-
-
-def make_network(in_dim, n_classes, cfg: RunConfig, init_rng) -> Network:
-    cell = make_cell(
-        n=cfg.nodes, dim=cfg.dim, lam=cfg.lam, init_rng=init_rng,
-        output_rule=cfg.output_rule,
-    )
-    cell_out = cfg.dim if cfg.output_rule == "sum" else cfg.dim * (cfg.nodes - 1)
-    return Network(
-        cell=cell,
-        w_in=ad.Tensor(init_rng.normal(0, 1, (in_dim, cfg.dim)) / np.sqrt(in_dim),
-                       requires_grad=True),
-        b_in=ad.Tensor(np.zeros(cfg.dim), requires_grad=True),
-        w_out=ad.Tensor(init_rng.normal(0, 1, (cell_out, n_classes)) / np.sqrt(cell_out),
-                        requires_grad=True),
-        b_out=ad.Tensor(np.zeros(n_classes), requires_grad=True),
-    )
 
 
 # resampling the architecture every step occasionally produces huge weight
@@ -205,8 +157,9 @@ class SearchState:
     code_counts: np.ndarray  # (E, 2**K) draws of each code per edge
 
     @property
-    def cell(self) -> Cell:
-        return self.network.cell
+    def cell(self) -> Network:
+        """The network, under the name `perfbench/worker.py` reads."""
+        return self.network
 
     def weights(self) -> list:
         return self.network.weights()
@@ -216,7 +169,7 @@ class SearchState:
         """edge -> {code tuple: count} over every edge drawn so far, from
         code_counts (a code's column is its integer, `space.CODE_PLACE`)."""
         out = {}
-        for e, counts in zip(edge_list(self.cell.n), self.code_counts):
+        for e, counts in zip(edge_list(self.network.n), self.code_counts):
             drawn = np.flatnonzero(counts)
             if drawn.size:
                 out[e] = {tuple(code_bits(c).tolist()): int(counts[c]) for c in drawn}
@@ -263,16 +216,9 @@ def _tau_at(cfg: RunConfig, total_steps: int, step: int) -> float:
     return cfg.tau_start + (cfg.tau_end - cfg.tau_start) * frac
 
 
-def network_forward(network: Network, x: np.ndarray, samples: dict) -> ad.Tensor:
-    """The network's logits for the batch x, recorded as one op: the input
-    projection, the cell and the head (`space.cell_forward`)."""
-    return cell_forward(network.cell, ad.Tensor(x), samples,
-                        project=(network.w_in, network.b_in),
-                        head=(network.w_out, network.b_out))
-
-
 def sample_edges(state: SearchState, relax: bool) -> dict:
-    """One EGS draw for all edges of `state.cell` at the current temperature.
+    """One EGS draw for all edges of `state.network` at the current
+    temperature.
 
     Returns each edge's hard code, and counts it in `state.code_counts`.
     With `relax` the sampler records E + 2 nodes, the relaxation from the
@@ -281,11 +227,11 @@ def sample_edges(state: SearchState, relax: bool) -> dict:
     hard codes are drawn (`hard_code(draw_scores(...))`, the same uniforms
     and the same bits), as constants, and nothing is recorded.
     """
-    cell = state.cell
-    p, vjp = cell.mix()
-    edges = edge_list(cell.n)
+    network = state.network
+    p, vjp = network.mix()
+    edges = edge_list(network.n)
     if relax:
-        hard = egs_sample_of(cell.logits, p, vjp, state.cfg.M, state.tau, state.rng).hard
+        hard = egs_sample_of(network.logits, p, vjp, state.cfg.M, state.tau, state.rng).hard
         samples = {e: ad.pick(hard, r) for r, e in enumerate(edges)}
         rows = hard.data
     else:
@@ -347,7 +293,7 @@ def search_step(state: SearchState, train_batch, valid_batch) -> tuple:
         valid_loss, samples = compute_loss(state, valid_batch, reach="logits")
         _check_finite(valid_loss.data, samples, "validation loss", state)
         grads = ad.backward(valid_loss)
-    logits = state.cell.logits
+    logits = state.network.logits
     g = grads.get(logits)
     if g is not None:
         _check_finite(g, samples, "logit gradient", state)
@@ -439,9 +385,9 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
         raise ValueError(f"unknown derive mode {mode!r}")
     k, m = len(OP_SET), state.cfg.M
     keep = min(m, k)
-    bits = np.zeros((num_edges(state.cell.n), k), dtype=np.uint8)
+    bits = np.zeros((num_edges(state.network.n), k), dtype=np.uint8)
     rng = state.rng.clone()  # derivation must not disturb the search stream
-    for row, p in enumerate(check_simplex(state.cell.mix()[0])):
+    for row, p in enumerate(check_simplex(state.network.mix()[0])):
         if mode == "mode-sample":
             codes = kernels.egs_hard_batch(p, rng.uniform(draws * m * k), m)
             # counted by their integers; ties break toward the larger
@@ -458,7 +404,7 @@ def derive_architecture(state: SearchState, mode="mode-sample", draws=1000) -> A
                 top[np.argsort(-p, kind="stable")[:keep]] = True
                 chosen &= top
             bits[row] = chosen.astype(np.uint8)
-    return ArchitectureCode(n=state.cell.n, K=k, bits=bits)
+    return ArchitectureCode(n=state.network.n, K=k, bits=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +468,8 @@ def _fit(network, code, samples, dataset, cfg, epochs, seed_offset) -> float:
     )
     spe = _steps_per_epoch(len(train_idx), cfg.batch_size)
     # only the weights of the ops the code sets: the others never run
-    cell = network.cell
     used = [t for r, e in enumerate(edge_list(code.n))
-            for k in np.flatnonzero(code.bits[r]) for t in cell.params[e][k].values()]
+            for k in np.flatnonzero(code.bits[r]) for t in network.params[e][k].values()]
     optimizer = MomentumSGD([network.w_in, network.b_in, *used,
                              network.w_out, network.b_out])
     loss_value = np.nan

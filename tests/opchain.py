@@ -1,6 +1,6 @@
 """The reference op chain, and the gradient-check helpers the tests share.
 
-The package records a network as one op (`space.cell_forward`) and the
+The package records a network as one op (`space.network_forward`) and the
 sampler's probabilities and relaxation as one op on the logits
 (`gumbel.egs_sample_of`).  The ops here record the same arithmetic one
 primitive at a time: the tests hold each fused op to a chain of them bit
@@ -20,6 +20,7 @@ from egsearch.autodiff import (
     softmax_of,
     softmax_vjp,
 )
+from egsearch.gumbel import egs_sample_of
 
 FD_STEP = 1e-5
 
@@ -191,10 +192,17 @@ def scale(x, factor):
 # sampling probabilities
 
 
-def mix_op(cell):
-    """`cell.mix()` recorded as one (E, K) op on the cell's logits."""
-    p, vjp = cell.mix()
-    return record(p, (cell.logits,), lambda g: (vjp(g),))
+def mix_op(network):
+    """`network.mix()` recorded as one (E, K) op on the network's logits."""
+    p, vjp = network.mix()
+    return record(p, (network.logits,), lambda g: (vjp(g),))
+
+
+def egs_sample(p, M, tau, rng):
+    """`gumbel.egs_sample_of` with p itself as the source: an EGS draw of
+    one probability vector or a stack of them, on the tape or constant."""
+    p = as_tensor(p)
+    return egs_sample_of(p, p.data, lambda g: g, M, tau, rng)
 
 
 def chain_mix(logits, l, lam):

@@ -18,7 +18,6 @@ from egsearch.cli import OUT_ENV, main
 from egsearch.config import RunConfig
 from egsearch.gumbel import (
     RngState,
-    egs_sample,
     gumbel_transform,
     marginal_inclusion_oracle,
 )
@@ -39,7 +38,7 @@ from egsearch.trainer import (
     run_search,
 )
 import opchain as oc
-from opchain import FD_STEP, assert_grads_close, check_op, mix_op, scalarize
+from opchain import FD_STEP, assert_grads_close, check_op, egs_sample, mix_op, scalarize
 
 K = len(OP_SET)
 
@@ -111,7 +110,7 @@ def test_criterion_1_gradient_correctness():
     saved = state.rng.clone()
 
     def relaxed_loss():
-        soft = egs_sample(mix_op(state.cell), cfg.M, state.tau, saved.clone()).soft
+        soft = egs_sample(mix_op(state.network), cfg.M, state.tau, saved.clone()).soft
         samples = {e: ad.pick(soft, r) for r, e in enumerate(edge_list(cfg.nodes))}
         logits = network_forward(state.network, batch[0], samples)
         return ad.cross_entropy_with_logits(logits, batch[1])
@@ -123,7 +122,7 @@ def test_criterion_1_gradient_correctness():
         loss = relaxed_loss()
         grads = ad.backward(loss)
     checked = 0
-    for t in state.weights() + [state.cell.logits]:
+    for t in state.weights() + [state.network.logits]:
         analytic = grads.get(t)
         assert analytic is not None
         flat = t.data.reshape(-1)

@@ -16,7 +16,7 @@ import pytest
 from egsearch import audit, trainer
 from egsearch.cli import OUT_ENV, main
 from egsearch.data import load_dataset, make_parity
-from egsearch.space import parse_architecture
+from egsearch.space import OP_SET, parse_architecture
 
 FAST = ["--dataset-n", "200", "--epochs", "2", "--dim", "4"]
 
@@ -204,10 +204,13 @@ def test_evaluate_rejects_missing_code_file(tmp_path, capsys):
     (lambda doc: doc.update(K=-1), "K is -1, the op set has 5 ops"),
     (lambda doc: doc.update(edges={}), "edges lists 0 edges, the 4-node cell has 6"),
     (lambda doc: doc.update(edges=[]), "edges lists 0 edges, the 4-node cell has 6"),
+    (lambda doc: doc["ops"].reverse(),
+     "ops are ['linear_sigmoid', 'linear_tanh', 'linear_relu', 'identity', 'zero'], "
+     "the op set is ['zero', 'identity', 'linear_relu', 'linear_tanh', 'linear_sigmoid']"),
 ])
 def test_evaluate_rejects_a_malformed_code_file(tmp_path, capsys, edit, message):
     code_file = tmp_path / "architecture.json"
-    doc = {"n": 4, "K": 5,
+    doc = {"n": 4, "K": 5, "ops": [op.name for op in OP_SET],
            "edges": [{"from": i, "to": j, "bits": [0, 1, 0, 0, 0]}
                      for i in range(4) for j in range(i + 1, 4)]}
     edit(doc)

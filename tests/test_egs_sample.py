@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from egsearch import autodiff as ad
 from egsearch import kernels
 from egsearch.audit import count_audit
+from egsearch.config import RunConfig
 from egsearch.gumbel import (
     ENUMERATION_BUDGET,
     RngState,
-    egs_sample,
     gumbel_transform,
     marginal_inclusion_oracle,
     reachable_codes,
 )
-from egsearch.space import make_cell
+from egsearch.space import make_network
 import opchain as oc
-from opchain import chain_mix, mix_op, weighted
+from opchain import chain_mix, egs_sample, mix_op, weighted
 
 
 def exact_code_distribution(p, m):
@@ -293,12 +293,12 @@ def chain_egs(p, m, tau, rng):
     return ad.straight_through(soft, hard)
 
 
-def random_cell(rng, k):
-    """A 3-node cell (three edges) with random K-column logits and a random
-    point of the simplex as its efficiency prior."""
+def random_network(rng, k):
+    """A network on a 3-node net (three edges) with random K-column logits
+    and a random point of the simplex as its efficiency prior."""
     l = rng.dirichlet(np.ones(k))
     return dataclasses.replace(
-        make_cell(3), l=l,
+        make_network(2, 2, RunConfig(nodes=3), np.random.default_rng(0)), l=l,
         logits=ad.Tensor(rng.normal(0.0, 1.5, (3, k)), requires_grad=True))
 
 
@@ -309,21 +309,21 @@ def test_batched_draw_equals_per_edge_draws_exactly():
     for k in range(2, 9):
         for m in range(1, 9):
             for tau in (0.1, 1.0):
-                cell = random_cell(rng, k)
+                net = random_network(rng, k)
                 w = rng.normal(size=(3, k))
                 seed = int(rng.integers(2**31))
                 batch_rng = RngState(seed)
                 with ad.Tape() as tape:
-                    s = egs_sample(mix_op(cell), m, tau, batch_rng)
+                    s = egs_sample(mix_op(net), m, tau, batch_rng)
                     assert len(tape.nodes) == 3  # probabilities, relaxation, code
                     grads = ad.backward(weighted([ad.pick(s.hard, r) for r in range(3)], w))
                 one = RngState(seed)
-                singles = [egs_sample(ad.pick(mix_op(cell), r), m, tau, one)
+                singles = [egs_sample(ad.pick(mix_op(net), r), m, tau, one)
                            for r in range(3)]
                 ref_rng = RngState(seed)
-                rows = [ad.Tensor(z.copy(), requires_grad=True) for z in cell.logits.data]
+                rows = [ad.Tensor(z.copy(), requires_grad=True) for z in net.logits.data]
                 with ad.Tape():
-                    ref = [chain_egs(chain_mix(z, cell.l, cell.lam), m, tau, ref_rng) for z in rows]
+                    ref = [chain_egs(chain_mix(z, net.l, net.lam), m, tau, ref_rng) for z in rows]
                     # the relaxation under each straight-through code, read
                     # before the sweep releases the codes' nodes
                     ref_soft = [t.node.inputs[0].data for t in ref]
@@ -334,7 +334,7 @@ def test_batched_draw_equals_per_edge_draws_exactly():
                     assert np.array_equal(s.soft.data[r], singles[r].soft.data)
                     assert np.array_equal(s.hard.data[r], ref[r].data)
                     assert np.array_equal(s.soft.data[r], ref_soft[r])
-                    assert np.array_equal(grads[cell.logits][r], ref_grads[rows[r]])
+                    assert np.array_equal(grads[net.logits][r], ref_grads[rows[r]])
 
 
 def test_batched_relaxation_matches_finite_differences():
@@ -343,29 +343,29 @@ def test_batched_relaxation_matches_finite_differences():
     for k in range(2, 9):
         for m in range(1, 9):
             for tau in (0.1, 1.0):
-                cell = random_cell(rng, k)
+                net = random_network(rng, k)
                 w = rng.normal(size=(3, k))
                 seed = int(rng.integers(2**31))
 
                 def loss_at():
-                    p = mix_op(cell)
+                    p = mix_op(net)
                     s = egs_sample(p, m, tau, RngState(seed))
                     return float((s.soft.data * w).mean(axis=1).sum())
 
                 with ad.Tape():
-                    s = egs_sample(mix_op(cell), m, tau, RngState(seed))
+                    s = egs_sample(mix_op(net), m, tau, RngState(seed))
                     grads = ad.backward(weighted([ad.pick(s.soft, r) for r in range(3)], w))
-                base = cell.logits.data
+                base = net.logits.data
                 for r in range(3):
                     for j in range(k):
                         vals = []
                         for h in (step, -step):
-                            cell.logits.data = base.copy()
-                            cell.logits.data[r, j] += h
+                            net.logits.data = base.copy()
+                            net.logits.data[r, j] += h
                             vals.append(loss_at())
-                        cell.logits.data = base
+                        net.logits.data = base
                         fd = (vals[0] - vals[1]) / (2 * step)
-                        g = grads[cell.logits][r, j]
+                        g = grads[net.logits][r, j]
                         assert abs(g - fd) <= max(1e-7, 1e-4 * abs(fd)), (k, m, tau, r, j)
 
 

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
 from egsearch import kernels
-from egsearch.gumbel import RngState, egs_sample, gumbel_transform
+from egsearch.gumbel import RngState, gumbel_transform
 import opchain as oc
+from opchain import egs_sample
 
 EULER_MASCHERONI = 0.5772156649015329
 GUMBEL_STD = math.pi / math.sqrt(6.0)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egsearch import kernels
-from egsearch.gumbel import RngState, egs_sample, hard_code, noisy_scores
+from egsearch.gumbel import RngState, hard_code, noisy_scores
+from opchain import egs_sample
 
 
 @settings(max_examples=300, deadline=None)

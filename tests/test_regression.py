@@ -70,7 +70,7 @@ def pinned_outputs(cfg: RunConfig) -> dict:
         "histogram": histogram,
         "architecture_json": export_architecture(report.derived),
         "architecture_dot": export_dot(report.derived),
-        "logits_sha256": hashlib.sha256(state.cell.logits.data.tobytes()).hexdigest(),
+        "logits_sha256": hashlib.sha256(state.network.logits.data.tobytes()).hexdigest(),
         "weights_sha256": weights_sha256(state.weights()),
     }
 

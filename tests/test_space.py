@@ -14,23 +14,23 @@ from egsearch import autodiff as ad
 from egsearch import space
 from egsearch import trainer as tr
 from egsearch.config import RunConfig
-from egsearch.gumbel import RngState, egs_sample
+from egsearch.gumbel import RngState
 from egsearch.space import (
     OP_SET,
     ArchitectureCode,
     NetworkPlan,
-    cell_forward,
     decode,
     edge_list,
     encode,
     export_architecture,
     export_dot,
-    make_cell,
+    make_network,
+    network_forward,
     num_edges,
     parse_architecture,
 )
 import opchain as oc
-from opchain import chain_mix, mix_op, weighted
+from opchain import chain_mix, egs_sample, mix_op, weighted
 
 
 def random_code(n, k, rng):
@@ -51,11 +51,11 @@ def test_op_set_names_and_costs():
 
 
 def test_zero_and_identity_semantics():
-    cell = make_cell(2, dim=3)
+    net = make_test_network(2, dim=3)
     x = ad.Tensor(np.arange(6.0).reshape(2, 3))
     zero, identity = np.eye(5)[:2]
-    assert np.array_equal(bare_forward(cell, x, {(0, 1): ad.Tensor(zero)}).data, np.zeros((2, 3)))
-    assert np.array_equal(bare_forward(cell, x, {(0, 1): ad.Tensor(identity)}).data, x.data)
+    assert np.array_equal(bare_forward(net, x, {(0, 1): ad.Tensor(zero)}).data, np.zeros((2, 3)))
+    assert np.array_equal(bare_forward(net, x, {(0, 1): ad.Tensor(identity)}).data, x.data)
 
 
 def test_efficiency_credits_prefer_cheap_ops():
@@ -73,7 +73,7 @@ def test_efficiency_prior_is_the_softmax_of_negated_costs_bit_for_bit():
     # the shared prior is that array, checked once and read-only
     assert np.array_equal(space.EFFICIENCY.view(np.int64), want)
     assert not space.EFFICIENCY.flags.writeable
-    assert make_cell(3).l is space.EFFICIENCY
+    assert make_test_network(3).l is space.EFFICIENCY
 
 
 # --- encode / decode -----------------------------------------------------------
@@ -238,46 +238,52 @@ def test_code_bits_must_be_zero_or_one():
 # --- one edge of the network op --------------------------------------------------
 
 
-def make_test_cell(n=3, dim=4, seed=0):
-    return make_cell(n=n, dim=dim, init_rng=np.random.default_rng(seed))
+def make_test_network(n=3, dim=4, seed=0, **cfg):
+    """A network on dim-wide inputs with two classes; its edges' weights are
+    the first draws of `default_rng(seed)`."""
+    return make_network(dim, 2, RunConfig(nodes=n, dim=dim, **cfg), np.random.default_rng(seed))
 
 
-def identity_layers(cell, in_dim):
-    """A projection and a head that pass their input on as it is: identity
-    matrices and zero biases, constants.  x @ I + 0 is x itself for finite
-    x, so with them `cell_forward` returns the cell's own output."""
-    out_dim = cell.dim * (cell.n - 1 if cell.output_rule == "concat" else 1)
-    return tuple((ad.Tensor(np.eye(d)), ad.Tensor(np.zeros(d))) for d in (in_dim, out_dim))
+def identity_layers(net):
+    """`net` with a projection and a head that pass their input on as it
+    is: identity matrices and zero biases, constants.  x @ I + 0 is x itself
+    for finite x, so with them `network_forward` returns the cell's own
+    output."""
+    dim = net.w_in.shape[1]
+    out_dim = dim * (net.n - 1 if net.output_rule == "concat" else 1)
+    (w_in, b_in), (w_out, b_out) = ((ad.Tensor(np.eye(d)), ad.Tensor(np.zeros(d)))
+                                    for d in (dim, out_dim))
+    return dataclasses.replace(net, w_in=w_in, b_in=b_in, w_out=w_out, b_out=b_out)
 
 
-def bare_forward(cell, x, samples):
-    """The cell's output for x, through `cell_forward` with identity layers."""
-    x = ad.as_tensor(x)
-    return cell_forward(cell, x, samples, *identity_layers(cell, x.shape[1]))
+def bare_forward(net, x, samples):
+    """The cell's output for x, through `network_forward` with identity
+    layers."""
+    return network_forward(identity_layers(net), x, samples)
 
 
 def test_edge_forward_zero_code_is_zero():
-    cell = make_test_cell(n=2)
+    net = make_test_network(n=2)
     x = ad.Tensor(np.random.default_rng(2).normal(size=(5, 4)))
-    out = bare_forward(cell, x, {(0, 1): ad.Tensor(np.zeros(5))})
+    out = bare_forward(net, x, {(0, 1): ad.Tensor(np.zeros(5))})
     assert np.array_equal(out.data, np.zeros((5, 4)))
 
 
 def test_edge_forward_identity_only():
-    cell = make_test_cell(n=2)
+    net = make_test_network(n=2)
     x = ad.Tensor(np.random.default_rng(3).normal(size=(5, 4)))
     code = ad.Tensor(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    out = bare_forward(cell, x, {(0, 1): code})
+    out = bare_forward(net, x, {(0, 1): code})
     assert np.array_equal(out.data, x.data)
 
 
 def test_edge_forward_residual_pair_matches_hand_build():
     # identity + linear_relu = x + relu(x W + b) with the same weights
-    cell = make_test_cell(n=2)
-    params = cell.params[(0, 1)]
+    net = make_test_network(n=2)
+    params = net.params[(0, 1)]
     x = ad.Tensor(np.random.default_rng(4).normal(size=(6, 4)))
     code = ad.Tensor(np.array([0.0, 1.0, 1.0, 0.0, 0.0]))
-    out = bare_forward(cell, x, {(0, 1): code})
+    out = bare_forward(net, x, {(0, 1): code})
     w, b = params[2]["W"].data, params[2]["b"].data
     hand = x.data + np.maximum(x.data @ w + b, 0.0)
     assert np.allclose(out.data, hand, atol=1e-12)
@@ -285,13 +291,13 @@ def test_edge_forward_residual_pair_matches_hand_build():
 
 def test_edge_forward_single_forced_bit_reduces_to_plain_op():
     # one bit per edge is the constrained special case: a single-op edge
-    cell = make_test_cell(n=2)
+    net = make_test_network(n=2)
     x = np.random.default_rng(5).normal(size=(3, 4))
     for k, op in enumerate(OP_SET):
         code = np.zeros(5)
         code[k] = 1.0
-        out = bare_forward(cell, x, {(0, 1): ad.Tensor(code)})
-        p = cell.params[(0, 1)][k]
+        out = bare_forward(net, x, {(0, 1): ad.Tensor(code)})
+        p = net.params[(0, 1)][k]
         z = x @ p["W"].data + p["b"].data if "W" in p else None
         direct = {
             "zero": lambda: np.zeros_like(x),
@@ -304,19 +310,19 @@ def test_edge_forward_single_forced_bit_reduces_to_plain_op():
 
 
 def test_edge_forward_gradient_reaches_logits_and_weights():
-    cell = make_test_cell(n=2)
+    net = make_test_network(n=2)
     x = ad.Tensor(np.random.default_rng(6).normal(size=(4, 4)))
     logits = ad.Tensor(np.zeros(5), requires_grad=True)
     saw_linear = False
     for seed in range(10):
         with ad.Tape():
             sample = egs_sample(oc.softmax(logits), 2, 0.5, RngState(seed))
-            out = bare_forward(cell, x, {(0, 1): sample.hard})
+            out = bare_forward(net, x, {(0, 1): sample.hard})
             grads = ad.backward(oc.mean(out))
         # the straight-through path always carries gradient to the logits
         assert logits in grads
         assert np.all(np.isfinite(grads[logits]))
-        w = cell.params[(0, 1)][2]["W"]
+        w = net.params[(0, 1)][2]["W"]
         if sample.hard.data[2] == 1.0:  # relu branch active, weights see grads
             saw_linear = True
             assert np.any(grads[w] != 0.0)
@@ -345,52 +351,44 @@ def chain_edge_forward(x, code, params):
     return total if total is not None else ad.Tensor(np.zeros_like(x.data))
 
 
-def chain_cell_forward(cell, x, samples, project, head):
+def chain_network_forward(net, x, samples):
     """The network recorded op by op: the projection's matmul and add,
     `chain_edge_forward` per edge, node sums by add in ascending i, the
     output rule (adds, a concat, or the one node) and the head's matmul and
-    add.  The reference for the one-node `cell_forward`."""
-    nodes = [oc.add(oc.matmul(x, project[0]), project[1])]
-    for j in range(1, cell.n):
+    add.  The reference for the one-node `network_forward`."""
+    nodes = [oc.add(oc.matmul(ad.as_tensor(x), net.w_in), net.b_in)]
+    for j in range(1, net.n):
         acc = None
         for i in range(j):
-            term = chain_edge_forward(nodes[i], samples[(i, j)], cell.params[(i, j)])
+            term = chain_edge_forward(nodes[i], samples[(i, j)], net.params[(i, j)])
             acc = term if acc is None else oc.add(acc, term)
         nodes.append(acc)
     inner = nodes[1:]
     if len(inner) == 1:
         out = inner[0]
-    elif cell.output_rule == "concat":
+    elif net.output_rule == "concat":
         out = oc.concat(inner, axis=-1)
     else:
         out = inner[0]
         for t in inner[1:]:
             out = oc.add(out, t)
-    return oc.add(oc.matmul(out, head[0]), head[1])
+    return oc.add(oc.matmul(out, net.w_out), net.b_out)
 
 
-def chain_network_forward(network, x, samples):
-    """`chain_cell_forward` of the network: the reference for the one-node
-    `trainer.network_forward`."""
-    return chain_cell_forward(network.cell, ad.Tensor(x), samples,
-                              (network.w_in, network.b_in), (network.w_out, network.b_out))
-
-
-def edge_params(cell, edge, on_tape):
+def edge_params(net, edge, on_tape):
     return [{name: ad.Tensor(t.data, requires_grad=on_tape) for name, t in op.items()}
-            for op in cell.params[edge]]
+            for op in net.params[edge]]
 
 
-def assert_fused_equals_chain(cell, x, samples, layers, weights, extra=()):
+def assert_fused_equals_chain(net, x, samples, weights, extra=()):
     # x feeds the network and the loss itself, node 0 feeds two edges, and
     # node 1 feeds an edge and the output, so each gradient accumulates from
     # more than one place
-    tensors = [x, *samples.values(), *extra, *cell.weight_tensors(),
-               *(t for layer in layers for t in layer)]
+    tensors = [x, *samples.values(), *extra, *net.weights()]
     results = []
-    for forward in (cell_forward, chain_cell_forward):
+    for forward in (network_forward, chain_network_forward):
         with ad.Tape():
-            out = forward(cell, x, samples, *layers)
+            out = forward(net, x, samples)
             loss = oc.add(oc.mean(oc.multiply(out, weights)), oc.mean(x))
             grads = ad.backward(loss) if loss.requires_grad else {}
         results.append((out.data, [grads.get(t) for t in tensors]))
@@ -403,14 +401,15 @@ def assert_fused_equals_chain(cell, x, samples, layers, weights, extra=()):
 
 
 def chain_test_network(rng, seed, batch, w_grad):
-    """A 3-node cell whose op weights, and head, are on the tape or not, and
-    a constant projection, for the fused-against-chain tests."""
-    cell = make_test_cell(n=3, dim=6, seed=seed)
-    cell.params = {e: edge_params(cell, e, w_grad) for e in edge_list(3)}
-    project = (ad.Tensor(rng.normal(size=(6, 6))), ad.Tensor(rng.normal(size=6)))
-    head = (ad.Tensor(rng.normal(size=(6, 3)), requires_grad=w_grad),
-            ad.Tensor(rng.normal(size=3), requires_grad=w_grad))
-    return cell, (project, head), ad.Tensor(rng.normal(size=(batch, 3)))
+    """A 3-node network whose op weights, and head, are on the tape or not,
+    and whose projection is constant, for the fused-against-chain tests."""
+    net = make_test_network(n=3, dim=6, seed=seed)
+    return dataclasses.replace(
+        net, params={e: edge_params(net, e, w_grad) for e in edge_list(3)},
+        w_in=ad.Tensor(rng.normal(size=(6, 6))), b_in=ad.Tensor(rng.normal(size=6)),
+        w_out=ad.Tensor(rng.normal(size=(6, 3)), requires_grad=w_grad),
+        b_out=ad.Tensor(rng.normal(size=3), requires_grad=w_grad),
+    ), ad.Tensor(rng.normal(size=(batch, 3)))
 
 
 @pytest.mark.parametrize("x_grad,code_grad,w_grad", list(product((False, True), repeat=3)))
@@ -418,26 +417,26 @@ def test_fused_edge_equals_the_op_chain_bit_for_bit(x_grad, code_grad, w_grad):
     # outputs and every gradient equal to the op-by-op chain, for every hard
     # code, with each of x, the code and the weights constant or on the tape
     rng = np.random.default_rng(31)
-    cell, layers, weights = chain_test_network(rng, 3, 7, w_grad)
+    net, weights = chain_test_network(rng, 3, 7, w_grad)
     x = ad.Tensor(rng.normal(size=(7, 6)), requires_grad=x_grad)
     for bits in product((0.0, 1.0), repeat=5):
         rows = (bits, bits[::-1], bits[2:] + bits[:2])
         samples = {e: ad.Tensor(np.array(row), requires_grad=code_grad)
                    for e, row in zip(edge_list(3), rows)}
-        assert_fused_equals_chain(cell, x, samples, layers, weights)
+        assert_fused_equals_chain(net, x, samples, weights)
 
 
 @pytest.mark.parametrize("x_grad,w_grad", list(product((False, True), repeat=2)))
 def test_fused_edge_equals_the_op_chain_on_straight_through_rows(x_grad, w_grad):
     rng = np.random.default_rng(32)
-    cell, layers, weights = chain_test_network(rng, 4, 5, w_grad)
+    net, weights = chain_test_network(rng, 4, 5, w_grad)
     x = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=x_grad)
     logits = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     for seed in range(4):
         with ad.Tape():
             sample = egs_sample(oc.softmax(logits), 2, 0.5, RngState(seed))
             samples = {e: ad.pick(sample.hard, r) for r, e in enumerate(edge_list(3))}
-            assert_fused_equals_chain(cell, x, samples, layers, weights, extra=(logits,))
+            assert_fused_equals_chain(net, x, samples, weights, extra=(logits,))
 
 
 def count_derivatives(monkeypatch):
@@ -476,8 +475,8 @@ def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
     # Code entry 1.0: the identity op hands x the output gradient itself.
     calls = count_derivatives(monkeypatch)
     logged = log_edge_backs(monkeypatch)
-    cell = make_test_cell(n=2)
-    cell.params[(0, 1)] = edge_params(cell, (0, 1), w_grad)
+    net = make_test_network(n=2)
+    net.params[(0, 1)] = edge_params(net, (0, 1), w_grad)
     x = ad.Tensor(np.random.default_rng(12).normal(size=(3, 4)), requires_grad=True)
     g = np.random.default_rng(13).normal(size=(3, 4))
     for bits, x_grads, derivatives in (
@@ -486,7 +485,7 @@ def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
     ):
         code = ad.Tensor(np.array(bits, dtype=np.float64), requires_grad=True)
         with ad.Tape():
-            out = bare_forward(cell, x, {(0, 1): code})
+            out = bare_forward(net, x, {(0, 1): code})
         calls.clear()
         logged.clear()
         out.node.backward_fn(g)
@@ -563,10 +562,10 @@ def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
                 # the weight substep's codes are constants
                 assert len(code_grads) == (0 if reach == "weights" else len(edges))
                 seen.append((reach, loss.data,
-                             [grads.get(t) for t in (state.cell.logits, *state.weights())]
+                             [grads.get(t) for t in (state.network.logits, *state.weights())]
                              + [code_grads.get(e) for e in edges]))
             tr.search_step(state, batch, batch)
-        seen.append(("end", state.cell.logits.data, [t.data for t in state.weights()]))
+        seen.append(("end", state.network.logits.data, [t.data for t in state.weights()]))
         runs.append(seen)
     assert_runs_equal(runs)
 
@@ -599,7 +598,7 @@ def test_network_op_equals_the_op_chain_on_fixed_and_real_valued_codes(monkeypat
         state = tr.build_state(cfg, dataset)
         for seed in range(3):
             with ad.Tape():
-                soft = egs_sample(mix_op(state.cell), cfg.M, 0.7, RngState(seed)).soft
+                soft = egs_sample(mix_op(state.network), cfg.M, 0.7, RngState(seed)).soft
                 samples = {e: ad.pick(soft, r) for r, e in enumerate(edge_list(cfg.nodes))}
                 assert not all(np.all((s.data == 0.0) | (s.data == 1.0))
                                for s in samples.values())
@@ -607,7 +606,7 @@ def test_network_op_equals_the_op_chain_on_fixed_and_real_valued_codes(monkeypat
                 loss = ad.cross_entropy_with_logits(logits, batch[1])
                 grads = ad.backward(loss)
             seen.append(("soft", loss.data,
-                         [grads.get(t) for t in (state.cell.logits, *state.weights())]))
+                         [grads.get(t) for t in (state.network.logits, *state.weights())]))
         runs.append(seen)
     assert_runs_equal(runs)
 
@@ -669,12 +668,11 @@ def test_the_network_op_frees_each_edges_activations(monkeypatch, reach):
 
 def test_edge_forward_rejects_bad_shapes():
     # a code that is not a K-vector, and an input that is not a matrix
-    cell = make_test_cell(n=2)
+    net = make_test_network(n=2)
     with pytest.raises(ad.ShapeMismatchError, match="edge-forward"):
-        bare_forward(cell, ad.Tensor(np.ones((2, 4))), {(0, 1): ad.Tensor(np.ones(4))})
+        bare_forward(net, ad.Tensor(np.ones((2, 4))), {(0, 1): ad.Tensor(np.ones(4))})
     with pytest.raises(ad.ShapeMismatchError, match="matmul"):
-        cell_forward(cell, ad.Tensor(np.ones(4)), {(0, 1): ad.Tensor(np.ones(5))},
-                     *identity_layers(cell, 4))
+        bare_forward(net, ad.Tensor(np.ones(4)), {(0, 1): ad.Tensor(np.ones(5))})
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -682,8 +680,8 @@ def test_fused_edge_gradients_match_finite_differences(k):
     # a real-valued code on the tape runs every op; check x, the code and the
     # W and b of the linear op with activation k
     rng = np.random.default_rng(40 + k)
-    cell = make_test_cell(n=2, dim=3, seed=k)
-    params = cell.params[(0, 1)] = edge_params(cell, (0, 1), True)
+    net = make_test_network(n=2, dim=3, seed=k)
+    params = net.params[(0, 1)] = edge_params(net, (0, 1), True)
     x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     code = ad.Tensor(rng.normal(size=5), requires_grad=True)
     weights = rng.normal(size=(4, 3))
@@ -691,11 +689,11 @@ def test_fused_edge_gradients_match_finite_differences(k):
     assert np.min(np.abs(z)) > 1e-3  # away from the relu kink
 
     def value():
-        return float((bare_forward(cell, ad.Tensor(x.data), {(0, 1): ad.Tensor(code.data)})
+        return float((bare_forward(net, ad.Tensor(x.data), {(0, 1): ad.Tensor(code.data)})
                       .data * weights).sum())
 
     with ad.Tape():
-        out = bare_forward(cell, x, {(0, 1): code})
+        out = bare_forward(net, x, {(0, 1): code})
         grads = ad.backward(oc.mean(oc.multiply(out, ad.Tensor(weights * out.data.size))))
     step = 1e-6
     for t in (x, code, params[k]["W"], params[k]["b"]):
@@ -712,7 +710,7 @@ def test_fused_edge_gradients_match_finite_differences(k):
             assert abs(g - fd) <= max(1e-7, 1e-5 * abs(fd)), (k, t, idx, g, fd)
 
 
-# --- cell_forward ----------------------------------------------------------------
+# --- the cell, through network_forward ------------------------------------------
 
 
 def constant_samples(code: ArchitectureCode):
@@ -723,24 +721,24 @@ def constant_samples(code: ArchitectureCode):
 
 
 def test_cell_forward_all_zero_code():
-    cell = make_test_cell(n=4)
+    net = make_test_network(n=4)
     x = ad.Tensor(np.random.default_rng(8).normal(size=(3, 4)))
     code = ArchitectureCode(n=4, K=5, bits=np.zeros((6, 5), dtype=np.uint8))
-    out = bare_forward(cell, x, constant_samples(code))
+    out = bare_forward(net, x, constant_samples(code))
     assert np.array_equal(out.data, np.zeros((3, 4)))
 
 
 def test_cell_forward_missing_edge_sample():
-    cell = make_test_cell(n=3)
+    net = make_test_network(n=3)
     samples = constant_samples(
         ArchitectureCode(n=3, K=5, bits=np.zeros((3, 5), dtype=np.uint8))
     )
     del samples[(1, 2)]
     with pytest.raises(ValueError, match="missing sample"):
-        bare_forward(cell, ad.Tensor(np.zeros((2, 4))), samples)
+        bare_forward(net, ad.Tensor(np.zeros((2, 4))), samples)
 
 
-def unrolled_oracle(cell, x, code):
+def unrolled_oracle(net, x, code):
     """Independent numpy evaluation of the same DAG, node by node."""
     rows = {e: r for r, e in enumerate(edge_list(code.n))}
 
@@ -762,7 +760,7 @@ def unrolled_oracle(cell, x, code):
         for i in range(j):
             bits = code.bits[rows[(i, j)]]
             for k in np.flatnonzero(bits):
-                acc = acc + op_out(OP_SET[k], cell.params[(i, j)][k], nodes[i])
+                acc = acc + op_out(OP_SET[k], net.params[(i, j)][k], nodes[i])
         nodes.append(acc)
     return np.sum(nodes[1:], axis=0)
 
@@ -770,33 +768,32 @@ def unrolled_oracle(cell, x, code):
 def test_cell_forward_matches_unrolled_oracle():
     rng = np.random.default_rng(9)
     for trial in range(20):
-        cell = make_test_cell(n=4, seed=100 + trial)
+        net = make_test_network(n=4, seed=100 + trial)
         code = random_code(4, 5, rng)
         x = rng.normal(size=(5, 4))
-        out = bare_forward(cell, ad.Tensor(x), constant_samples(code))
-        assert np.allclose(out.data, unrolled_oracle(cell, x, code), atol=1e-12)
+        out = bare_forward(net, ad.Tensor(x), constant_samples(code))
+        assert np.allclose(out.data, unrolled_oracle(net, x, code), atol=1e-12)
 
 
 def test_cell_forward_concat_rule():
-    cell = make_test_cell(n=4)
-    cell.output_rule = "concat"
+    net = make_test_network(n=4, output_rule="concat")
     x = np.random.default_rng(10).normal(size=(3, 4))
     bits = np.zeros((6, 5), dtype=np.uint8)
     bits[:, 1] = 1  # identity everywhere
     code = ArchitectureCode(n=4, K=5, bits=bits)
-    out = bare_forward(cell, ad.Tensor(x), constant_samples(code))
+    out = bare_forward(net, ad.Tensor(x), constant_samples(code))
     assert out.data.shape == (3, 12)
 
 
 def test_cell_forward_acyclic_by_construction():
     # identity chain: each node must equal the sum of all earlier nodes,
     # which only holds if no node ever reads a later one
-    cell = make_test_cell(n=4)
+    net = make_test_network(n=4)
     x = np.random.default_rng(11).normal(size=(2, 4))
     bits = np.zeros((6, 5), dtype=np.uint8)
     bits[:, 1] = 1
     code = ArchitectureCode(n=4, K=5, bits=bits)
-    out = bare_forward(cell, ad.Tensor(x), constant_samples(code))
+    out = bare_forward(net, ad.Tensor(x), constant_samples(code))
     # x1 = x, x2 = x + x1 = 2x, x3 = x + x1 + x2 = 4x, sum = 7x
     assert np.allclose(out.data, 7.0 * x, atol=1e-12)
 
@@ -804,38 +801,38 @@ def test_cell_forward_acyclic_by_construction():
 # --- sampling probabilities --------------------------------------------------------
 
 
-def mix_cell(logits, l, lam):
-    """A cell whose edges' logits are the rows of `logits` (one edge, or the
-    three of a 3-node cell) and whose efficiency prior is l."""
+def mix_network(logits, l, lam):
+    """A network whose edges' logits are the rows of `logits` (one edge, or
+    the three of a 3-node cell) and whose efficiency prior is l."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    return dataclasses.replace(make_cell({1: 2, 3: 3}[len(logits)], lam=lam),
+    return dataclasses.replace(make_test_network({1: 2, 3: 3}[len(logits)], lam=lam),
                                logits=ad.Tensor(logits, requires_grad=True),
                                l=np.asarray(l, dtype=np.float64))
 
 
 def test_mix_degenerate_lambda_one():
     h = np.array([0.8, 0.2])
-    out = mix_op(mix_cell(np.log(h), [0.4, 0.6], 1.0))
+    out = mix_op(mix_network(np.log(h), [0.4, 0.6], 1.0))
     assert np.allclose(out.data[0], h, atol=1e-15)
 
 
 def test_mix_arithmetic():
-    out = mix_op(mix_cell(np.log([0.8, 0.2]), [0.4, 0.6], 0.5))
+    out = mix_op(mix_network(np.log([0.8, 0.2]), [0.4, 0.6], 0.5))
     assert np.allclose(out.data[0], [0.6, 0.4], atol=1e-15)
 
 
 def test_mix_rejects_bad_inputs():
     with pytest.raises(ValueError, match="mixing weight"):
-        make_cell(2, lam=1.5)
+        make_test_network(2, lam=1.5)
 
 
 def test_mix_differentiable_wrt_h():
     grads = []
     for lam in (0.5, 0.25):
-        cell = mix_cell([0.3, -0.1, 0.2], np.full(3, 1 / 3), lam)
+        net = mix_network([0.3, -0.1, 0.2], np.full(3, 1 / 3), lam)
         with ad.Tape():
-            p = mix_op(cell)
-            grads.append(ad.backward(ad.pick(ad.pick(p, 0), 0))[cell.logits])
+            p = mix_op(net)
+            grads.append(ad.backward(ad.pick(ad.pick(p, 0), 0))[net.logits])
     assert np.any(grads[0] != 0.0)
     # lambda scales the h pathway linearly
     assert np.allclose(grads[1], 0.5 * grads[0], atol=1e-15)
@@ -848,46 +845,46 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
     step = 1e-6
     for k in range(2, 9):
         for lam in (0.0, 0.3, 1.0):
-            cell = mix_cell(rng.normal(0.0, 1.5, (3, k)), rng.dirichlet(np.ones(k)), lam)
+            net = mix_network(rng.normal(0.0, 1.5, (3, k)), rng.dirichlet(np.ones(k)), lam)
             w = rng.normal(size=(3, k))
 
             with ad.Tape() as tape:
-                p = mix_op(cell)
+                p = mix_op(net)
                 assert len(tape.nodes) == 1
                 grads = ad.backward(weighted([ad.pick(p, r) for r in range(3)], w))
-            rows = [ad.Tensor(z.copy(), requires_grad=True) for z in cell.logits.data]
+            rows = [ad.Tensor(z.copy(), requires_grad=True) for z in net.logits.data]
             with ad.Tape():
-                ref = [chain_mix(z, cell.l, lam) for z in rows]
+                ref = [chain_mix(z, net.l, lam) for z in rows]
                 ref_grads = ad.backward(weighted(ref, w))
-            const = mix_op(cell)
+            const = mix_op(net)
             assert const.node is None and np.array_equal(const.data, p.data)
-            assert grads[cell.logits].shape == (3, k)
-            base = cell.logits.data
+            assert grads[net.logits].shape == (3, k)
+            base = net.logits.data
             for r in range(3):
                 assert np.array_equal(p.data[r], ref[r].data)
-                assert np.array_equal(grads[cell.logits][r], ref_grads[rows[r]])
+                assert np.array_equal(grads[net.logits][r], ref_grads[rows[r]])
                 for j in range(k):
                     vals = []
                     for h in (step, -step):
-                        cell.logits.data = base.copy()
-                        cell.logits.data[r, j] += h
-                        out = mix_op(cell)
+                        net.logits.data = base.copy()
+                        net.logits.data[r, j] += h
+                        out = mix_op(net)
                         vals.append(float((out.data * w).mean(axis=1).sum()))
-                    cell.logits.data = base
+                    net.logits.data = base
                     fd = (vals[0] - vals[1]) / (2 * step)
-                    g = grads[cell.logits][r, j]
+                    g = grads[net.logits][r, j]
                     assert abs(g - fd) <= max(1e-8, 1e-5 * abs(fd)), (k, lam, r, j)
 
 
 def test_sampling_probabilities_reject_bad_inputs():
     with pytest.raises(ValueError, match="mixing weight"):
-        make_cell(3, lam=1.5)
+        make_test_network(3, lam=1.5)
 
 
 def test_edge_probabilities_on_simplex():
-    cell = make_test_cell()
-    p = cell.mix()[0]
-    assert p.shape == (num_edges(cell.n), len(OP_SET))
+    net = make_test_network()
+    p = net.mix()[0]
+    assert p.shape == (num_edges(net.n), len(OP_SET))
     assert np.all(p >= 0)
     assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -905,6 +902,11 @@ def test_architecture_export_round_trip():
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.pop("n"), "missing key 'n'"),
     (lambda doc: doc["edges"][0].pop("bits"), "missing key 'bits'"),
+    (lambda doc: doc.pop("ops"), "missing key 'ops'"),
+    (lambda doc: doc.update(ops=[doc["ops"][k] for k in (0, 1, 4, 3, 2)]),
+     r"ops are \['zero', 'identity', 'linear_sigmoid', 'linear_tanh', 'linear_relu'\], "
+     r"the op set is \['zero', 'identity', 'linear_relu', 'linear_tanh', 'linear_sigmoid'\]"),
+    (lambda doc: doc.update(ops="nonsense"), "ops are 'nonsense', the op set is"),
     (lambda doc: doc["edges"].append({"from": 5, "to": 9, "bits": [0] * 5}),
      r"edge \(5, 9\) is outside the 4-node cell"),
     (lambda doc: doc["edges"][2].update(bits=[1, 0, 0]), r"edge \(0, 3\) has 3 bits, K is 5"),

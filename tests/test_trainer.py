@@ -21,8 +21,9 @@ from egsearch import autodiff as ad
 from egsearch import trainer as tr
 from egsearch.config import RunConfig
 from egsearch.data import Dataset
-from egsearch.gumbel import RngState, egs_sample, marginal_inclusion_oracle
+from egsearch.gumbel import RngState, marginal_inclusion_oracle
 from egsearch.space import OP_SET, ArchitectureCode, edge_list, num_edges
+from opchain import egs_sample
 
 K = len(OP_SET)
 
@@ -87,7 +88,7 @@ def test_network_shapes_for_both_output_rules():
     assert net.w_out.shape == (4, 3)
     # 3 linear ops with W and b on each of the 6 edges, plus the two heads
     assert len(net.weights()) == 4 + num_edges(4) * 6
-    assert net.cell.logits.shape == (num_edges(4), K)
+    assert net.logits.shape == (num_edges(4), K)
     wide = tr.make_network(2, 3, small_cfg(nodes=4, output_rule="concat"),
                            np.random.default_rng(0))
     assert wide.w_out.shape == (4 * 3, 3)
@@ -135,12 +136,12 @@ def test_weight_substep_draws_the_hard_codes_of_egs_sample(cell):
         ref_rng = state.rng.clone()
         with ad.Tape() as tape:
             _, samples = tr.compute_loss(state, (x[:32], y[:32]), reach="weights")
-        want = egs_sample(state.cell.mix()[0], cfg.M, state.tau, ref_rng).hard.data
+        want = egs_sample(state.network.mix()[0], cfg.M, state.tau, ref_rng).hard.data
         assert ref_rng.position == state.rng.position
         for r, e in enumerate(edge_list(cfg.nodes)):
             assert samples[e].data.tobytes() == want[r].tobytes()
             assert samples[e].node is None
-        assert not any(t is state.cell.logits for n in tape.nodes for t in n.inputs)
+        assert not any(t is state.network.logits for n in tape.nodes for t in n.inputs)
         tr.search_step(state, (x[:32], y[:32]), (xv[:32], yv[:32]))
 
 
@@ -178,7 +179,7 @@ def test_one_step_moves_weights_and_logits():
     ds = tr.build_dataset(cfg)
     state = tr.build_state(cfg, ds)
     w_before = [t.data.copy() for t in state.weights()]
-    a_before = state.cell.logits.data.copy()
+    a_before = state.network.logits.data.copy()
     x, y = ds.split("train")
     xv, yv = ds.split("valid")
     losses = tr.search_step(state, (x[:64], y[:64]), (xv[:50], yv[:50]))
@@ -186,7 +187,7 @@ def test_one_step_moves_weights_and_logits():
         not np.array_equal(b, t.data) for b, t in zip(w_before, state.weights())
     )
     assert moved_w > 0
-    assert not np.array_equal(a_before, state.cell.logits.data)
+    assert not np.array_equal(a_before, state.network.logits.data)
     assert state.step == 1
     assert len(losses) == 2 and np.all(np.isfinite(losses))
 
@@ -207,7 +208,7 @@ def logit_substeps(**cell):
             recorded = len(tape.nodes)
             grads = ad.backward(loss)
         out[reach] = (recorded, loss.data,
-                      [grads[state.cell.logits]], grads)
+                      [grads[state.network.logits]], grads)
     return cfg, state, out["all"], out["logits"]
 
 
@@ -247,7 +248,7 @@ def test_weight_substep_keeps_the_logits_off_the_tape():
     ds = tr.build_dataset(cfg)
     state = tr.build_state(cfg, ds)
     x, y = ds.split("train")
-    logits = state.cell.logits
+    logits = state.network.logits
     with ad.Tape() as tape:
         loss, samples = tr.compute_loss(state, (x[:cfg.batch_size], y[:cfg.batch_size]),
                                         reach="weights")
@@ -353,12 +354,12 @@ def test_search_holds_one_logits_tensor(monkeypatch):
     cfg = small_cfg()
     ds = tr.build_dataset(cfg)
     state = tr.build_state(cfg, ds)
-    assert state.frozen.cell.logits is state.cell.logits
+    assert state.frozen.logits is state.network.logits
     x, y = ds.split("train")
-    rebound = state.cell.logits.data.copy()
-    state.cell.logits.data = rebound
+    rebound = state.network.logits.data.copy()
+    state.network.logits.data = rebound
     tr.search_step(state, (x[:32], y[:32]), (x[32:64], y[32:64]))
-    assert state.cell.logits.data is rebound
+    assert state.network.logits.data is rebound
     assert np.any(rebound != 0.0)  # the logits start at zero
     read = []
     real = tr.draw_scores
@@ -369,8 +370,27 @@ def test_search_holds_one_logits_tensor(monkeypatch):
 
     monkeypatch.setattr(tr, "draw_scores", recording)
     tr.sample_edges(state, relax=False)
-    want = ad.softmax_of(rebound) * cfg.lam + state.cell.l * (1.0 - cfg.lam)
+    want = ad.softmax_of(rebound) * cfg.lam + state.network.l * (1.0 - cfg.lam)
     assert read[0].tobytes() == want.tobytes()
+
+
+def test_frozen_view_holds_each_weights_own_array_as_a_constant():
+    # every weight of the logit substep's view is a constant on the
+    # network's array, the same object, before and after an update writes
+    # it in place; `state.cell` is the network itself
+    cfg = small_cfg(nodes=4, output_rule="concat")
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    assert state.cell is state.network
+    x, y = ds.split("train")
+    for step in range(2):
+        frozen, live = state.frozen.weights(), state.weights()
+        assert len(frozen) == len(live) == 4 + num_edges(4) * 6
+        for f, w in zip(frozen, live):
+            assert f is not w and w.requires_grad
+            assert not f.requires_grad and f.node is None
+            assert f.data is w.data
+        tr.search_step(state, (x[:32], y[:32]), (x[32:64], y[32:64]))
 
 
 def live_tape_nodes():
@@ -413,7 +433,7 @@ def test_search_is_deterministic():
     s2, r2 = tr.run_search(cfg)
     for a, b in zip(s1.weights(), s2.weights()):
         assert np.array_equal(a.data, b.data)
-    assert np.array_equal(s1.cell.logits.data, s2.cell.logits.data)
+    assert np.array_equal(s1.network.logits.data, s2.network.logits.data)
     assert r1.histogram == r2.histogram
     assert r1.derived == r2.derived
     for ra, rb in zip(r1.rows, r2.rows):
@@ -440,7 +460,7 @@ def test_search_step_reports_divergence_context():
     ds = nan_dataset()
     state = tr.build_state(cfg, ds)
     # pin the edge to the identity op so the bad input reaches the loss
-    state.cell.logits.data[0] = np.array([-30.0, 30.0, -30.0, -30.0, -30.0])
+    state.network.logits.data[0] = np.array([-30.0, 30.0, -30.0, -30.0, -30.0])
     x, y = ds.split("train")
     with pytest.raises(tr.SearchDiverged, match=r"training .*codes"):
         tr.search_step(state, (x, y), (x, y))
@@ -455,16 +475,16 @@ def test_a_zero_bit_ops_overflow_in_the_logit_substep_diverges():
     cfg = small_cfg(nodes=2, M=1, lam=1.0)
     ds = tr.build_dataset(cfg)
     state = tr.build_state(cfg, ds)
-    state.cell.logits.data[0] = np.array([-1e3, 1e3, -1e3, -1e3, -1e3])
+    state.network.logits.data[0] = np.array([-1e3, 1e3, -1e3, -1e3, -1e3])
     relu = next(k for k, op in enumerate(OP_SET) if op.name == "linear_relu")
-    state.cell.params[(0, 1)][relu]["W"].data[...] = 1e308
+    state.network.params[(0, 1)][relu]["W"].data[...] = 1e308
     x, y = ds.split("train")
-    logits = state.cell.logits.data.copy()
+    logits = state.network.logits.data.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(tr.SearchDiverged,
                            match=re.escape("non-finite logit gradient at step 0")):
             tr.search_step(state, (x, y), (x, y))
-    assert np.array_equal(state.cell.logits.data, logits)
+    assert np.array_equal(state.network.logits.data, logits)
 
 
 def test_search_loss_descends():
@@ -494,7 +514,7 @@ def test_sampling_matches_exact_law_when_frozen():
     )
     state, report = tr.run_search(cfg)
     # zero learning rates freeze the logits, so p keeps its initial mix
-    p = state.cell.mix()[0][0]  # edge (0, 1)
+    p = state.network.mix()[0][0]  # edge (0, 1)
     dist = exact_code_distribution(p, 2)
     per_edge = 2 * state.step
     for e, counts in report.histogram.items():
@@ -520,7 +540,7 @@ def test_derive_modes_agree_on_peaked_distributions():
             j = int(rng.integers(K))
             logits = np.full(K, -20.0)
             logits[j] = 20.0
-            state.cell.logits.data[r] = logits
+            state.network.logits.data[r] = logits
             want[e] = j
         a = tr.derive_architecture(state, "mode-sample")
         b = tr.derive_architecture(state, "max-marginal")
@@ -535,7 +555,7 @@ def test_mode_sample_recovers_the_exact_mode():
     cfg = small_cfg(nodes=2, lam=1.0, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     p = np.array([0.05, 0.7, 0.1, 0.1, 0.05])
-    state.cell.logits.data[0] = np.log(p)
+    state.network.logits.data[0] = np.log(p)
     dist = exact_code_distribution(p, 2)
     want = max(dist.items(), key=lambda kv: kv[1])[0]
     code = tr.derive_architecture(state, "mode-sample", draws=4000)
@@ -565,7 +585,7 @@ def test_mode_sample_equals_the_tuple_count_rule(monkeypatch):
 
     monkeypatch.setattr(tr.kernels, "egs_hard_batch", recording)
     for _ in range(10):
-        state.cell.logits.data[:] = rng.normal(0, 1.5, state.cell.logits.data.shape)
+        state.network.logits.data[:] = rng.normal(0, 1.5, state.network.logits.data.shape)
         drawn.clear()
         code = tr.derive_architecture(state, "mode-sample", draws=200)
         assert [mode_by_tuple_counts(c) for c in drawn] == list(map(tuple, code.bits.tolist()))
@@ -597,8 +617,8 @@ def test_max_marginal_falls_back_to_argmax():
 def test_max_marginal_clamps_to_reachable_codes():
     cfg = small_cfg(nodes=2, lam=1.0, M=2)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
-    state.cell.logits.data[0] = np.array([2.0, 2.0, 2.0, -5.0, -5.0])
-    p = state.cell.mix()[0][0]  # edge (0, 1)
+    state.network.logits.data[0] = np.array([2.0, 2.0, 2.0, -5.0, -5.0])
+    p = state.network.mix()[0][0]  # edge (0, 1)
     over = marginal_inclusion_oracle(p, 2) >= 0.5
     assert sum(over) == 3  # the threshold alone would pick an unreachable code
     code = tr.derive_architecture(state, "max-marginal")
@@ -610,7 +630,7 @@ def test_derived_codes_stay_reachable():
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     rng = np.random.default_rng(11)
     for r in range(num_edges(4)):
-        state.cell.logits.data[r] = rng.normal(0, 1.5, K)
+        state.network.logits.data[r] = rng.normal(0, 1.5, K)
     for mode in ("mode-sample", "max-marginal"):
         code = tr.derive_architecture(state, mode)
         ones = code.bits.sum(axis=1)
@@ -641,7 +661,7 @@ def test_derive_refuses_non_finite_logits(mode, bad):
     # the derivation's one simplex check refuses in either mode
     cfg = small_cfg(nodes=3)
     state = tr.build_state(cfg, tr.build_dataset(cfg))
-    state.cell.logits.data[1, 2] = bad
+    state.network.logits.data[1, 2] = bad
     with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                       match="p has non-finite entries"):
         tr.derive_architecture(state, mode)
@@ -678,8 +698,8 @@ def manual_retrain(ds, cfg):
     )
     w_in = net.w_in.data.copy()
     b_in = net.b_in.data.copy()
-    w = net.cell.params[(0, 1)][2]["W"].data.copy()
-    b = net.cell.params[(0, 1)][2]["b"].data.copy()
+    w = net.params[(0, 1)][2]["W"].data.copy()
+    b = net.params[(0, 1)][2]["b"].data.copy()
     w_out = net.w_out.data.copy()
     b_out = net.b_out.data.copy()
 
@@ -780,7 +800,7 @@ def test_retrain_leaves_the_weights_of_unset_ops_untouched(monkeypatch, rows, in
     tr.retrain(code, ds, cfg)
     (net, initial), = built
     untouched = {id(t) for r, e in enumerate(edge_list(3)) for k in range(K)
-                 if not code.bits[r, k] for t in net.cell.params[e][k].values()}
+                 if not code.bits[r, k] for t in net.params[e][k].values()}
     if not input_read:
         untouched |= {id(net.w_in), id(net.b_in)}
     moved = 0
