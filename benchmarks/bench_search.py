@@ -162,16 +162,15 @@ def retrain_step_ms(name, cfg, dataset):
 
 def retrain_step_nodes(name, cfg, dataset):
     """Tape nodes of one `retrain` training step of the case's RETRAIN code
-    (its forward and loss, as `retrain` records them), on fresh weights."""
+    (its forward and loss, as `retrain` records them), on fresh weights and
+    the codes `retrain` builds (`trainer._constant_samples`)."""
     from egsearch import autodiff as ad
-    from egsearch.space import edge_list
-    from egsearch.trainer import make_network, network_forward
+    from egsearch.trainer import _constant_samples, make_network, network_forward
 
     code = retrain_code(name, cfg)
     network = make_network(dataset.features.shape[1], dataset.n_classes, cfg,
                            np.random.default_rng(cfg.seed))
-    samples = {e: ad.Tensor(code.bits[r].astype(np.float64))
-               for r, e in enumerate(edge_list(code.n))}
+    samples = _constant_samples(code)
     x, y = dataset.split("train")
     with ad.Tape() as tape:
         logits = network_forward(network, x[:cfg.batch_size], samples)

@@ -14,7 +14,7 @@ as soon as its last tensor goes.  Everything is float64.
 
 The package records few ops: the network is one op (`space.network_forward`),
 and so is the sampler's relaxation (`gumbel.egs_sample_of`); the rest are
-the loss, `pick` and `straight_through`.  Each activation's forward and its
+the loss and `straight_through`.  Each activation's forward and its
 derivative from the output are written once, in `ACTIVATIONS`, which the
 edge kernel in `space` reads for the linear ops.  The shifted softmax and
 its gradient are written once too (`softmax_of`, `softmax_vjp`), and every
@@ -46,7 +46,6 @@ __all__ = [
     "softmax_of",
     "softmax_vjp",
     "cross_entropy_with_logits",
-    "pick",
     "straight_through",
     "as_tensor",
 ]
@@ -181,13 +180,16 @@ def record(out_data, inputs, backward_fn):
     node, which the innermost open tape appends; otherwise the output is a
     constant.  `backward_fn(g)` maps the output's gradient to one gradient
     per input, in order (None to skip, as for an input that does not
-    require grad).
+    require grad).  `inputs` is a sequence the caller no longer changes;
+    the node keeps it as it is.  (Copied into a tuple, a network op's
+    inputs would leak on CPython 3.11 whenever they number 20: a freed
+    20-item tuple goes on a free list that no allocation takes from.)
     """
     out = Tensor(out_data)
     stack = _tape_stack()
     if stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        node = TapeNode(tuple(inputs), out, backward_fn)
+        node = TapeNode(inputs, out, backward_fn)
         out.node = node
         stack[-1].nodes.append(node)
     return out
@@ -266,22 +268,6 @@ def cross_entropy_with_logits(logits, labels):
         return (gz * (float(g) / n),)
 
     return record(np.asarray(nll), (logits,), back)
-
-
-def pick(x, k):
-    """Select `x[k]` along the first axis: an entry of a vector as a scalar
-    tensor, or a row of a matrix."""
-    x = as_tensor(x)
-    if x.data.ndim == 0:
-        raise ShapeMismatchError("pick", (x.shape,))
-    k = int(k)
-
-    def back(g):
-        res = np.zeros_like(x.data)
-        res[k] = g
-        return (res,)
-
-    return record(np.asarray(x.data[k]), (x,), back)
 
 
 def straight_through(soft, hard_values):

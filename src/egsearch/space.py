@@ -15,8 +15,9 @@ the static prior l every edge shares, computed and checked once at import.
 
 `Network` holds the edges' logits and every weight; `make_network` builds
 it, and `network_forward` evaluates it, the projection, the cell and the
-head, as one tape op; each edge runs one kernel (`_edge_run` forward,
-`_edge_back` backward).
+head, as one tape op on the weights and one (E, K) code tensor, which
+`Codes` carries with a per-edge view of its rows; each edge runs one kernel
+(`_edge_run` forward, `_edge_back` backward).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "code_bits",
     "NetworkPlan",
     "Network",
+    "Codes",
     "edge_list",
     "num_edges",
     "encode",
@@ -183,13 +185,13 @@ def decode(code: ArchitectureCode) -> NetworkPlan:
 
 # (k, activation name) of each op that reads x: every op but zero
 _READERS = tuple((k, kind.activation) for k, kind in enumerate(OP_SET) if kind.name != "zero")
-_CODE_SHAPE = (len(OP_SET),)
 
 
-def _edge_run(xd, x_grad, code, params, keep):
-    """One edge's forward: sum_k code[k] * op_k(xd), summed in op order,
-    each linear op computing act(xd @ W + b) from its `ad.ACTIVATIONS` entry.
-    `x_grad` says whether xd's tensor needs a gradient.
+def _edge_run(xd, x_grad, c, code_grad, params, keep):
+    """One edge's forward: sum_k c[k] * op_k(xd), summed in op order, each
+    linear op computing act(xd @ W + b) from its `ad.ACTIVATIONS` entry.
+    `c` is the edge's code as a list of K floats; `x_grad` and `code_grad`
+    say whether xd's tensor and the code tensor need a gradient.
 
     Returns the output, whether it needs a gradient, and, with `keep`, the
     runs its backward needs, one (k, output, derivative, W, b, W's data)
@@ -199,10 +201,7 @@ def _edge_run(xd, x_grad, code, params, keep):
     term 0 * op_k(xd) is never added.  A 1.0 entry's term is op_k(xd)
     itself.
     """
-    if code.data.shape != _CODE_SHAPE:
-        raise ad.ShapeMismatchError("edge-forward", (xd.shape, code.data.shape))
-    c = code.data.tolist()
-    wants = code.requires_grad
+    wants = code_grad
     every = keep and wants
     total = None
     runs = [] if keep else None
@@ -228,18 +227,17 @@ def _edge_run(xd, x_grad, code, params, keep):
     return (np.zeros_like(xd) if total is None else total), wants, runs
 
 
-def _edge_back(g, code, xd, x_grad, runs, grads):
-    """One edge's backward, for its output gradient g.  Appends to `grads`
-    the code's gradient (None unless the code needs one), then W's and b's
-    of each linear run in reverse op order, and returns x's contributions
-    in reverse op order (None where none is due).  Each is the arithmetic
-    of the same sum recorded op by op (pick, multiply, add, matmul,
-    activation).  Where code[k] is 1.0 no multiply runs; where it is 0.0
-    the identity op passes x nothing, and a linear op whose W and b need no
-    gradient computes neither its derivative nor its product for x."""
-    c = code.data.tolist()
-    gc = np.zeros(len(OP_SET)) if code.requires_grad else None
-    grads.append(gc)
+def _edge_back(g, c, gc, xd, x_grad, runs, grads):
+    """One edge's backward, for its output gradient g and its code c (a
+    list of K floats).  Adds the code's gradient into gc, the edge's row of
+    the code tensor's gradient (None unless the code needs one), appends to
+    `grads` W's and b's of each linear run in reverse op order, and returns
+    x's contributions in reverse op order (None where none is due).  Each
+    is the arithmetic of the same sum recorded op by op (row pick,
+    multiply, add, matmul, activation).  Where c[k] is 1.0 no multiply
+    runs; where it is 0.0 the identity op passes x nothing, and a linear op
+    whose W and b need no gradient computes neither its derivative nor its
+    product for x."""
     to_x = []
     for k, a, deriv, W, b, wd in reversed(runs):
         ck = c[k]
@@ -353,17 +351,33 @@ def make_network(in_dim, n_classes, cfg, init_rng) -> Network:
     )
 
 
-def network_forward(network: Network, x_in, samples: dict) -> ad.Tensor:
+class Codes(dict):
+    """One forward's codes for every edge of an n-node cell: `tensor` is the
+    (E, K) code tensor, rows in edge_list order, which `network_forward`
+    reads, and the dict maps each edge to a constant view of its row.  The
+    tensor's shape is checked once, here."""
+
+    def __init__(self, n: int, tensor):
+        tensor = ad.as_tensor(tensor)
+        expected = (num_edges(n), len(OP_SET))
+        if tensor.shape != expected:
+            raise ad.ShapeMismatchError(f"codes for n={n}", (tensor.shape, expected))
+        super().__init__(zip(edge_list(n), map(ad.Tensor, tensor.data)))
+        self.tensor = tensor
+
+
+def network_forward(network: Network, x_in, codes: Codes) -> ad.Tensor:
     """The network's logits for the batch x_in, recorded as one op: node 0
     is x_in @ w_in + b_in, node j sums the outputs of the edges (i, j),
     i < j, in ascending i, the output rule aggregates the non-input nodes,
     and the output is the aggregate @ w_out + b_out.
 
-    `samples` maps every edge to its code, a K-vector tensor; each edge runs
-    one kernel (`_edge_run` forward, `_edge_back` backward).  Every weight's
-    `.data` is read when the op runs.  A code entry of exactly 0.0 skips
-    its term; each skipped contribution was exactly +-0, so only the sign of
-    an entry that is exactly zero may differ from the op chain's.
+    Edge (i, j) reads its code from its row of `codes.tensor`, the op's one
+    code input, which must be (E, K) for the network's n; each edge runs
+    one kernel (`_edge_run` forward, `_edge_back` backward).  Every
+    weight's `.data` is read when the op runs.  A code entry of exactly 0.0
+    skips its term; each skipped contribution was exactly +-0, so only the
+    sign of an entry that is exactly zero may differ from the op chain's.
 
     The backward repeats the arithmetic of the same network recorded op by
     op, in the order that sweep runs: the head (b's gradient g.sum(0), then
@@ -371,13 +385,23 @@ def network_forward(network: Network, x_in, samples: dict) -> ad.Tensor:
     its `np.split` piece for concat), then nodes j = n-1 .. 1, and for each
     the edges (i, j) from i = j-1 down to 0, node i's gradient growing as
     gn[i] + contribution in the edge's reverse op order; last the
-    projection (b's gradient gh.sum(0), x_in's, W's).  The node lists its
-    inputs in the same order.  Outside a tape no edge's activations outlive
-    the edge; in the backward each edge's activations are dropped as soon
-    as the edge is done, and each node's value and gradient once its edges
-    are.
+    projection (b's gradient gh.sum(0), x_in's, W's).  Each edge's code
+    gradient goes into its row of one (E, K) array, allocated only when
+    the code tensor needs a gradient; the op chain's row picks give each
+    row the same sum.  The node lists the code tensor first, then the
+    other inputs in the backward's order.  Outside a tape no edge's
+    activations outlive the edge; in the backward each edge's activations
+    are dropped as soon as the edge is done, and each node's value and
+    gradient once its edges are.
     """
     n = network.n
+    code = codes.tensor
+    expected = (num_edges(n), len(OP_SET))
+    if code.shape != expected:
+        raise ad.ShapeMismatchError(f"codes for the {n}-node network", (code.shape, expected))
+    c = code.data.tolist()
+    code_grad = code.requires_grad
+    row = {e: r for r, e in enumerate(edge_list(n))}
     x_in = ad.as_tensor(x_in)
     keep = ad.taping()
     xd = x_in.data
@@ -389,25 +413,22 @@ def network_forward(network: Network, x_in, samples: dict) -> ad.Tensor:
     values = [xd @ win + b_in.data]
     grad = [x_in.requires_grad or w_in.requires_grad or b_in.requires_grad]
     # built in the reverse of the backward's order: the projection, then per
-    # edge b and W of each linear op in op order, then the code
+    # edge b and W of each linear op in op order
     reversed_inputs = [w_in, x_in, b_in]
-    edges = []  # (i, code, runs, whether the edge needs a gradient), forward order
+    edges = []  # (i, row, runs, whether the edge needs a gradient), forward order
     for j in range(1, n):
         acc, needs = None, False
         for i in range(j):
-            code = samples.get((i, j))
-            if code is None:
-                raise ValueError(f"missing sample for edge {(i, j)}")
-            code = ad.as_tensor(code)
-            total, wants, runs = _edge_run(values[i], grad[i], code, network.params[(i, j)], keep)
+            r = row[(i, j)]
+            total, wants, runs = _edge_run(values[i], grad[i], c[r], code_grad,
+                                           network.params[(i, j)], keep)
             acc = total if acc is None else acc + total
             del total
             if keep:
                 for _, _, deriv, W, b, _ in runs:
                     if deriv is not None:
                         reversed_inputs += (b, W)
-                reversed_inputs.append(code)
-                edges.append((i, code, runs, wants))
+                edges.append((i, r, runs, wants))
                 needs = needs or wants
             del runs
         values.append(acc)
@@ -428,7 +449,7 @@ def network_forward(network: Network, x_in, samples: dict) -> ad.Tensor:
     result = out @ wout + b_out.data
     if not keep:
         return ad.Tensor(result)
-    reversed_inputs += (w_out, b_out)
+    reversed_inputs += (w_out, b_out, code)
 
     out_grad = any(grad[1:])
     sizes = [v.shape[-1] for v in values[1:]]
@@ -437,7 +458,8 @@ def network_forward(network: Network, x_in, samples: dict) -> ad.Tensor:
 
     def back(g):
         aggregate = held.pop()
-        grads = [_sum0(g) if b_out.requires_grad else None,
+        gcode = np.zeros(expected) if code_grad else None
+        grads = [gcode, _sum0(g) if b_out.requires_grad else None,
                  aggregate.T @ g if w_out.requires_grad else None]
         del aggregate
         g = g @ wout.T if out_grad else None
@@ -452,12 +474,12 @@ def network_forward(network: Network, x_in, samples: dict) -> ad.Tensor:
         for j in range(n - 1, 0, -1):
             gj, gn[j], values[j] = gn[j], None, None
             for _ in range(j):
-                i, code, runs, wants = edges.pop()
+                i, r, runs, wants = edges.pop()
                 if gj is None or not wants:
-                    grads.append(None)
-                    grads += [None, None] * sum(r[2] is not None for r in runs)
+                    grads += [None, None] * sum(run[2] is not None for run in runs)
                     continue
-                for gx in _edge_back(gj, code, values[i], grad[i], runs, grads):
+                gc = None if gcode is None else gcode[r]
+                for gx in _edge_back(gj, c[r], gc, values[i], grad[i], runs, grads):
                     if gx is not None:
                         gn[i] = gx if gn[i] is None else gn[i] + gx
                 del runs

@@ -8,11 +8,11 @@ constants, the logits are not read on the tape, and only the sampled ops
 run.  The logit substep runs `SearchState.frozen`, a view built once per
 search (`Network.constant()`) in which the weights are constants and the
 logits are the network's own tensor; the codes enter the forward pass
-through their straight-through tensors, so one ordinary backward pass
+through their straight-through tensor, so one ordinary backward pass
 carries the loss's gradient to the logits, and no gradient is computed for
 a constant weight.  Either way the network is one tape node
 (`network_forward`, which with `make_network` this module takes from
-`space`).
+`space`), and it reads every edge's code from one (E, K) tensor (`Codes`).
 
 The weights are views of one flat array that `MomentumSGD` updates in place,
 and the logits are updated in place too, so the frozen view, and any code
@@ -46,6 +46,7 @@ from .space import (
     CODE_PLACE,
     OP_SET,
     ArchitectureCode,
+    Codes,
     Network,
     code_bits,
     edge_list,
@@ -216,30 +217,28 @@ def _tau_at(cfg: RunConfig, total_steps: int, step: int) -> float:
     return cfg.tau_start + (cfg.tau_end - cfg.tau_start) * frac
 
 
-def sample_edges(state: SearchState, relax: bool) -> dict:
+def sample_edges(state: SearchState, relax: bool) -> Codes:
     """One EGS draw for all edges of `state.network` at the current
     temperature.
 
-    Returns each edge's hard code, and counts it in `state.code_counts`.
-    With `relax` the sampler records E + 2 nodes, the relaxation from the
-    logits (`egs_sample_of`), its straight-through codes and a row pick per
-    edge, through which the loss reaches the logits.  Without it only the
-    hard codes are drawn (`hard_code(draw_scores(...))`, the same uniforms
-    and the same bits), as constants, and nothing is recorded.
+    Returns the edges' hard codes as `Codes`, one (E, K) tensor, and counts
+    them in `state.code_counts`.  With `relax` the sampler records 2 nodes,
+    the relaxation from the logits (`egs_sample_of`) and its
+    straight-through codes, through which the loss reaches the logits.
+    Without it only the hard codes are drawn (`hard_code(draw_scores(...))`,
+    the same uniforms and the same bits), as constants, and nothing is
+    recorded.
     """
     network = state.network
     p, vjp = network.mix()
-    edges = edge_list(network.n)
     if relax:
         hard = egs_sample_of(network.logits, p, vjp, state.cfg.M, state.tau, state.rng).hard
-        samples = {e: ad.pick(hard, r) for r, e in enumerate(edges)}
-        rows = hard.data
     else:
-        rows = hard_code(draw_scores(p, state.cfg.M, state.rng)).astype(np.float64)
-        samples = {e: ad.Tensor(rows[r]) for r, e in enumerate(edges)}
+        hard = ad.Tensor(hard_code(draw_scores(p, state.cfg.M, state.rng)))
+    rows = hard.data
     codes = (rows @ CODE_PLACE).astype(np.intp)
-    state.code_counts[np.arange(len(edges)), codes] += 1
-    return samples
+    state.code_counts[np.arange(len(rows)), codes] += 1
+    return Codes(network.n, hard)
 
 
 def compute_loss(state: SearchState, batch, reach: str = "all"):
@@ -420,9 +419,8 @@ class RetrainResult:
     final_loss: float
 
 
-def _constant_samples(code: ArchitectureCode) -> dict:
-    return {e: ad.Tensor(code.bits[r].astype(np.float64))
-            for r, e in enumerate(edge_list(code.n))}
+def _constant_samples(code: ArchitectureCode) -> Codes:
+    return Codes(code.n, code.bits)
 
 
 def _accuracy(network, samples, x, y) -> float:

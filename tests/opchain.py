@@ -5,7 +5,8 @@ sampler's probabilities and relaxation as one op on the logits
 (`gumbel.egs_sample_of`).  The ops here record the same arithmetic one
 primitive at a time: the tests hold each fused op to a chain of them bit
 for bit, and the acceptance gate checks each of them against central
-differences.  The binary ops (`add`, `multiply`, `matmul`, `maximum`)
+differences.  `pick` takes one edge's row of a code tensor, as the op
+chain reads it.  The binary ops (`add`, `multiply`, `matmul`, `maximum`)
 compute no gradient for an input that does not require grad.
 """
 
@@ -165,6 +166,22 @@ def concat(tensors, axis=0):
         return tuple(np.split(g, offsets, axis=axis))
 
     return record(out, tuple(tensors), back)
+
+
+def pick(x, k):
+    """Select `x[k]` along the first axis: an entry of a vector as a scalar
+    tensor, or a row of a matrix, such as one edge's row of a code tensor."""
+    x = as_tensor(x)
+    if x.data.ndim == 0:
+        raise ShapeMismatchError("pick", (x.shape,))
+    k = int(k)
+
+    def back(g):
+        res = np.zeros_like(x.data)
+        res[k] = g
+        return (res,)
+
+    return record(np.asarray(x.data[k]), (x,), back)
 
 
 def mean(x):

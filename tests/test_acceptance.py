@@ -24,8 +24,8 @@ from egsearch.gumbel import (
 from egsearch.space import (
     OP_SET,
     ArchitectureCode,
+    Codes,
     decode,
-    edge_list,
     encode,
     num_edges,
 )
@@ -80,7 +80,7 @@ OP_CASES = [
      lambda rng: [rng.normal(size=(3, 3))]),
     ("scalar-scale", lambda ts: scalarize(oc.scale(ts[0], 1.7)),
      lambda rng: [rng.normal(size=(2, 3))]),
-    ("pick", lambda ts: oc.multiply(ad.pick(ts[0], 2), ad.pick(ts[0], 2)),
+    ("pick", lambda ts: oc.multiply(oc.pick(ts[0], 2), oc.pick(ts[0], 2)),
      lambda rng: [rng.normal(size=5)]),
 ]
 
@@ -111,8 +111,7 @@ def test_criterion_1_gradient_correctness():
 
     def relaxed_loss():
         soft = egs_sample(mix_op(state.network), cfg.M, state.tau, saved.clone()).soft
-        samples = {e: ad.pick(soft, r) for r, e in enumerate(edge_list(cfg.nodes))}
-        logits = network_forward(state.network, batch[0], samples)
+        logits = network_forward(state.network, batch[0], Codes(cfg.nodes, soft))
         return ad.cross_entropy_with_logits(logits, batch[1])
 
     def loss_value():

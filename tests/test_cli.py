@@ -15,8 +15,9 @@ import pytest
 
 from egsearch import audit, trainer
 from egsearch.cli import OUT_ENV, main
-from egsearch.data import load_dataset, make_parity
+from egsearch.data import make_parity
 from egsearch.space import OP_SET, parse_architecture
+from datafile import load_dataset
 
 FAST = ["--dataset-n", "200", "--epochs", "2", "--dim", "4"]
 

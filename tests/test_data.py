@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from egsearch.data import (
     dump_dataset,
-    load_dataset,
     make_parity,
     make_spirals,
     make_two_moons,
 )
+from datafile import load_dataset
 
 
 def check_splits(ds):

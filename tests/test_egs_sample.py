@@ -316,9 +316,9 @@ def test_batched_draw_equals_per_edge_draws_exactly():
                 with ad.Tape() as tape:
                     s = egs_sample(mix_op(net), m, tau, batch_rng)
                     assert len(tape.nodes) == 3  # probabilities, relaxation, code
-                    grads = ad.backward(weighted([ad.pick(s.hard, r) for r in range(3)], w))
+                    grads = ad.backward(weighted([oc.pick(s.hard, r) for r in range(3)], w))
                 one = RngState(seed)
-                singles = [egs_sample(ad.pick(mix_op(net), r), m, tau, one)
+                singles = [egs_sample(oc.pick(mix_op(net), r), m, tau, one)
                            for r in range(3)]
                 ref_rng = RngState(seed)
                 rows = [ad.Tensor(z.copy(), requires_grad=True) for z in net.logits.data]
@@ -354,7 +354,7 @@ def test_batched_relaxation_matches_finite_differences():
 
                 with ad.Tape():
                     s = egs_sample(mix_op(net), m, tau, RngState(seed))
-                    grads = ad.backward(weighted([ad.pick(s.soft, r) for r in range(3)], w))
+                    grads = ad.backward(weighted([oc.pick(s.soft, r) for r in range(3)], w))
                 base = net.logits.data
                 for r in range(3):
                     for j in range(k):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import weakref
 from itertools import product
 
@@ -18,6 +19,7 @@ from egsearch.gumbel import RngState
 from egsearch.space import (
     OP_SET,
     ArchitectureCode,
+    Codes,
     NetworkPlan,
     decode,
     edge_list,
@@ -54,8 +56,8 @@ def test_zero_and_identity_semantics():
     net = make_test_network(2, dim=3)
     x = ad.Tensor(np.arange(6.0).reshape(2, 3))
     zero, identity = np.eye(5)[:2]
-    assert np.array_equal(bare_forward(net, x, {(0, 1): ad.Tensor(zero)}).data, np.zeros((2, 3)))
-    assert np.array_equal(bare_forward(net, x, {(0, 1): ad.Tensor(identity)}).data, x.data)
+    assert np.array_equal(bare_forward(net, x, one_edge(zero)).data, np.zeros((2, 3)))
+    assert np.array_equal(bare_forward(net, x, one_edge(identity)).data, x.data)
 
 
 def test_efficiency_credits_prefer_cheap_ops():
@@ -256,24 +258,30 @@ def identity_layers(net):
     return dataclasses.replace(net, w_in=w_in, b_in=b_in, w_out=w_out, b_out=b_out)
 
 
-def bare_forward(net, x, samples):
+def bare_forward(net, x, codes):
     """The cell's output for x, through `network_forward` with identity
     layers."""
-    return network_forward(identity_layers(net), x, samples)
+    return network_forward(identity_layers(net), x, codes)
+
+
+def one_edge(code, requires_grad=False):
+    """The codes of a 2-node cell, whose one edge carries the K-vector
+    `code`."""
+    return Codes(2, ad.Tensor(np.asarray(code, dtype=np.float64)[None],
+                              requires_grad=requires_grad))
 
 
 def test_edge_forward_zero_code_is_zero():
     net = make_test_network(n=2)
     x = ad.Tensor(np.random.default_rng(2).normal(size=(5, 4)))
-    out = bare_forward(net, x, {(0, 1): ad.Tensor(np.zeros(5))})
+    out = bare_forward(net, x, one_edge(np.zeros(5)))
     assert np.array_equal(out.data, np.zeros((5, 4)))
 
 
 def test_edge_forward_identity_only():
     net = make_test_network(n=2)
     x = ad.Tensor(np.random.default_rng(3).normal(size=(5, 4)))
-    code = ad.Tensor(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    out = bare_forward(net, x, {(0, 1): code})
+    out = bare_forward(net, x, one_edge([0.0, 1.0, 0.0, 0.0, 0.0]))
     assert np.array_equal(out.data, x.data)
 
 
@@ -282,8 +290,7 @@ def test_edge_forward_residual_pair_matches_hand_build():
     net = make_test_network(n=2)
     params = net.params[(0, 1)]
     x = ad.Tensor(np.random.default_rng(4).normal(size=(6, 4)))
-    code = ad.Tensor(np.array([0.0, 1.0, 1.0, 0.0, 0.0]))
-    out = bare_forward(net, x, {(0, 1): code})
+    out = bare_forward(net, x, one_edge([0.0, 1.0, 1.0, 0.0, 0.0]))
     w, b = params[2]["W"].data, params[2]["b"].data
     hand = x.data + np.maximum(x.data @ w + b, 0.0)
     assert np.allclose(out.data, hand, atol=1e-12)
@@ -296,7 +303,7 @@ def test_edge_forward_single_forced_bit_reduces_to_plain_op():
     for k, op in enumerate(OP_SET):
         code = np.zeros(5)
         code[k] = 1.0
-        out = bare_forward(net, x, {(0, 1): ad.Tensor(code)})
+        out = bare_forward(net, x, one_edge(code))
         p = net.params[(0, 1)][k]
         z = x @ p["W"].data + p["b"].data if "W" in p else None
         direct = {
@@ -312,18 +319,18 @@ def test_edge_forward_single_forced_bit_reduces_to_plain_op():
 def test_edge_forward_gradient_reaches_logits_and_weights():
     net = make_test_network(n=2)
     x = ad.Tensor(np.random.default_rng(6).normal(size=(4, 4)))
-    logits = ad.Tensor(np.zeros(5), requires_grad=True)
+    logits = ad.Tensor(np.zeros((1, 5)), requires_grad=True)
     saw_linear = False
     for seed in range(10):
         with ad.Tape():
             sample = egs_sample(oc.softmax(logits), 2, 0.5, RngState(seed))
-            out = bare_forward(net, x, {(0, 1): sample.hard})
+            out = bare_forward(net, x, Codes(2, sample.hard))
             grads = ad.backward(oc.mean(out))
         # the straight-through path always carries gradient to the logits
         assert logits in grads
         assert np.all(np.isfinite(grads[logits]))
         w = net.params[(0, 1)][2]["W"]
-        if sample.hard.data[2] == 1.0:  # relu branch active, weights see grads
+        if sample.hard.data[0, 2] == 1.0:  # relu branch active, weights see grads
             saw_linear = True
             assert np.any(grads[w] != 0.0)
     assert saw_linear
@@ -346,21 +353,24 @@ def chain_edge_forward(x, code, params):
             a = x
         else:
             a = acts[kind.name](oc.add(oc.matmul(x, params[k]["W"]), params[k]["b"]))
-        term = oc.multiply(ad.pick(code, k), a)
+        term = oc.multiply(oc.pick(code, k), a)
         total = term if total is None else oc.add(total, term)
     return total if total is not None else ad.Tensor(np.zeros_like(x.data))
 
 
-def chain_network_forward(net, x, samples):
+def chain_network_forward(net, x, codes):
     """The network recorded op by op: the projection's matmul and add,
-    `chain_edge_forward` per edge, node sums by add in ascending i, the
-    output rule (adds, a concat, or the one node) and the head's matmul and
-    add.  The reference for the one-node `network_forward`."""
+    `chain_edge_forward` per edge on its row picked from the code tensor,
+    node sums by add in ascending i, the output rule (adds, a concat, or the
+    one node) and the head's matmul and add.  The reference for the
+    one-node `network_forward`."""
+    row = {e: r for r, e in enumerate(edge_list(net.n))}
     nodes = [oc.add(oc.matmul(ad.as_tensor(x), net.w_in), net.b_in)]
     for j in range(1, net.n):
         acc = None
         for i in range(j):
-            term = chain_edge_forward(nodes[i], samples[(i, j)], net.params[(i, j)])
+            code = oc.pick(codes.tensor, row[(i, j)])
+            term = chain_edge_forward(nodes[i], code, net.params[(i, j)])
             acc = term if acc is None else oc.add(acc, term)
         nodes.append(acc)
     inner = nodes[1:]
@@ -380,15 +390,16 @@ def edge_params(net, edge, on_tape):
             for op in net.params[edge]]
 
 
-def assert_fused_equals_chain(net, x, samples, weights, extra=()):
+def assert_fused_equals_chain(net, x, codes, weights, extra=()):
     # x feeds the network and the loss itself, node 0 feeds two edges, and
     # node 1 feeds an edge and the output, so each gradient accumulates from
-    # more than one place
-    tensors = [x, *samples.values(), *extra, *net.weights()]
+    # more than one place; the code tensor's gradient is held to the sum of
+    # the chain's per-edge row picks
+    tensors = [x, codes.tensor, *extra, *net.weights()]
     results = []
     for forward in (network_forward, chain_network_forward):
         with ad.Tape():
-            out = forward(net, x, samples)
+            out = forward(net, x, codes)
             loss = oc.add(oc.mean(oc.multiply(out, weights)), oc.mean(x))
             grads = ad.backward(loss) if loss.requires_grad else {}
         results.append((out.data, [grads.get(t) for t in tensors]))
@@ -421,9 +432,8 @@ def test_fused_edge_equals_the_op_chain_bit_for_bit(x_grad, code_grad, w_grad):
     x = ad.Tensor(rng.normal(size=(7, 6)), requires_grad=x_grad)
     for bits in product((0.0, 1.0), repeat=5):
         rows = (bits, bits[::-1], bits[2:] + bits[:2])
-        samples = {e: ad.Tensor(np.array(row), requires_grad=code_grad)
-                   for e, row in zip(edge_list(3), rows)}
-        assert_fused_equals_chain(net, x, samples, weights)
+        codes = Codes(3, ad.Tensor(np.array(rows), requires_grad=code_grad))
+        assert_fused_equals_chain(net, x, codes, weights)
 
 
 @pytest.mark.parametrize("x_grad,w_grad", list(product((False, True), repeat=2)))
@@ -435,8 +445,10 @@ def test_fused_edge_equals_the_op_chain_on_straight_through_rows(x_grad, w_grad)
     for seed in range(4):
         with ad.Tape():
             sample = egs_sample(oc.softmax(logits), 2, 0.5, RngState(seed))
-            samples = {e: ad.pick(sample.hard, r) for r, e in enumerate(edge_list(3))}
-            assert_fused_equals_chain(net, x, samples, weights, extra=(logits,))
+            # the straight-through rows were recorded on this outer tape, so
+            # the code tensor is a leaf of each inner sweep, and its gradient
+            # is compared as it is
+            assert_fused_equals_chain(net, x, Codes(3, sample.hard), weights, extra=(logits,))
 
 
 def count_derivatives(monkeypatch):
@@ -452,15 +464,16 @@ def count_derivatives(monkeypatch):
 
 def log_edge_backs(monkeypatch):
     """Make the edge kernel's backward log, per call, the gradient g it was
-    given, the gradients it appended (the code's, then W's and b's of each
-    linear op in reverse op order) and x's contributions it returned."""
+    given, the code's gradient row, the gradients it appended (W's and b's
+    of each linear op in reverse op order) and x's contributions it
+    returned."""
     logged = []
     edge_back = space._edge_back
 
-    def logging(g, code, xd, x_grad, runs, grads):
+    def logging(g, c, gc, xd, x_grad, runs, grads):
         start = len(grads)
-        to_x = edge_back(g, code, xd, x_grad, runs, grads)
-        logged.append((g, grads[start:], to_x))
+        to_x = edge_back(g, c, gc, xd, x_grad, runs, grads)
+        logged.append((g, gc, grads[start:], to_x))
         return to_x
 
     monkeypatch.setattr(space, "_edge_back", logging)
@@ -483,19 +496,19 @@ def test_a_zero_bit_op_passes_x_no_gradient(monkeypatch, w_grad):
         ([0, 0, 1, 0, 1], [True, False, True, False], ["sigmoid", "relu"]),
         ([1, 1, 0, 1, 0], [False, True, False, True], ["tanh"]),
     ):
-        code = ad.Tensor(np.array(bits, dtype=np.float64), requires_grad=True)
         with ad.Tape():
-            out = bare_forward(net, x, {(0, 1): code})
+            out = bare_forward(net, x, one_edge(bits, requires_grad=True))
         calls.clear()
         logged.clear()
         out.node.backward_fn(g)
-        [(g_edge, grads, to_x)] = logged
-        # after the code: sigmoid, tanh, relu (each x, W, b), then identity
+        [(g_edge, gc, grads, to_x)] = logged
+        assert gc is not None
+        # sigmoid, tanh, relu (each x, W, b), then identity
         for r, on in enumerate(x_grads):
             if r == 3:
                 assert (to_x[3] is g_edge) if on else to_x[3] is None
                 continue
-            gx, gw, gb = to_x[r], *grads[1 + 2 * r:3 + 2 * r]
+            gx, gw, gb = to_x[r], *grads[2 * r:2 + 2 * r]
             assert (gx is not None) == (on or w_grad)
             assert (gw is not None) == (gb is not None) == w_grad
         if w_grad:
@@ -527,25 +540,25 @@ def assert_runs_equal(runs):
 def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
     # every substep's loss and gradients with the one-node network equal
     # those of the network recorded op by op: for the logits, every weight
-    # and every edge's code, and the state after each search step
+    # and the code tensor (every edge's row), and the state after each
+    # search step
     cfg = RunConfig(seed=5, epochs=1, **cell_cfg)
     dataset = tr.build_dataset(cfg)
     x, y = dataset.split("valid")
     batch = (x[:cfg.batch_size], y[:cfg.batch_size])
-    edges = edge_list(cfg.nodes)
-    code_grads = {}
+    code_grads = []
     sample_edges = tr.sample_edges
 
     def tapped_sample_edges(state, relax):
-        # the sweep returns leaf gradients only, and a relaxed code is not a
-        # leaf: each passes through an identity op whose backward keeps the
-        # gradient the code receives, and hands it on unchanged
-        samples = sample_edges(state, relax)
-        for e, s in samples.items():
-            if s.requires_grad:
-                samples[e] = ad.record(s.data, (s,),
-                                       lambda g, e=e: (code_grads.setdefault(e, g),))
-        return samples
+        # the sweep returns leaf gradients only, and the relaxed codes are
+        # not a leaf: they pass through an identity op whose backward keeps
+        # the gradient the code tensor receives, and hands it on unchanged
+        codes = sample_edges(state, relax)
+        hard = codes.tensor
+        if not hard.requires_grad:
+            return codes
+        return Codes(state.network.n, ad.record(hard.data, (hard,),
+                                                lambda g: (code_grads.append(g) or g,)))
 
     monkeypatch.setattr(tr, "sample_edges", tapped_sample_edges)
     runs = []
@@ -560,10 +573,10 @@ def test_substep_gradient_maps_equal_the_op_chain(monkeypatch, cell_cfg):
                     loss, _ = tr.compute_loss(state, batch, reach=reach)
                     grads = ad.backward(loss)
                 # the weight substep's codes are constants
-                assert len(code_grads) == (0 if reach == "weights" else len(edges))
+                assert len(code_grads) == (0 if reach == "weights" else 1)
                 seen.append((reach, loss.data,
                              [grads.get(t) for t in (state.network.logits, *state.weights())]
-                             + [code_grads.get(e) for e in edges]))
+                             + code_grads))
             tr.search_step(state, batch, batch)
         seen.append(("end", state.network.logits.data, [t.data for t in state.weights()]))
         runs.append(seen)
@@ -599,10 +612,10 @@ def test_network_op_equals_the_op_chain_on_fixed_and_real_valued_codes(monkeypat
         for seed in range(3):
             with ad.Tape():
                 soft = egs_sample(mix_op(state.network), cfg.M, 0.7, RngState(seed)).soft
-                samples = {e: ad.pick(soft, r) for r, e in enumerate(edge_list(cfg.nodes))}
+                codes = Codes(cfg.nodes, soft)
                 assert not all(np.all((s.data == 0.0) | (s.data == 1.0))
-                               for s in samples.values())
-                logits = tr.network_forward(state.network, batch[0], samples)
+                               for s in codes.values())
+                logits = tr.network_forward(state.network, batch[0], codes)
                 loss = ad.cross_entropy_with_logits(logits, batch[1])
                 grads = ad.backward(loss)
             seen.append(("soft", loss.data,
@@ -646,17 +659,17 @@ def test_the_network_op_frees_each_edges_activations(monkeypatch, reach):
     x = dataset.split("train")[0][:16]
     row = [1.0 if op.name in ("identity", "linear_tanh") else 0.0 for op in OP_SET]
     edges = edge_list(cfg.nodes)
-    samples = {e: ad.Tensor(np.array(row)) for e in edges}
+    codes = Codes(cfg.nodes, np.array([row] * len(edges)))
     refs, alive = record_activations(monkeypatch, "tanh")
-    tr.network_forward(state.network, x, samples)
+    tr.network_forward(state.network, x, codes)
     assert len(refs) == len(edges) and alive == [0] * len(edges)
 
     refs.clear()
     network = state.network if reach == "weights" else state.frozen
     with ad.Tape():
         if reach == "logits":
-            samples = {e: ad.Tensor(s.data, requires_grad=True) for e, s in samples.items()}
-        out = tr.network_forward(network, x, samples)
+            codes = Codes(cfg.nodes, ad.Tensor(codes.tensor.data, requires_grad=True))
+        out = tr.network_forward(network, x, codes)
         assert alive[len(edges):] == list(range(len(edges)))
         del alive[:2 * len(edges)]
         ad.backward(oc.mean(out))
@@ -668,11 +681,11 @@ def test_the_network_op_frees_each_edges_activations(monkeypatch, reach):
 
 def test_edge_forward_rejects_bad_shapes():
     # a code that is not a K-vector, and an input that is not a matrix
+    with pytest.raises(ad.ShapeMismatchError, match=re.escape("((1, 4), (1, 5))")):
+        one_edge(np.ones(4))
     net = make_test_network(n=2)
-    with pytest.raises(ad.ShapeMismatchError, match="edge-forward"):
-        bare_forward(net, ad.Tensor(np.ones((2, 4))), {(0, 1): ad.Tensor(np.ones(4))})
     with pytest.raises(ad.ShapeMismatchError, match="matmul"):
-        bare_forward(net, ad.Tensor(np.ones(4)), {(0, 1): ad.Tensor(np.ones(5))})
+        bare_forward(net, ad.Tensor(np.ones(4)), one_edge(np.ones(5)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -683,17 +696,17 @@ def test_fused_edge_gradients_match_finite_differences(k):
     net = make_test_network(n=2, dim=3, seed=k)
     params = net.params[(0, 1)] = edge_params(net, (0, 1), True)
     x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    code = ad.Tensor(rng.normal(size=5), requires_grad=True)
+    code = ad.Tensor(rng.normal(size=5)[None], requires_grad=True)
     weights = rng.normal(size=(4, 3))
     z = x.data @ params[2]["W"].data + params[2]["b"].data
     assert np.min(np.abs(z)) > 1e-3  # away from the relu kink
 
     def value():
-        return float((bare_forward(net, ad.Tensor(x.data), {(0, 1): ad.Tensor(code.data)})
+        return float((bare_forward(net, ad.Tensor(x.data), Codes(2, code.data))
                       .data * weights).sum())
 
     with ad.Tape():
-        out = bare_forward(net, x, {(0, 1): code})
+        out = bare_forward(net, x, Codes(2, code))
         grads = ad.backward(oc.mean(oc.multiply(out, ad.Tensor(weights * out.data.size))))
     step = 1e-6
     for t in (x, code, params[k]["W"], params[k]["b"]):
@@ -714,10 +727,7 @@ def test_fused_edge_gradients_match_finite_differences(k):
 
 
 def constant_samples(code: ArchitectureCode):
-    rows = {e: r for r, e in enumerate(edge_list(code.n))}
-    return {
-        e: ad.Tensor(code.bits[rows[e]].astype(np.float64)) for e in edge_list(code.n)
-    }
+    return Codes(code.n, code.bits)
 
 
 def test_cell_forward_all_zero_code():
@@ -728,14 +738,21 @@ def test_cell_forward_all_zero_code():
     assert np.array_equal(out.data, np.zeros((3, 4)))
 
 
-def test_cell_forward_missing_edge_sample():
+@pytest.mark.parametrize("shape", [(2, 5), (3, 4), (15,), (1, 3, 5)])
+def test_codes_refuse_a_tensor_that_is_not_e_by_k(shape):
+    with pytest.raises(ad.ShapeMismatchError,
+                       match=re.escape(f"codes for n=3: incompatible shapes ({shape}, (3, 5))")):
+        Codes(3, np.zeros(shape))
+
+
+def test_cell_forward_refuses_codes_built_for_another_n():
     net = make_test_network(n=3)
-    samples = constant_samples(
-        ArchitectureCode(n=3, K=5, bits=np.zeros((3, 5), dtype=np.uint8))
-    )
-    del samples[(1, 2)]
-    with pytest.raises(ValueError, match="missing sample"):
-        bare_forward(net, ad.Tensor(np.zeros((2, 4))), samples)
+    codes = Codes(4, np.zeros((6, 5)))
+    assert list(codes) == edge_list(4)
+    with pytest.raises(ad.ShapeMismatchError,
+                       match=re.escape("codes for the 3-node network: incompatible shapes "
+                                       "((6, 5), (3, 5))")):
+        bare_forward(net, ad.Tensor(np.zeros((2, 4))), codes)
 
 
 def unrolled_oracle(net, x, code):
@@ -832,7 +849,7 @@ def test_mix_differentiable_wrt_h():
         net = mix_network([0.3, -0.1, 0.2], np.full(3, 1 / 3), lam)
         with ad.Tape():
             p = mix_op(net)
-            grads.append(ad.backward(ad.pick(ad.pick(p, 0), 0))[net.logits])
+            grads.append(ad.backward(oc.pick(oc.pick(p, 0), 0))[net.logits])
     assert np.any(grads[0] != 0.0)
     # lambda scales the h pathway linearly
     assert np.allclose(grads[1], 0.5 * grads[0], atol=1e-15)
@@ -851,7 +868,7 @@ def test_sampling_probabilities_equal_per_edge_mix_and_match_fd():
             with ad.Tape() as tape:
                 p = mix_op(net)
                 assert len(tape.nodes) == 1
-                grads = ad.backward(weighted([ad.pick(p, r) for r in range(3)], w))
+                grads = ad.backward(weighted([oc.pick(p, r) for r in range(3)], w))
             rows = [ad.Tensor(z.copy(), requires_grad=True) for z in net.logits.data]
             with ad.Tape():
                 ref = [chain_mix(z, net.l, lam) for z in rows]

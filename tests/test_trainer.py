@@ -99,11 +99,13 @@ def test_sample_edges_shape_histogram_and_constant_mode():
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     with ad.Tape() as tape:
         samples = tr.sample_edges(state, relax=True)
-    # one draw of E*M*K uniforms; the relaxation from the logits, the
-    # straight-through codes, E row picks
+    # one draw of E*M*K uniforms; the relaxation from the logits and the
+    # straight-through codes, one (E, K) tensor whose rows the edges view
     assert state.rng.position == num_edges(4) * 2 * K
-    assert len(tape.nodes) == num_edges(4) + 2
-    assert set(samples) == set(edge_list(4))
+    assert len(tape.nodes) == 2
+    assert samples.tensor.node is tape.nodes[-1]
+    assert samples.tensor.shape == (num_edges(4), K)
+    assert list(samples) == edge_list(4)
     for s in samples.values():
         assert set(np.unique(s.data)) <= {0.0, 1.0}
         assert 1 <= s.data.sum() <= 2
@@ -116,6 +118,7 @@ def test_sample_edges_shape_histogram_and_constant_mode():
     with ad.Tape() as tape:
         constant = tr.sample_edges(twin, relax=False)
     assert tape.nodes == []
+    assert not constant.tensor.requires_grad
     for e in edge_list(4):
         assert constant[e].node is None and not constant[e].requires_grad
         assert np.array_equal(constant[e].data, on_tape[e].data)
@@ -227,11 +230,46 @@ def test_logit_substep_gradients_equal_the_full_sweep(cell):
 
 @pytest.mark.parametrize("cell", PRUNE_CELLS)
 def test_logit_substep_records_no_weight_only_node(cell):
-    # sampler: E row picks + 2; the network (projection, cell and head) is
-    # one node, and the cross-entropy another, with the weights constant
-    # or not
+    # sampler: the relaxation and the straight-through codes; the network
+    # (projection, cell and head) is one node, and the cross-entropy
+    # another, with the weights constant or not
     cfg, _, full, pruned = logit_substeps(**cell)
-    assert pruned[0] == full[0] == num_edges(cfg.nodes) + 4
+    assert pruned[0] == full[0] == 4
+
+
+def test_each_substep_and_retrain_step_records_its_nodes(monkeypatch):
+    # a logit substep records the relaxation, its straight-through codes,
+    # the network (reading the codes as one tensor) and the cross-entropy;
+    # a weight substep and a retrain step the network and the cross-entropy
+    cfg = small_cfg(nodes=4)
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    xv, yv = ds.split("valid")
+    with ad.Tape() as tape:
+        loss, codes = tr.compute_loss(state, (xv[:50], yv[:50]), reach="logits")
+        relaxation, straight, network, entropy = tape.nodes
+        assert relaxation.inputs == (state.network.logits,)
+        assert straight.inputs == (relaxation.output,)
+        assert straight.output is codes.tensor
+        assert network.inputs[0] is codes.tensor
+        assert sum(t is codes.tensor for t in network.inputs) == 1
+        assert entropy.inputs == (network.output,) and entropy.output is loss
+    with ad.Tape() as tape:
+        loss, codes = tr.compute_loss(state, (xv[:50], yv[:50]), reach="weights")
+        assert len(tape.nodes) == 2 and tape.nodes[-1].output is loss
+        assert tape.nodes[0].inputs[0] is codes.tensor
+    recorded = []
+    backward = ad.backward
+
+    def counting(loss):
+        recorded.append(len(ad._tape_stack()[-1].nodes))
+        return backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    code = ArchitectureCode(n=4, K=K, bits=np.ones((num_edges(4), K), dtype=np.uint8))
+    tr.retrain(code, ds, cfg, epochs=1)
+    assert len(recorded) == -(-len(ds.splits["train"]) // cfg.batch_size)
+    assert set(recorded) == {2}
 
 
 def test_compute_loss_rejects_unknown_reach():
