@@ -12,9 +12,9 @@ dropped, so only the leaves' gradients come back.  Nodes refer to their
 outputs weakly, so what is left of a graph is freed by reference counting
 as soon as its last tensor goes.  Everything is float64.
 
-The package records few ops: the network is one op (`space.network_forward`),
-and so is the sampler's relaxation (`gumbel.egs_sample_of`); the rest are
-the loss and `straight_through`.  Each activation's forward and its
+The package records three ops: the network (`space.network_forward`), the
+sampler, whose codes pass the relaxation's gradient straight through
+(`gumbel.egs_sample_of`), and the loss.  Each activation's forward and its
 derivative from the output are written once, in `ACTIVATIONS`, which the
 edge kernel in `space` reads for the linear ops.  The shifted softmax and
 its gradient are written once too (`softmax_of`, `softmax_vjp`), and every
@@ -46,7 +46,6 @@ __all__ = [
     "softmax_of",
     "softmax_vjp",
     "cross_entropy_with_logits",
-    "straight_through",
     "as_tensor",
 ]
 
@@ -268,23 +267,6 @@ def cross_entropy_with_logits(logits, labels):
         return (gz * (float(g) / n),)
 
     return record(np.asarray(nll), (logits,), back)
-
-
-def straight_through(soft, hard_values):
-    """Forward `hard_values` exactly, backward the identity onto `soft`.
-
-    The discrete sample is used in the forward pass while gradients flow
-    through the continuous relaxation untouched.
-    """
-    soft = as_tensor(soft)
-    hard_values = np.asarray(hard_values, dtype=np.float64)
-    if hard_values.shape != soft.shape:
-        raise ShapeMismatchError("straight-through", (soft.shape, hard_values.shape))
-
-    def back(g):
-        return (g,)
-
-    return record(hard_values.copy(), (soft,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,16 @@ vectors, carries the gradient.  A draw is defined once here: the noisy
 scores log p + G, shaped (..., M, K) and read from the uniforms in (row,
 component, category) order (`noisy_scores`; `draw_scores` checks p and
 takes the uniforms from one rng.uniform call), and the binary code, the OR
-over M of the argmax over K (`hard_code`).  `egs_sample_of` draws a code
-with its relaxation, for one edge or a stack of them, recorded as one op
-on the tensor p is computed from: the search's logit substep draws through
-it.  Its softmax and that softmax's gradient are `autodiff.softmax_of` and
-`autodiff.softmax_vjp`.  Gumbel-Max (the M=1 case) builds on the same
-two.  The batch kernel of the audit and the
-derivation (`kernels.egs_hard_batch`) reaches their bits category-major,
-and a property test holds it to them byte for byte.  The exact oracles for
-the inclusion marginals and the reachable code set live next to the
-sampler they audit.
+over M of the argmax over K (`hard_code`).  `egs_sample_of` draws the
+codes of one edge or a stack of them as one op on the tensor p is computed
+from, whose backward is the relaxation's gradient passed straight through:
+the search's logit substep draws through it.  Its softmax and that
+softmax's gradient are `autodiff.softmax_of` and `autodiff.softmax_vjp`.
+Gumbel-Max (the M=1 case) builds on the same two.  The batch kernel of the
+audit and the derivation (`kernels.egs_hard_batch`) reaches their bits
+category-major, and a property test holds it to them byte for byte.  The
+exact oracles for the inclusion marginals and the reachable code set live
+next to the sampler they audit.
 
 All randomness flows through RngState, a (seed, position) counter over the
 PCG64 stream, so any draw can be replayed exactly from its coordinates.
@@ -39,7 +39,6 @@ from . import autodiff as ad
 __all__ = [
     "UNIFORM_EPS",
     "RngState",
-    "BinaryCodeSample",
     "gumbel_transform",
     "noisy_scores",
     "draw_scores",
@@ -150,34 +149,20 @@ def hard_code(scores: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce(picked, axis=-2).view(np.uint8)
 
 
-@dataclass
-class BinaryCodeSample:
-    """Sampled binary codes with their differentiable relaxation.
-
-    hard is the element-wise max of the component one-hots (exposed with
-    straight-through behavior); soft is the element-wise max of the
-    component soft vectors, its gradient routed to the lowest component
-    attaining the max.
-    """
-
-    hard: ad.Tensor
-    soft: ad.Tensor
-
-
 def egs_sample_of(source: ad.Tensor, p, vjp, M: int, tau: float,
-                  rng: RngState) -> BinaryCodeSample:
-    """Draw a binary code, the max of M independent Gumbel-Softmax samples,
-    from p, an array computed from the tensor `source`.
+                  rng: RngState) -> ad.Tensor:
+    """Draw binary codes, each the max of M independent Gumbel-Softmax
+    one-hots, from p, an array computed from the tensor `source`.
 
     p is one probability vector (K,), or a stack (E, K) drawn row by row.
     One rng.uniform call draws the noisy scores (`draw_scores`, (..., M,
-    K)).  soft = max_m softmax(scores_m / tau), recorded as one op on
-    `source` whatever the shape: its gradient reaches p through the
+    K)).  The codes, `hard_code(scores)` as float64, are recorded as one op
+    on `source` whatever the shape, with the straight-through estimator's
+    backward: the gradient of the relaxation max_m softmax(scores_m / tau),
+    whose argmax the softmax never moves.  It reaches p through the
     component attaining each max, the lowest one on ties, and `vjp` maps
-    p's gradient to source's, so p's own op and the relaxation are one
-    node.  hard = `hard_code(scores)`, which the softmax never reorders,
-    passes soft's gradient straight through.  M=1 is a Gumbel-Softmax
-    sample with its one-hot."""
+    p's gradient to source's, so p's own op and the sampler are one node.
+    M=1 is a Gumbel-Softmax sample's one-hot."""
     M = int(M)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -202,8 +187,7 @@ def egs_sample_of(source: ad.Tensor, p, vjp, M: int, tau: float,
             total = total + res[..., i, :]
         return (vjp(total),)
 
-    soft = ad.record(y.max(axis=-2), (source,), back)
-    return BinaryCodeSample(hard=ad.straight_through(soft, hard_code(scores)), soft=soft)
+    return ad.record(hard_code(scores).astype(np.float64), (source,), back)
 
 
 def marginal_inclusion_oracle(p, M: int) -> np.ndarray:

@@ -16,8 +16,8 @@ the static prior l every edge shares, computed and checked once at import.
 `Network` holds the edges' logits and every weight; `make_network` builds
 it, and `network_forward` evaluates it, the projection, the cell and the
 head, as one tape op on the weights and one (E, K) code tensor, which
-`Codes` carries with a per-edge view of its rows; each edge runs one kernel
-(`_edge_run` forward, `_edge_back` backward).
+`Codes` carries; each edge runs one kernel (`_edge_run` forward,
+`_edge_back` backward).
 """
 
 from __future__ import annotations
@@ -351,19 +351,23 @@ def make_network(in_dim, n_classes, cfg, init_rng) -> Network:
     )
 
 
-class Codes(dict):
+class Codes:
     """One forward's codes for every edge of an n-node cell: `tensor` is the
     (E, K) code tensor, rows in edge_list order, which `network_forward`
-    reads, and the dict maps each edge to a constant view of its row.  The
-    tensor's shape is checked once, here."""
+    reads, its shape checked once, here.  `items()` pairs each edge with a
+    constant view of its row, made on call."""
+
+    __slots__ = ("n", "tensor")
 
     def __init__(self, n: int, tensor):
         tensor = ad.as_tensor(tensor)
         expected = (num_edges(n), len(OP_SET))
         if tensor.shape != expected:
             raise ad.ShapeMismatchError(f"codes for n={n}", (tensor.shape, expected))
-        super().__init__(zip(edge_list(n), map(ad.Tensor, tensor.data)))
-        self.tensor = tensor
+        self.n, self.tensor = n, tensor
+
+    def items(self):
+        return zip(edge_list(self.n), map(ad.Tensor, self.tensor.data))
 
 
 def network_forward(network: Network, x_in, codes: Codes) -> ad.Tensor:
@@ -401,7 +405,6 @@ def network_forward(network: Network, x_in, codes: Codes) -> ad.Tensor:
         raise ad.ShapeMismatchError(f"codes for the {n}-node network", (code.shape, expected))
     c = code.data.tolist()
     code_grad = code.requires_grad
-    row = {e: r for r, e in enumerate(edge_list(n))}
     x_in = ad.as_tensor(x_in)
     keep = ad.taping()
     xd = x_in.data
@@ -419,7 +422,7 @@ def network_forward(network: Network, x_in, codes: Codes) -> ad.Tensor:
     for j in range(1, n):
         acc, needs = None, False
         for i in range(j):
-            r = row[(i, j)]
+            r = i * (2 * n - i - 1) // 2 + j - i - 1  # (i, j)'s place in edge_list
             total, wants, runs = _edge_run(values[i], grad[i], c[r], code_grad,
                                            network.params[(i, j)], keep)
             acc = total if acc is None else acc + total

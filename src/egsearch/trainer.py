@@ -7,12 +7,13 @@ itself and tells the sampler to draw only the hard codes: they are
 constants, the logits are not read on the tape, and only the sampled ops
 run.  The logit substep runs `SearchState.frozen`, a view built once per
 search (`Network.constant()`) in which the weights are constants and the
-logits are the network's own tensor; the codes enter the forward pass
-through their straight-through tensor, so one ordinary backward pass
-carries the loss's gradient to the logits, and no gradient is computed for
-a constant weight.  Either way the network is one tape node
-(`network_forward`, which with `make_network` this module takes from
-`space`), and it reads every edge's code from one (E, K) tensor (`Codes`).
+logits are the network's own tensor; the codes are the sampler's one node
+on the logits, whose backward passes the relaxation's gradient straight
+through, so one ordinary backward pass carries the loss's gradient to the
+logits, and no gradient is computed for a constant weight.  Either way the
+network is one tape node (`network_forward`, which with `make_network` this
+module takes from `space`), and it reads every edge's code from one (E, K)
+tensor (`Codes`).
 
 The weights are views of one flat array that `MomentumSGD` updates in place,
 and the logits are updated in place too, so the frozen view, and any code
@@ -222,9 +223,8 @@ def sample_edges(state: SearchState, relax: bool) -> Codes:
     temperature.
 
     Returns the edges' hard codes as `Codes`, one (E, K) tensor, and counts
-    them in `state.code_counts`.  With `relax` the sampler records 2 nodes,
-    the relaxation from the logits (`egs_sample_of`) and its
-    straight-through codes, through which the loss reaches the logits.
+    them in `state.code_counts`.  With `relax` the sampler records 1 node on
+    the logits (`egs_sample_of`), through which the loss reaches them.
     Without it only the hard codes are drawn (`hard_code(draw_scores(...))`,
     the same uniforms and the same bits), as constants, and nothing is
     recorded.
@@ -232,7 +232,7 @@ def sample_edges(state: SearchState, relax: bool) -> Codes:
     network = state.network
     p, vjp = network.mix()
     if relax:
-        hard = egs_sample_of(network.logits, p, vjp, state.cfg.M, state.tau, state.rng).hard
+        hard = egs_sample_of(network.logits, p, vjp, state.cfg.M, state.tau, state.rng)
     else:
         hard = ad.Tensor(hard_code(draw_scores(p, state.cfg.M, state.rng)))
     rows = hard.data

@@ -1,14 +1,19 @@
 """The reference op chain, and the gradient-check helpers the tests share.
 
 The package records a network as one op (`space.network_forward`) and the
-sampler's probabilities and relaxation as one op on the logits
+sampler's probabilities and codes as one op on the logits
 (`gumbel.egs_sample_of`).  The ops here record the same arithmetic one
 primitive at a time: the tests hold each fused op to a chain of them bit
 for bit, and the acceptance gate checks each of them against central
-differences.  `pick` takes one edge's row of a code tensor, as the op
-chain reads it.  The binary ops (`add`, `multiply`, `matmul`, `maximum`)
-compute no gradient for an input that does not require grad.
+differences.  The sampler's chain is the relaxation, one component at a
+time (`relaxation`), under straight-through codes (`straight_through`).
+`pick` takes one edge's row of a code tensor, as the op chain reads it.
+The binary ops (`add`, `multiply`, `matmul`, `maximum`) compute no
+gradient for an input that does not require grad.
 """
+
+import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,7 +26,7 @@ from egsearch.autodiff import (
     softmax_of,
     softmax_vjp,
 )
-from egsearch.gumbel import egs_sample_of
+from egsearch.gumbel import draw_scores, egs_sample_of, gumbel_transform
 
 FD_STEP = 1e-5
 
@@ -205,6 +210,15 @@ def scale(x, factor):
     return record(x.data * factor, (x,), back)
 
 
+def straight_through(soft, hard_values):
+    """Forward `hard_values` exactly, backward the identity onto `soft`."""
+    soft = as_tensor(soft)
+    hard_values = np.asarray(hard_values, dtype=np.float64)
+    if hard_values.shape != soft.shape:
+        raise ShapeMismatchError("straight-through", (soft.shape, hard_values.shape))
+    return record(hard_values.copy(), (soft,), lambda g: (g,))
+
+
 # ---------------------------------------------------------------------------
 # sampling probabilities
 
@@ -215,11 +229,42 @@ def mix_op(network):
     return record(p, (network.logits,), lambda g: (vjp(g),))
 
 
+Sample = namedtuple("Sample", "hard soft")
+
+
 def egs_sample(p, M, tau, rng):
     """`gumbel.egs_sample_of` with p itself as the source: an EGS draw of
-    one probability vector or a stack of them, on the tape or constant."""
+    one probability vector or a stack of them, on the tape or constant.
+    Returns `hard`, the package's code tensor, and `soft`, the values of the
+    relaxation max_m softmax(scores_m / tau) whose gradient it passes on,
+    recomputed with the same arithmetic from the same uniforms, as a
+    constant."""
     p = as_tensor(p)
-    return egs_sample_of(p, p.data, lambda g: g, M, tau, rng)
+    replay = rng.clone()
+    hard = egs_sample_of(p, p.data, lambda g: g, M, tau, rng)
+    soft = softmax_of(draw_scores(p.data, M, replay) * (1.0 / tau)).max(axis=-2)
+    return Sample(hard, ad.Tensor(soft))
+
+
+def relaxation(p, M, tau, rng):
+    """An EGS draw's relaxation from the tensor p (..., K), max_m
+    softmax((log p + G_m) / tau), one component at a time (log, add, scale,
+    softmax, then `maximum` with the components before it), with its codes:
+    `straight_through(soft, hard)` is the chain the package's sampler node
+    reproduces bit for bit.  One rng.uniform call draws the uniforms, in
+    the sampler's (row, component, category) order."""
+    p = as_tensor(p)
+    shape = p.shape[:-1] + (M, p.shape[-1])
+    noise = gumbel_transform(rng.uniform(math.prod(shape)).reshape(shape))
+    soft = hard = None
+    for m in range(M):
+        scores = add(log(p), ad.Tensor(noise[..., m, :]))
+        comp = softmax(scale(scores, 1.0 / tau))
+        onehot = (scores.data.argmax(axis=-1)[..., None]
+                  == np.arange(p.shape[-1])).astype(np.float64)
+        soft = comp if soft is None else maximum(soft, comp)
+        hard = onehot if hard is None else np.maximum(hard, onehot)
+    return soft, hard
 
 
 def chain_mix(logits, l, lam):

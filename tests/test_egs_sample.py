@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
@@ -16,8 +16,11 @@ from egsearch.config import RunConfig
 from egsearch.gumbel import (
     ENUMERATION_BUDGET,
     RngState,
+    egs_sample_of,
     gumbel_transform,
+    hard_code,
     marginal_inclusion_oracle,
+    noisy_scores,
     reachable_codes,
 )
 from egsearch.space import make_network
@@ -256,7 +259,7 @@ def test_gradient_flow_all_k_m():
             with ad.Tape():
                 s = egs_sample(oc.softmax(logits), m, 0.5, RngState(7 * k + m))
                 w = weights_cache.setdefault(k, np.cos(np.arange(k) + 0.3))
-                loss = oc.mean(oc.multiply(s.soft, ad.Tensor(w)))
+                loss = oc.mean(oc.multiply(s.hard, ad.Tensor(w)))
                 grads = ad.backward(loss)
             g = grads[logits]
             assert np.all(np.isfinite(g))
@@ -264,33 +267,56 @@ def test_gradient_flow_all_k_m():
 
 
 def test_hard_gradient_equals_soft_gradient():
+    # the sampler node's gradient is the op chain's: the relaxation's,
+    # passed through its straight-through codes
     logits = ad.Tensor(np.array([0.1, -0.3, 0.6]), requires_grad=True)
+    w = ad.Tensor([1.0, 2.0, 3.0])
     for seed in range(8):
-        grad_pair = []
-        for field in ("hard", "soft"):
-            with ad.Tape():
-                s = egs_sample(oc.softmax(logits), 2, 0.3, RngState(seed))
-                out = getattr(s, field)
-                loss = oc.mean(oc.multiply(out, ad.Tensor([1.0, 2.0, 3.0])))
-                grad_pair.append(ad.backward(loss)[logits])
-        assert np.array_equal(grad_pair[0], grad_pair[1])
+        with ad.Tape():
+            s = egs_sample(oc.softmax(logits), 2, 0.3, RngState(seed))
+            hard_grad = ad.backward(oc.mean(oc.multiply(s.hard, w)))[logits]
+        with ad.Tape():
+            soft, hard = oc.relaxation(oc.softmax(logits), 2, 0.3, RngState(seed))
+            chain = oc.straight_through(soft, hard)
+            soft_grad = ad.backward(oc.mean(oc.multiply(chain, w)))[logits]
+        assert np.array_equal(hard_grad, soft_grad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    m=st.integers(1, 5),
+    tau=st.floats(0.05, 2.0),
+    stack=st.booleans(),
+    spread=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+# peaked p at the coldest tau: components saturate to the same one-hot, so
+# the max over components ties and the lowest one must take the gradient
+@example(k=3, m=4, tau=0.05, stack=True, spread=8.0, seed=1)
+@example(k=2, m=5, tau=0.05, stack=False, spread=6.0, seed=2)
+def test_sampler_node_is_the_hard_code_with_the_chains_gradient(k, m, tau, stack, spread,
+                                                                seed):
+    gen = np.random.default_rng(seed)
+    shape = (3, k) if stack else (k,)
+    logits = ad.Tensor(gen.normal(0.0, 1.0, shape) * spread, requires_grad=True)
+    w = ad.Tensor(gen.normal(size=shape))
+    u = RngState(seed).uniform(math.prod(shape) * m).reshape(shape[:-1] + (m, k))
+    with ad.Tape() as tape:
+        p = oc.softmax(logits)
+        codes = egs_sample_of(p, p.data, lambda g: g, m, tau, RngState(seed))
+        assert len(tape.nodes) == 2 and codes.node.inputs == (p,)
+        grad = ad.backward(oc.mean(oc.multiply(codes, w)))[logits]
+    assert codes.data.dtype == np.float64
+    assert np.array_equal(codes.data, hard_code(noisy_scores(p.data, u)))
+    with ad.Tape():
+        soft, hard = oc.relaxation(oc.softmax(logits), m, tau, RngState(seed))
+        chain = ad.backward(oc.mean(oc.multiply(oc.straight_through(soft, hard), w)))[logits]
+    assert np.array_equal(hard, codes.data)
+    assert np.array_equal(grad.view(np.uint64), chain.view(np.uint64))
 
 
 # --- batched draws ----------------------------------------------------------------
-
-
-def chain_egs(p, m, tau, rng):
-    """One edge's code as a chain of primitive ops, one component at a time:
-    the reference the fused relaxation reproduces bit for bit."""
-    soft = hard = None
-    for _ in range(m):
-        scores = oc.add(oc.log(p), ad.Tensor(gumbel_transform(rng.uniform(p.data.size))))
-        comp = oc.softmax(oc.scale(scores, 1.0 / tau))
-        onehot = np.zeros(p.data.size)
-        onehot[int(np.argmax(scores.data))] = 1.0
-        soft = comp if soft is None else oc.maximum(soft, comp)
-        hard = onehot if hard is None else np.maximum(hard, onehot)
-    return ad.straight_through(soft, hard)
 
 
 def random_network(rng, k):
@@ -315,7 +341,7 @@ def test_batched_draw_equals_per_edge_draws_exactly():
                 batch_rng = RngState(seed)
                 with ad.Tape() as tape:
                     s = egs_sample(mix_op(net), m, tau, batch_rng)
-                    assert len(tape.nodes) == 3  # probabilities, relaxation, code
+                    assert len(tape.nodes) == 2  # probabilities, codes
                     grads = ad.backward(weighted([oc.pick(s.hard, r) for r in range(3)], w))
                 one = RngState(seed)
                 singles = [egs_sample(oc.pick(mix_op(net), r), m, tau, one)
@@ -323,7 +349,9 @@ def test_batched_draw_equals_per_edge_draws_exactly():
                 ref_rng = RngState(seed)
                 rows = [ad.Tensor(z.copy(), requires_grad=True) for z in net.logits.data]
                 with ad.Tape():
-                    ref = [chain_egs(chain_mix(z, net.l, net.lam), m, tau, ref_rng) for z in rows]
+                    ref = [oc.straight_through(*oc.relaxation(chain_mix(z, net.l, net.lam),
+                                                              m, tau, ref_rng))
+                           for z in rows]
                     # the relaxation under each straight-through code, read
                     # before the sweep releases the codes' nodes
                     ref_soft = [t.node.inputs[0].data for t in ref]
@@ -354,7 +382,7 @@ def test_batched_relaxation_matches_finite_differences():
 
                 with ad.Tape():
                     s = egs_sample(mix_op(net), m, tau, RngState(seed))
-                    grads = ad.backward(weighted([oc.pick(s.soft, r) for r in range(3)], w))
+                    grads = ad.backward(weighted([oc.pick(s.hard, r) for r in range(3)], w))
                 base = net.logits.data
                 for r in range(3):
                     for j in range(k):

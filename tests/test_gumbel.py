@@ -251,32 +251,32 @@ def test_entropy_of_mean_soft_nondecreasing_in_tau():
 
 
 def test_straight_through_gradient_contract():
-    # forward: hard one-hot; backward: identity onto soft's gradient
+    # forward: hard one-hot; backward: the sampler node's logit gradient is
+    # the op chain's, the relaxation under straight-through codes, bit for bit
     logits = ad.Tensor(np.array([0.2, -0.4, 0.9]), requires_grad=True)
     for seed in range(10):
         with ad.Tape():
-            p = oc.softmax(logits)
-            s = egs_sample(p, 1, 0.5, RngState(seed))
+            s = egs_sample(oc.softmax(logits), 1, 0.5, RngState(seed))
             hard_grad = ad.backward(oc.pick(s.hard, 1))[logits]
         with ad.Tape():
-            p = oc.softmax(logits)
-            s = egs_sample(p, 1, 0.5, RngState(seed))
-            soft_grad = ad.backward(oc.pick(s.soft, 1))[logits]
-        assert np.array_equal(hard_grad, soft_grad)
+            soft, hard = oc.relaxation(oc.softmax(logits), 1, 0.5, RngState(seed))
+            assert np.array_equal(hard, s.hard.data)
+            chain_grad = ad.backward(oc.pick(oc.straight_through(soft, hard), 1))[logits]
+        assert np.array_equal(hard_grad, chain_grad)
         assert np.all(np.isfinite(hard_grad))
         assert np.any(hard_grad != 0.0)
 
 
 def test_gumbel_softmax_differentiable_wrt_logits_fd():
-    # finite differences through softmax(logits) -> relaxed sample
+    # finite differences of the relaxed sample through softmax(logits), and
+    # the gradient the hard code passes straight through
     logits0 = np.array([0.3, -0.2, 0.5, 0.1])
 
     def loss_at(vals, seed):
         t = ad.Tensor(vals, requires_grad=True)
         with ad.Tape():
             s = egs_sample(oc.softmax(t), 1, 0.7, RngState(seed))
-            out = oc.pick(s.soft, 2)
-            return float(out.data), ad.backward(out)[t]
+            return float(s.soft.data[2]), ad.backward(oc.pick(s.hard, 2))[t]
 
     for seed in range(5):
         _, g = loss_at(logits0, seed)

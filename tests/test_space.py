@@ -1,6 +1,7 @@
 """Code/network bijection and relaxed forward evaluation of cells."""
 
 import dataclasses
+import gc
 import json
 import re
 import weakref
@@ -611,10 +612,9 @@ def test_network_op_equals_the_op_chain_on_fixed_and_real_valued_codes(monkeypat
         state = tr.build_state(cfg, dataset)
         for seed in range(3):
             with ad.Tape():
-                soft = egs_sample(mix_op(state.network), cfg.M, 0.7, RngState(seed)).soft
+                soft, _ = oc.relaxation(mix_op(state.network), cfg.M, 0.7, RngState(seed))
                 codes = Codes(cfg.nodes, soft)
-                assert not all(np.all((s.data == 0.0) | (s.data == 1.0))
-                               for s in codes.values())
+                assert not np.all((soft.data == 0.0) | (soft.data == 1.0))
                 logits = tr.network_forward(state.network, batch[0], codes)
                 loss = ad.cross_entropy_with_logits(logits, batch[1])
                 grads = ad.backward(loss)
@@ -745,10 +745,29 @@ def test_codes_refuse_a_tensor_that_is_not_e_by_k(shape):
         Codes(3, np.zeros(shape))
 
 
+def test_codes_hold_the_tensor_and_view_its_rows_only_on_call():
+    # building Codes makes no per-edge tensor; items() pairs the edges, in
+    # edge_list order, with constant views of the tensor's rows
+    t = ad.Tensor(np.random.default_rng(9).normal(size=(6, 5)), requires_grad=True)
+
+    def tensors():
+        return sum(isinstance(o, ad.Tensor) for o in gc.get_objects())
+
+    before = tensors()
+    codes = Codes(4, t)
+    assert tensors() == before
+    assert codes.n == 4 and codes.tensor is t
+    items = list(codes.items())
+    assert [e for e, _ in items] == edge_list(4)
+    for r, (_, row) in enumerate(items):
+        assert np.array_equal(row.data, t.data[r]) and np.shares_memory(row.data, t.data)
+        assert row.node is None and not row.requires_grad
+
+
 def test_cell_forward_refuses_codes_built_for_another_n():
     net = make_test_network(n=3)
     codes = Codes(4, np.zeros((6, 5)))
-    assert list(codes) == edge_list(4)
+    assert [e for e, _ in codes.items()] == edge_list(4)
     with pytest.raises(ad.ShapeMismatchError,
                        match=re.escape("codes for the 3-node network: incompatible shapes "
                                        "((6, 5), (3, 5))")):

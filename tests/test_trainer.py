@@ -99,14 +99,14 @@ def test_sample_edges_shape_histogram_and_constant_mode():
     state = tr.build_state(cfg, tr.build_dataset(cfg))
     with ad.Tape() as tape:
         samples = tr.sample_edges(state, relax=True)
-    # one draw of E*M*K uniforms; the relaxation from the logits and the
-    # straight-through codes, one (E, K) tensor whose rows the edges view
+    # one draw of E*M*K uniforms; one node on the logits, the codes, one
+    # (E, K) tensor whose rows the edges view
     assert state.rng.position == num_edges(4) * 2 * K
-    assert len(tape.nodes) == 2
+    assert len(tape.nodes) == 1
     assert samples.tensor.node is tape.nodes[-1]
     assert samples.tensor.shape == (num_edges(4), K)
-    assert list(samples) == edge_list(4)
-    for s in samples.values():
+    assert [e for e, _ in samples.items()] == edge_list(4)
+    for _, s in samples.items():
         assert set(np.unique(s.data)) <= {0.0, 1.0}
         assert 1 <= s.data.sum() <= 2
     assert sum(sum(c.values()) for c in state.histogram.values()) == num_edges(4)
@@ -119,9 +119,9 @@ def test_sample_edges_shape_histogram_and_constant_mode():
         constant = tr.sample_edges(twin, relax=False)
     assert tape.nodes == []
     assert not constant.tensor.requires_grad
-    for e in edge_list(4):
-        assert constant[e].node is None and not constant[e].requires_grad
-        assert np.array_equal(constant[e].data, on_tape[e].data)
+    for (e, c), (f, t) in zip(constant.items(), on_tape.items(), strict=True):
+        assert e == f and c.node is None and not c.requires_grad
+        assert np.array_equal(c.data, t.data)
     assert twin.rng.position == state.rng.position
     assert state.histogram[(0, 1)] != {} and twin.code_counts.sum() == num_edges(4)
 
@@ -141,9 +141,9 @@ def test_weight_substep_draws_the_hard_codes_of_egs_sample(cell):
             _, samples = tr.compute_loss(state, (x[:32], y[:32]), reach="weights")
         want = egs_sample(state.network.mix()[0], cfg.M, state.tau, ref_rng).hard.data
         assert ref_rng.position == state.rng.position
-        for r, e in enumerate(edge_list(cfg.nodes)):
-            assert samples[e].data.tobytes() == want[r].tobytes()
-            assert samples[e].node is None
+        for r, (_, s) in enumerate(samples.items()):
+            assert s.data.tobytes() == want[r].tobytes()
+            assert s.node is None
         assert not any(t is state.network.logits for n in tape.nodes for t in n.inputs)
         tr.search_step(state, (x[:32], y[:32]), (xv[:32], yv[:32]))
 
@@ -230,27 +230,54 @@ def test_logit_substep_gradients_equal_the_full_sweep(cell):
 
 @pytest.mark.parametrize("cell", PRUNE_CELLS)
 def test_logit_substep_records_no_weight_only_node(cell):
-    # sampler: the relaxation and the straight-through codes; the network
-    # (projection, cell and head) is one node, and the cross-entropy
-    # another, with the weights constant or not
+    # the sampler is one node, the network (projection, cell and head)
+    # another, and the cross-entropy a third, with the weights constant or
+    # not
     cfg, _, full, pruned = logit_substeps(**cell)
-    assert pruned[0] == full[0] == 4
+    assert pruned[0] == full[0] == 3
+
+
+@pytest.mark.parametrize("cell", PRUNE_CELLS)
+def test_search_logit_substep_records_the_sampler_the_network_and_the_loss(monkeypatch, cell):
+    # in a search step the logit substep records exactly three nodes: the
+    # sampler, whose one input is the logits and whose output is the codes
+    # the network reads, the network, and the cross-entropy
+    cfg = small_cfg(**cell)
+    ds = tr.build_dataset(cfg)
+    state = tr.build_state(cfg, ds)
+    tapes = []
+    backward = ad.backward
+
+    def capture(loss):
+        tapes.append([(n.inputs, n.output) for n in ad._tape_stack()[-1].nodes])
+        return backward(loss)
+
+    monkeypatch.setattr(ad, "backward", capture)
+    x, y = ds.split("train")
+    xv, yv = ds.split("valid")
+    for _ in range(3):
+        tr.search_step(state, (x[:32], y[:32]), (xv[:32], yv[:32]))
+    assert [len(t) for t in tapes] == [2, 3] * 3
+    for sampler, network, entropy in tapes[1::2]:
+        assert len(sampler[0]) == 1 and sampler[0][0] is state.network.logits
+        assert set(np.unique(sampler[1].data)) <= {0.0, 1.0}
+        assert network[0][0] is sampler[1]
+        assert len(entropy[0]) == 1 and entropy[0][0] is network[1]
 
 
 def test_each_substep_and_retrain_step_records_its_nodes(monkeypatch):
-    # a logit substep records the relaxation, its straight-through codes,
-    # the network (reading the codes as one tensor) and the cross-entropy;
-    # a weight substep and a retrain step the network and the cross-entropy
+    # a logit substep records the sampler, the network (reading the codes
+    # as one tensor) and the cross-entropy; a weight substep and a retrain
+    # step the network and the cross-entropy
     cfg = small_cfg(nodes=4)
     ds = tr.build_dataset(cfg)
     state = tr.build_state(cfg, ds)
     xv, yv = ds.split("valid")
     with ad.Tape() as tape:
         loss, codes = tr.compute_loss(state, (xv[:50], yv[:50]), reach="logits")
-        relaxation, straight, network, entropy = tape.nodes
-        assert relaxation.inputs == (state.network.logits,)
-        assert straight.inputs == (relaxation.output,)
-        assert straight.output is codes.tensor
+        sampler, network, entropy = tape.nodes
+        assert sampler.inputs == (state.network.logits,)
+        assert sampler.output is codes.tensor
         assert network.inputs[0] is codes.tensor
         assert sum(t is codes.tensor for t in network.inputs) == 1
         assert entropy.inputs == (network.output,) and entropy.output is loss
@@ -294,7 +321,7 @@ def test_weight_substep_keeps_the_logits_off_the_tape():
         assert not any(t is logits for node in tape.nodes for t in node.inputs)
         grads = ad.backward(loss)
     assert logits not in grads
-    assert all(s.node is None for s in samples.values())
+    assert all(s.node is None for _, s in samples.items())
     assert any(t in grads for t in state.weights())
     assert len(tape.nodes) == 2
 
