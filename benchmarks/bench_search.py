@@ -1,8 +1,9 @@
 """Wall time, page faults, peak memory, the time split and tape nodes per
-substep of two searches, the time of a fixed code's retrain step, the wall
-time of each leg of the property audit, the throughput of the batch draw of
-hard EGS codes that the audit and the derivation use, and the forward time
-of the edges' activations; writes BENCH_search.json.
+substep of two searches, the time of a fixed code's retrain step and of the
+random-search baseline, the wall time of each leg of the property audit, the
+throughput of the batch draw of hard EGS codes that the audit and the
+derivation use, and the forward time of the edges' activations; writes
+BENCH_search.json.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_search.py [--repeats R]
           [--draws N] [--out BENCH_search.json]
@@ -20,9 +21,11 @@ of the step: the loss, the checks and the parameter updates).  It then
 counts the tape nodes that one weight substep and one logit substep record
 on a fresh state (the search's first draw), and one training step of
 `retrain` of a fixed code (RETRAIN: the named ops on every edge, as
-perfbench trains), and times that retrain in ms per step.  The cases are
-the README's default search and a search at the benchmark's search-wide
-shape.  The audit's legs (`count_audit`, `bijection_audit`, `marginal_audit`) and
+perfbench trains), and times that retrain in ms per step.  In the default
+case it then times `random_search_baseline` at the defaults ("baseline_s":
+ten 30-epoch retrains, spread over the usable CPUs, which "environment"
+records).  The cases are the README's default search and a search at the
+benchmark's search-wide shape.  The audit's legs (`count_audit`, `bijection_audit`, `marginal_audit`) and
 `run_audit` as a whole are timed at `run_audit`'s defaults, which are
 `verify-propositions`' defaults.  The batch draw is timed at each (K, M) of
 KERNEL_SHAPES on blocks of `audit.MARGINAL_CHUNK_UNIFORMS` pre-drawn
@@ -99,6 +102,7 @@ def run_case(name):
         **substep_nodes(cfg, dataset),
         "retrain_step_nodes": retrain_step_nodes(name, cfg, dataset),
         "retrain_step_ms": retrain_step_ms(name, cfg, dataset),
+        **({"baseline_s": baseline_seconds(cfg, dataset)} if name == "default" else {}),
     }
 
 
@@ -137,6 +141,16 @@ def substep_split(cfg, dataset):
     return {"substep_ms": 1e3 * seconds["step"] / sub,
             **{f"{key}_ms": 1e3 * seconds[key] / sub for key in ("sample", "forward", "backward")},
             "update_ms": 1e3 * rest / sub}
+
+
+def baseline_seconds(cfg, dataset):
+    """Wall time of `random_search_baseline` at the config's budget and
+    epochs (its trials spread over the usable CPUs)."""
+    from egsearch.trainer import random_search_baseline
+
+    t0 = time.perf_counter()
+    random_search_baseline(dataset, cfg)
+    return time.perf_counter() - t0
 
 
 def retrain_code(name, cfg):
@@ -355,6 +369,8 @@ def main():
         "environment": {
             "python": sys.version.split()[0], "numpy": np.__version__,
             "libc": list(platform.libc_ver()), "cpu_count": os.cpu_count(),
+            "usable_cpus": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                            else os.cpu_count()),
             "blas_threads": BLAS_THREADS,
         },
         **lines["this"],
@@ -379,6 +395,8 @@ def main():
             print(f"{'':<8} substep {m['substep_ms']:.4f} ms: sample {m['sample_ms']:.4f} "
                   f"forward {m['forward_ms']:.4f} backward {m['backward_ms']:.4f} "
                   f"update {m['update_ms']:.4f}; retrain step {m['retrain_step_ms']:.4f} ms")
+            if "baseline_s" in m:
+                print(f"{'':<8} random-search baseline {m['baseline_s']:.3f} s")
         for name, k in kernels["kernels"].items():
             print(f"{name:<16} {k['draws_per_s']:12.4g} draws/s")
         for name, sec in kernels["audit_s"].items():

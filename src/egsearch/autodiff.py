@@ -58,6 +58,9 @@ class ShapeMismatchError(ValueError):
         self.shapes = tuple(tuple(s) for s in shapes)
         super().__init__(f"{kind}: incompatible shapes {self.shapes}")
 
+    def __reduce__(self):  # a pickle rebuilds it from kind and shapes
+        return type(self), (self.kind, self.shapes)
+
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1

@@ -26,6 +26,8 @@ concrete architecture code, which is retrained from scratch.
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
 from dataclasses import dataclass
 
@@ -495,26 +497,88 @@ def random_search_baseline(dataset: Dataset, cfg: RunConfig, budget=None) -> Bas
 
     The winner is picked by validation accuracy; test accuracy is reported
     for the winner only, keeping the comparison with the searched code fair.
+    The independent retrains run on every usable CPU (`_map_trials`).
     """
     budget = budget if budget is not None else cfg.baseline_budget
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(np.random.PCG64(cfg.seed).jumped(4))
     e, k = num_edges(cfg.nodes), len(OP_SET)
-    results = []
-    for trial in range(budget):
+    codes = []
+    for _ in range(budget):
         bits = rng.integers(0, 2, size=(e, k), dtype=np.uint8)
         if not cfg.allow_empty_edges:
             for row in range(e):
                 while not bits[row].any():
                     bits[row] = rng.integers(0, 2, size=k, dtype=np.uint8)
-        code = ArchitectureCode(n=cfg.nodes, K=k, bits=bits)
-        results.append(
-            retrain(code, dataset, cfg, epochs=cfg.baseline_retrain_epochs,
-                    seed_offset=100 + trial)
-        )
+        codes.append(ArchitectureCode(n=cfg.nodes, K=k, bits=bits))
+    results = _map_trials(
+        lambda t: retrain(codes[t], dataset, cfg, epochs=cfg.baseline_retrain_epochs,
+                          seed_offset=100 + t),
+        budget)
     best = max(results, key=lambda r: r.valid_acc)
     return BaselineResult(best=best, results=results)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 without `os.fork` or, as on macOS,
+    without `os.sched_getaffinity`."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _map_trials(run, n) -> list:
+    """[run(t) for t in range(n)], trial t on worker t mod W, W = min(n,
+    usable CPUs).  Worker 0 is this process; each other worker is a forked
+    child that pickles back its results, or its first error, through a pipe
+    (fork: `run` is never pickled).  The error raised is the lowest-numbered
+    failing trial's, as in the serial loop.  Every child is reaped before
+    this returns or raises, and killed first if this process is interrupted."""
+    workers = min(n, _usable_cpus())
+    children, shares, done = [], [], False  # children: (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child writes one pickle, or nothing, and exits
+                try:
+                    with os.fdopen(write, "wb") as fh:
+                        pickle.dump(_run_share(run, range(w, n, workers)), fh)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        shares.append(_run_share(run, range(0, n, workers)))
+        for w, (_, read) in enumerate(children, 1):
+            with open(read, "rb", closefd=False) as fh:
+                try:
+                    shares.append(pickle.load(fh))
+                except Exception as exc:  # it died before writing, or its error does not unpickle
+                    raise RuntimeError(f"baseline trials {list(range(w, n, workers))} "
+                                       "sent back no readable result") from exc
+        done = True
+    finally:
+        for pid, read in children:
+            if not done:
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    failed = [error for _, error in shares if error is not None]
+    if failed:
+        raise min(failed, key=lambda error: error[0])[1]
+    return [shares[t % workers][0][t // workers] for t in range(n)]
+
+
+def _run_share(run, trials):
+    """(results, None), or (results so far, (trial, error)) if one raises."""
+    results = []
+    for t in trials:
+        try:
+            results.append(run(t))
+        except Exception as exc:
+            return results, (t, exc)
+    return results, None
 
 
 # ---------------------------------------------------------------------------

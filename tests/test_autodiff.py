@@ -3,6 +3,7 @@ of the reference op chain (`opchain`)."""
 
 import gc
 import itertools
+import pickle
 import platform
 import weakref
 
@@ -319,6 +320,14 @@ def test_shape_mismatch_names_kind_and_shapes():
             oc.matmul(ad.Tensor(np.zeros(a)), ad.Tensor(np.zeros(b)))
     with pytest.raises(ad.ShapeMismatchError, match="concat"):
         oc.concat([ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3)))], axis=1)
+
+
+def test_shape_mismatch_error_survives_pickle():
+    # a forked baseline worker sends its error back pickled
+    err = ad.ShapeMismatchError("matmul", ((2, 3), (4, 5)))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ad.ShapeMismatchError and isinstance(back, ValueError)
+    assert (back.kind, back.shapes, str(back)) == (err.kind, err.shapes, str(err))
 
 
 def test_backward_rejects_non_scalar():

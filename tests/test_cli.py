@@ -322,7 +322,9 @@ def test_import_starts_no_process():
     import egsearch
 
     src = str(Path(egsearch.__file__).resolve().parent.parent)
-    code = "import sys, egsearch.cli; print('subprocess' in sys.modules)"
+    # nor multiprocessing: the baseline forks its workers with os.fork
+    code = ("import sys, egsearch.cli; "
+            "print('subprocess' in sys.modules or 'multiprocessing' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True, timeout=60)

@@ -8,7 +8,9 @@ descent direction of the search itself.
 """
 
 import gc
+import os
 import re
+import time
 import weakref
 from itertools import product
 
@@ -960,6 +962,123 @@ def test_baseline_resamples_empty_edges_when_asked():
     )
     strict = tr.random_search_baseline(ds, strict_cfg)
     assert all((r.code.bits.sum(axis=1) > 0).all() for r in strict.results)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def result_bits(r):
+    return (r.code.n, r.code.K, r.code.bits.dtype, r.code.bits.tobytes(),
+            *(float(x).hex() for x in (r.train_acc, r.valid_acc, r.test_acc, r.final_loss)))
+
+
+@pytest.mark.parametrize("budget", [1, 5, 6])
+def test_forked_baseline_matches_in_process_bit_for_bit(monkeypatch, budget):
+    cfg = small_cfg(nodes=3, baseline_retrain_epochs=2)
+    ds = tr.build_dataset(cfg)
+    runs = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: workers)
+        runs[workers] = tr.random_search_baseline(ds, cfg, budget=budget)
+        assert_no_child_left()
+    forked, serial = runs[2], runs[1]
+    assert len(forked.results) == len(serial.results) == budget
+    assert [result_bits(r) for r in forked.results] == [result_bits(r) for r in serial.results]
+    assert result_bits(forked.best) == result_bits(serial.best)
+
+
+def test_trials_spread_round_robin_over_forked_workers(monkeypatch):
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+    out = tr._map_trials(lambda t: (t, os.getpid()), 5)
+    assert [t for t, _ in out] == list(range(5))
+    assert {pid for t, pid in out if t % 2 == 0} == {os.getpid()}
+    assert len({pid for t, pid in out if t % 2}) == 1
+    assert out[1][1] != os.getpid()
+    assert_no_child_left()
+    # never more workers than trials
+    assert tr._map_trials(lambda t: os.getpid(), 1) == [os.getpid()]
+
+
+def test_forked_baseline_raises_the_serial_loops_error(monkeypatch):
+    cfg = small_cfg(nodes=2, baseline_budget=5, baseline_retrain_epochs=1)
+    errors = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: workers)
+        with pytest.raises(tr.SearchDiverged) as ei:
+            tr.random_search_baseline(nan_dataset(), cfg)
+        errors[workers] = str(ei.value)
+        assert_no_child_left()
+    assert errors[1] == errors[2] and "non-finite retrain loss" in errors[1]
+
+
+def test_lowest_failing_trial_wins_whichever_worker_hit_it(monkeypatch):
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+
+    def fail_from(first):
+        def run(t):
+            if t >= first:
+                raise tr.SearchDiverged(f"trial {t}")
+            return t
+        return run
+
+    # trial 1 is the child's, trial 2 the calling process's
+    with pytest.raises(tr.SearchDiverged, match="^trial 1$"):
+        tr._map_trials(fail_from(1), 6)
+    with pytest.raises(tr.SearchDiverged, match="^trial 2$"):
+        tr._map_trials(fail_from(2), 6)
+    assert_no_child_left()
+
+
+def test_a_childs_error_keeps_its_type(monkeypatch):
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+
+    def run(t):
+        if t == 1:
+            raise ad.ShapeMismatchError("matmul", ((2, 3), (4, 5)))
+        return t
+
+    with pytest.raises(ad.ShapeMismatchError) as ei:
+        tr._map_trials(run, 4)
+    assert ei.value.shapes == ((2, 3), (4, 5))
+    assert_no_child_left()
+
+
+class UnpicklableError(Exception):
+    def __init__(self, a, b):  # pickle calls it with one argument
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.parametrize("fault", ["unpicklable error", "dies without writing"])
+def test_a_child_without_a_readable_result_raises_runtime_error(monkeypatch, fault):
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+
+    def run(t):
+        if t == 3:
+            if fault == "dies without writing":
+                os._exit(3)
+            raise UnpicklableError("a", "b")
+        return t
+
+    with pytest.raises(RuntimeError, match=re.escape("trials [1, 3]")):
+        tr._map_trials(run, 4)
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_the_calling_process_kills_the_children(monkeypatch):
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+
+    def run(t):
+        if t == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the child's share: killed, not waited for
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        tr._map_trials(run, 2)
+    assert time.perf_counter() - t0 < 30
+    assert_no_child_left()
 
 
 # --- reporting ---------------------------------------------------------------
