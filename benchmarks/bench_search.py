@@ -27,7 +27,11 @@ ten 30-epoch retrains, spread over the usable CPUs, which "environment"
 records).  The cases are the README's default search and a search at the
 benchmark's search-wide shape.  The audit's legs (`count_audit`, `bijection_audit`, `marginal_audit`) and
 `run_audit` as a whole are timed at `run_audit`'s defaults, which are
-`verify-propositions`' defaults.  The batch draw is timed at each (K, M) of
+`verify-propositions`' defaults.  Beside the baseline's time
+("baseline_parallelism") and each audit time ("audit_parallelism") is
+that call's measured parallelism: the CPU seconds of the process and its
+reaped children over the wall seconds, so a fan-out whose workers took
+turns on one CPU reads about 1, not the worker count.  The batch draw is timed at each (K, M) of
 KERNEL_SHAPES on blocks of `audit.MARGINAL_CHUNK_UNIFORMS` pre-drawn
 uniforms, the blocks the marginal leg draws, so its timing is the kernel
 alone; "derive" is the mode-sample derivation's call, one block of the
@@ -102,7 +106,7 @@ def run_case(name):
         **substep_nodes(cfg, dataset),
         "retrain_step_nodes": retrain_step_nodes(name, cfg, dataset),
         "retrain_step_ms": retrain_step_ms(name, cfg, dataset),
-        **({"baseline_s": baseline_seconds(cfg, dataset)} if name == "default" else {}),
+        **(baseline_seconds(cfg, dataset) if name == "default" else {}),
     }
 
 
@@ -143,14 +147,31 @@ def substep_split(cfg, dataset):
             "update_ms": 1e3 * rest / sub}
 
 
+def cpu_seconds():
+    """CPU seconds of this process and of its reaped children."""
+    return sum(usage.ru_utime + usage.ru_stime
+               for usage in map(resource.getrusage,
+                                (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+
+
+def timed(fn):
+    """(wall seconds of fn(), parallelism): the parallelism is the CPU
+    seconds of this process and its reaped children over those wall
+    seconds, about 1 for one busy CPU and W for W workers that each had
+    their own."""
+    c0, t0 = cpu_seconds(), time.perf_counter()
+    fn()
+    wall = time.perf_counter() - t0
+    return wall, (cpu_seconds() - c0) / wall
+
+
 def baseline_seconds(cfg, dataset):
     """Wall time of `random_search_baseline` at the config's budget and
-    epochs (its trials spread over the usable CPUs)."""
+    epochs (its trials spread over the usable CPUs), and its parallelism."""
     from egsearch.trainer import random_search_baseline
 
-    t0 = time.perf_counter()
-    random_search_baseline(dataset, cfg)
-    return time.perf_counter() - t0
+    wall, parallelism = timed(lambda: random_search_baseline(dataset, cfg))
+    return {"baseline_s": wall, "baseline_parallelism": parallelism}
 
 
 def retrain_code(name, cfg):
@@ -265,14 +286,14 @@ def kernel_rates(draws, repeats):
         t = best_of(run, repeats)
         rates[name] = {"K": k, "M": m, "block_draws": block, "calls": calls,
                        "seconds": t, "draws_per_s": calls * block / t}
-    return {"draws": draws, "kernels": rates,
-            "audit_s": audit_times(repeats),
+    return {"draws": draws, "kernels": rates, **audit_times(repeats),
             "activations_us": activation_times(repeats)}
 
 
 def audit_times(repeats):
-    """Seconds of each audit leg, and of `run_audit`, at `run_audit`'s
-    defaults: the best of R calls."""
+    """{"audit_s", "audit_parallelism"}: the seconds of each audit leg, and
+    of `run_audit`, at `run_audit`'s defaults, the best of R calls, and that
+    call's parallelism (`timed`)."""
     import inspect
 
     from egsearch import audit
@@ -286,7 +307,9 @@ def audit_times(repeats):
                                                  seed=d["seed"]),
         "run_audit": audit.run_audit,
     }
-    return {name: best_of(leg, repeats) for name, leg in legs.items()}
+    best = {name: min(timed(leg) for _ in range(repeats)) for name, leg in legs.items()}
+    return {"audit_s": {name: wall for name, (wall, _) in best.items()},
+            "audit_parallelism": {name: par for name, (_, par) in best.items()}}
 
 
 def activation_times(repeats):
@@ -318,6 +341,10 @@ def best_kernels(records):
                        for name in records[0]["kernels"]}
     for key in ("audit_s", "activations_us"):
         best[key] = {name: min(r[key][name] for r in records) for name in records[0][key]}
+    # each leg's parallelism is that of its fastest call
+    best["audit_parallelism"] = {
+        name: min(records, key=lambda r: r["audit_s"][name])["audit_parallelism"][name]
+        for name in records[0]["audit_s"]}
     return best
 
 
@@ -396,11 +423,13 @@ def main():
                   f"forward {m['forward_ms']:.4f} backward {m['backward_ms']:.4f} "
                   f"update {m['update_ms']:.4f}; retrain step {m['retrain_step_ms']:.4f} ms")
             if "baseline_s" in m:
-                print(f"{'':<8} random-search baseline {m['baseline_s']:.3f} s")
+                print(f"{'':<8} random-search baseline {m['baseline_s']:.3f} s, "
+                      f"parallelism {m['baseline_parallelism']:.2f}")
         for name, k in kernels["kernels"].items():
             print(f"{name:<16} {k['draws_per_s']:12.4g} draws/s")
         for name, sec in kernels["audit_s"].items():
-            print(f"audit {name:<10} {sec:12.3f} s")
+            print(f"audit {name:<10} {sec:12.3f} s, parallelism "
+                  f"{kernels['audit_parallelism'][name]:.2f}")
         for name, us in kernels["activations_us"].items():
             print(f"{name:<16} {us:12.2f} us")
 

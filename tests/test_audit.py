@@ -1,14 +1,15 @@
-"""The marginal audit's calibrated bound and its power, and the module
-attributes perfbench's tracer patches."""
+"""The marginal audit's calibrated bound, its power and its fan-out, and
+the module attributes perfbench's tracer patches."""
 
 import dataclasses
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from egsearch import audit, kernels
+from egsearch import audit, fanout, kernels
 from egsearch import trainer as tr
 from egsearch.config import RunConfig
 from egsearch.space import num_edges
@@ -78,6 +79,21 @@ def test_marginal_audit_in_chunks_equals_one_block(monkeypatch):
         assert got.tobytes() == ref.tobytes()
 
 
+def test_fanned_out_marginal_leg_is_the_serial_one_bit_for_bit(monkeypatch):
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    runs = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(fanout, "_usable_cpus", lambda: workers)
+        legs = [audit.marginal_audit(configs=5, draws=3001, seed=s) for s in (0, 1, 2)]
+        runs[workers] = ([(lines, ok, max_z.hex()) for lines, ok, max_z in legs],
+                         audit.run_audit(configs=3, draws=2000).report)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        if affinity is not None:
+            assert os.sched_getaffinity(0) == affinity
+    assert runs[2] == runs[1]
+
+
 def test_run_audit_refuses_draws_past_the_ceiling_before_any_leg(monkeypatch):
     def leg(*args, **kwargs):
         raise AssertionError("a leg ran")
@@ -134,9 +150,12 @@ def load_tracer():
     return module
 
 
-def test_perfbench_tracer_hooks_into_the_package():
+def test_perfbench_tracer_hooks_into_the_package(monkeypatch):
     # the tracer times the audit's and the derivation's draws by wrapping
-    # kernels.egs_hard_batch; install() fails on any attribute that is gone
+    # kernels.egs_hard_batch; install() fails on any attribute that is gone.
+    # A forked worker's draws are counted in that worker, so the marginal
+    # leg runs in this process alone here.
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     tracer = load_tracer().Tracer()
     tracer.install()
     patched = list(tracer._saved)

@@ -322,7 +322,7 @@ def test_import_starts_no_process():
     import egsearch
 
     src = str(Path(egsearch.__file__).resolve().parent.parent)
-    # nor multiprocessing: the baseline forks its workers with os.fork
+    # nor multiprocessing: fanout forks its workers with os.fork
     code = ("import sys, egsearch.cli; "
             "print('subprocess' in sys.modules or 'multiprocessing' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}

@@ -1,4 +1,5 @@
-"""Search loop, derivation, retraining, and baseline behavior.
+"""Search loop, derivation, retraining, baseline behavior, and the fan-out
+of the baseline's trials over pinned workers (`fanout`).
 
 The heaviest oracle here is a hand-written numpy twin of the fixed-code
 training loop: same initialization, same batch stream, gradients derived
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egsearch import autodiff as ad
+from egsearch import fanout
 from egsearch import trainer as tr
 from egsearch.config import RunConfig
 from egsearch.data import Dataset
@@ -969,6 +971,15 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# the pin assertions need a platform that can set a CPU affinity mask
+has_affinity = hasattr(os, "sched_setaffinity")
+needs_affinity = pytest.mark.skipif(not has_affinity, reason="no os.sched_setaffinity")
+
+
+def affinity():
+    return os.sched_getaffinity(0) if has_affinity else None
+
+
 def result_bits(r):
     return (r.code.n, r.code.K, r.code.bits.dtype, r.code.bits.tobytes(),
             *(float(x).hex() for x in (r.train_acc, r.valid_acc, r.test_acc, r.final_loss)))
@@ -978,11 +989,12 @@ def result_bits(r):
 def test_forked_baseline_matches_in_process_bit_for_bit(monkeypatch, budget):
     cfg = small_cfg(nodes=3, baseline_retrain_epochs=2)
     ds = tr.build_dataset(cfg)
-    runs = {}
+    runs, before = {}, affinity()
     for workers in (2, 1):
-        monkeypatch.setattr(tr, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(fanout, "_usable_cpus", lambda: workers)
         runs[workers] = tr.random_search_baseline(ds, cfg, budget=budget)
         assert_no_child_left()
+        assert affinity() == before
     forked, serial = runs[2], runs[1]
     assert len(forked.results) == len(serial.results) == budget
     assert [result_bits(r) for r in forked.results] == [result_bits(r) for r in serial.results]
@@ -990,22 +1002,56 @@ def test_forked_baseline_matches_in_process_bit_for_bit(monkeypatch, budget):
 
 
 def test_trials_spread_round_robin_over_forked_workers(monkeypatch):
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
-    out = tr._map_trials(lambda t: (t, os.getpid()), 5)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    out = fanout._map_trials(lambda t: (t, os.getpid()), 5)
     assert [t for t, _ in out] == list(range(5))
     assert {pid for t, pid in out if t % 2 == 0} == {os.getpid()}
     assert len({pid for t, pid in out if t % 2}) == 1
     assert out[1][1] != os.getpid()
     assert_no_child_left()
     # never more workers than trials
-    assert tr._map_trials(lambda t: os.getpid(), 1) == [os.getpid()]
+    assert fanout._map_trials(lambda t: os.getpid(), 1) == [os.getpid()]
+
+
+@needs_affinity
+def test_each_forked_worker_runs_on_its_own_cpu(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    workers = min(len(mask), 4)
+    if workers < 2:
+        pytest.skip("one usable CPU")
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: workers)
+    masks = fanout._map_trials(lambda t: os.sched_getaffinity(0), 2 * workers)
+    assert os.sched_getaffinity(0) == mask
+    assert_no_child_left()
+    pinned = masks[:workers]
+    assert all(len(m) == 1 and m <= mask for m in pinned)
+    assert len(set().union(*pinned)) == workers  # no two workers share a CPU
+    assert masks[workers:] == pinned  # each worker keeps its CPU
+
+
+@needs_affinity
+def test_pinning_wraps_around_a_mask_smaller_than_the_worker_count(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    one = {min(mask)}
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    os.sched_setaffinity(0, one)
+    try:
+        out = fanout._map_trials(lambda t: (t * t, os.getpid(), os.sched_getaffinity(0)), 5)
+        after = os.sched_getaffinity(0)
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert after == one
+    assert [r for r, _, _ in out] == [t * t for t in range(5)]
+    assert all(m == one for _, _, m in out)
+    assert len({pid for _, pid, _ in out}) == 2
+    assert_no_child_left()
 
 
 def test_forked_baseline_raises_the_serial_loops_error(monkeypatch):
     cfg = small_cfg(nodes=2, baseline_budget=5, baseline_retrain_epochs=1)
     errors = {}
     for workers in (1, 2):
-        monkeypatch.setattr(tr, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(fanout, "_usable_cpus", lambda: workers)
         with pytest.raises(tr.SearchDiverged) as ei:
             tr.random_search_baseline(nan_dataset(), cfg)
         errors[workers] = str(ei.value)
@@ -1014,7 +1060,8 @@ def test_forked_baseline_raises_the_serial_loops_error(monkeypatch):
 
 
 def test_lowest_failing_trial_wins_whichever_worker_hit_it(monkeypatch):
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    before = affinity()
 
     def fail_from(first):
         def run(t):
@@ -1025,14 +1072,15 @@ def test_lowest_failing_trial_wins_whichever_worker_hit_it(monkeypatch):
 
     # trial 1 is the child's, trial 2 the calling process's
     with pytest.raises(tr.SearchDiverged, match="^trial 1$"):
-        tr._map_trials(fail_from(1), 6)
+        fanout._map_trials(fail_from(1), 6)
     with pytest.raises(tr.SearchDiverged, match="^trial 2$"):
-        tr._map_trials(fail_from(2), 6)
+        fanout._map_trials(fail_from(2), 6)
     assert_no_child_left()
+    assert affinity() == before
 
 
 def test_a_childs_error_keeps_its_type(monkeypatch):
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
 
     def run(t):
         if t == 1:
@@ -1040,7 +1088,7 @@ def test_a_childs_error_keeps_its_type(monkeypatch):
         return t
 
     with pytest.raises(ad.ShapeMismatchError) as ei:
-        tr._map_trials(run, 4)
+        fanout._map_trials(run, 4)
     assert ei.value.shapes == ((2, 3), (4, 5))
     assert_no_child_left()
 
@@ -1052,7 +1100,7 @@ class UnpicklableError(Exception):
 
 @pytest.mark.parametrize("fault", ["unpicklable error", "dies without writing"])
 def test_a_child_without_a_readable_result_raises_runtime_error(monkeypatch, fault):
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
 
     def run(t):
         if t == 3:
@@ -1062,23 +1110,25 @@ def test_a_child_without_a_readable_result_raises_runtime_error(monkeypatch, fau
         return t
 
     with pytest.raises(RuntimeError, match=re.escape("trials [1, 3]")):
-        tr._map_trials(run, 4)
+        fanout._map_trials(run, 4)
     assert_no_child_left()
 
 
 def test_an_interrupt_in_the_calling_process_kills_the_children(monkeypatch):
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
 
     def run(t):
         if t == 0:
             raise KeyboardInterrupt
         time.sleep(60)  # the child's share: killed, not waited for
 
+    before = affinity()
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        tr._map_trials(run, 2)
+        fanout._map_trials(run, 2)
     assert time.perf_counter() - t0 < 30
     assert_no_child_left()
+    assert affinity() == before
 
 
 # --- reporting ---------------------------------------------------------------
